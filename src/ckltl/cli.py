@@ -5,9 +5,9 @@ first-order form), validate (similarity preorder report), universe (list
 generated traces), demo (run a packaged hiring variant end to end).
 
 Exit status: 0 success / satisfied, 1 not satisfied (or violations found),
-2 bad input.  Output is deterministic byte-for-byte for fixed inputs; --jobs
-is accepted for interface stability but evaluation is sequential (the
-memoized evaluator is not sped up by threads).
+2 bad input, 3 internal error (reported as one line on stderr; an exhausted
+resource such as the interpreter's recursion limit counts as one).  Output is
+deterministic byte-for-byte for fixed inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import foe, hiring
 from .formula import Formula, ParseError, desugar, parse
-from .model import ModelFormatError, System, load_system
+from .model import ModelFormatError, System, UnknownAgentError, load_system
 from .semantics import (
     EvalContext,
     StabilizationCapExceeded,
@@ -270,7 +270,6 @@ def _add_common(p: argparse.ArgumentParser, model=True, formula=False) -> None:
     p.add_argument("--bounded", type=int, default=None, metavar="N")
     p.add_argument("--stabilization-cap", type=int, default=64)
     p.add_argument("--out", default=None, help="write the report here")
-    p.add_argument("--jobs", type=int, default=None, help="accepted; no effect")
     p.add_argument("--json", action="store_true")
 
 
@@ -304,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true")
     p.add_argument("--stabilization-cap", type=int, default=64)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=None, help="accepted; no effect")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_demo)
 
@@ -315,9 +313,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except (InputError, UnknownAgentError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # never let a crash read as "not satisfied" (status 1)
+        detail = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

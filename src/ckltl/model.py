@@ -137,11 +137,6 @@ class System:
         return problems
 
 
-def validate_system(system: System) -> list[str]:
-    """All invariant violations, as human-readable strings (empty if none)."""
-    return system.validate()
-
-
 # ---------------------------------------------------------------------------
 # JSON format
 # ---------------------------------------------------------------------------
@@ -271,8 +266,9 @@ def subset_similarity(
         differs_near = Not(Iff(on_ref, TracedAtom(p, near)))
         differs_far = Not(Iff(on_ref, TracedAtom(p, far)))
         parts.append(Implies(differs_near, differs_far))
-    # one shared block node: the evaluator caches per node object, so the
-    # future- and past-closed halves reuse each other's work
+    # G and H over the same pointwise block: the evaluator recognises this
+    # all-positions shape and answers it from per-trace bitmasks without
+    # zipping; other relations are evaluated on zipped trace triples
     block = conjoin(parts)
     body = And(Globally(block), Historically(block))
     return validate_relational(body, params)

@@ -21,6 +21,13 @@ reference core form and the test suite holds both routes to the same values.
 All trace quantifiers (knowledge, counterfactuals, system-level checks) range
 over one finite TraceUniverse.  Verdicts are therefore exact only relative to
 the chosen universe.
+
+Similarity relations of the all-positions shape -- a conjunction of `G B_k`
+and `H B_k` whose G-bodies and H-bodies form the same set, every body
+pointwise (traced atoms, boolean connectives, constants) -- are answered from
+per-trace proposition bitmasks over the whole position window, with no zipped
+trace; `subset_similarity` and the gender-frozen hiring relation have this
+shape.  Every other relation is evaluated on the zipped trace triple.
 """
 
 from __future__ import annotations
@@ -53,6 +60,8 @@ from .formula import (
     Until,
     UWould,
     Would,
+    children,
+    conjoin,
     subformulas,
     to_source,
 )
@@ -99,6 +108,91 @@ class _Seq:
 
 _MISSING = object()
 
+# Opcodes of a compiled pointwise block.  Registers hold ints read as bit
+# vectors over positions (bit j = value at position j); negative ints stand
+# for vectors with every high bit set, so negation is `~`.
+_LOAD, _CONST, _NOT, _AND, _OR, _IMPLIES, _IFF = range(7)
+_BINARY = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
+
+
+def _all_positions_block(params: tuple[str, str, str], rel: Formula):
+    """Compile `rel` into a flat op list when it has the all-positions shape,
+    else return None.
+
+    The shape is a conjunction of `G B_k` and `H B_k` in which the set of
+    G-bodies equals the set of H-bodies and every body is pointwise over the
+    declared trace variables.  G from i and H up to i together cover every
+    position, so the relation holds iff the conjunction of the bodies holds
+    at every position, whatever i is."""
+    if len(set(params)) != len(params):
+        return None
+    conjuncts, stack = [], [rel]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            conjuncts.append(g)
+    if not all(isinstance(g, (Globally, Historically)) for g in conjuncts):
+        return None
+    g_bodies = dict.fromkeys(g.child for g in conjuncts if isinstance(g, Globally))
+    h_bodies = {g.child for g in conjuncts if isinstance(g, Historically)}
+    if set(g_bodies) != h_bodies:
+        return None
+    ops: list[tuple] = []
+    regs: dict = {}  # node key -> register (index of the op that fills it)
+
+    def key(g: Formula):
+        return (g.name, g.trace_var) if isinstance(g, TracedAtom) else id(g)
+
+    stack = [(conjoin(list(g_bodies)), False)]
+    while stack:
+        g, ready = stack.pop()
+        if key(g) in regs:
+            continue
+        if isinstance(g, TracedAtom):
+            if g.trace_var not in params:
+                return None
+            op = (_LOAD, params.index(g.trace_var), g.name)
+        elif isinstance(g, (TrueConst, FalseConst)):
+            op = (_CONST, -1 if isinstance(g, TrueConst) else 0, None)
+        elif not isinstance(g, (Not, *_BINARY)):
+            return None
+        elif not ready:
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(children(g)))
+            continue
+        elif isinstance(g, Not):
+            op = (_NOT, regs[key(g.child)], None)
+        else:
+            op = (_BINARY[type(g)], regs[key(g.left)], regs[key(g.right)])
+        regs[key(g)] = len(ops)
+        ops.append(op)
+    return tuple(ops)
+
+
+def _run_block(ops: tuple, masks: list[dict[str, int]]) -> int:
+    """Bit vector of a compiled block over the traces whose per-proposition
+    bitmasks are `masks` (one per trace variable); the root is the last op."""
+    r: list[int] = []
+    push = r.append
+    for code, a, b in ops:
+        if code == _LOAD:
+            push(masks[a].get(b, 0))
+        elif code == _AND:
+            push(r[a] & r[b])
+        elif code == _IFF:
+            push(~(r[a] ^ r[b]))
+        elif code == _NOT:
+            push(~r[a])
+        elif code == _IMPLIES:
+            push(~r[a] | r[b])
+        elif code == _OR:
+            push(r[a] | r[b])
+        else:
+            push(a)
+    return r[-1]
+
 
 class EvalContext:
     """Evaluation state: system, universe, mode, and all memo tables.
@@ -134,8 +228,9 @@ class EvalContext:
         self._bmemo: dict[tuple[int, int, int], bool] = {}
         self._zips: dict[tuple[str, int, int, int], LassoTrace] = {}
         self._divs: dict[tuple[str, int, int], int | None] = {}
-        self._sims: dict[tuple[str, int, int, int, int], bool] = {}
-        self._rels: dict[str, tuple[tuple[str, str, str], Formula]] = {}
+        self._sims: dict[tuple, bool] = {}
+        self._rels: dict[str, tuple[tuple[str, str, str], Formula, tuple | None]] = {}
+        self._masks: dict[tuple[int, int], dict[str, int]] = {}
         self._bounds: dict[int, tuple[int, int, bool]] = {}
         for t in universe:
             self._key(t)
@@ -158,11 +253,12 @@ class EvalContext:
             self._objs[k] = obj
         return k
 
-    def _rel(self, agent: str) -> tuple[tuple[str, str, str], Formula]:
+    def _rel(self, agent: str) -> tuple[tuple[str, str, str], Formula, tuple | None]:
+        """(params, formula, compiled block or None) of the agent's relation."""
         got = self._rels.get(agent)
         if got is None:
             rf = self.system.similarity_of(agent)
-            got = (rf.params, rf.formula)
+            got = (rf.params, rf.formula, _all_positions_block(rf.params, rf.formula))
             self._rels[agent] = got
             self._key(got[1])
         return got
@@ -359,15 +455,52 @@ class EvalContext:
     ) -> bool:
         """Does the agent's similarity formula accept (t_ref, t1, t2) at i?
 
-        Evaluated on the zipped trace in the context's own mode, reading
-        "t1 is at least as similar to t_ref as t2, judged at position i"."""
-        key = (agent, self._key(t_ref), self._key(t1), self._key(t2), i)
+        Reads "t1 is at least as similar to t_ref as t2, judged at position
+        i", in the context's own mode.  A relation of the all-positions shape
+        does not depend on i and is decided from per-trace bitmasks over the
+        whole window; any other is evaluated on the zipped trace."""
+        params, rel, block = self._rel(agent)
+        bitwise = block is not None and (self.mode == EXACT_LASSO or i <= self.bound)
+        key = (agent, self._key(t_ref), self._key(t1), self._key(t2))
+        if not bitwise:
+            key += (i,)
         got = self._sims.get(key, _MISSING)
         if got is _MISSING:
-            params, rel = self._rel(agent)
-            z = self._zip(agent, params, t_ref, t1, t2)
-            got = self.value(z, rel, i)
+            if bitwise:
+                got = self._block_holds(block, (t_ref, t1, t2))
+            else:
+                z = self._zip(agent, params, t_ref, t1, t2)
+                got = self.value(z, rel, i)
             self._sims[key] = got
+        return got
+
+    def _block_holds(self, block: tuple, traces: tuple) -> bool:
+        """Does a compiled all-positions block hold at every position of the
+        window?  Bounded mode: [0, N].  Exact mode: [0, P + L) with P the
+        largest prefix and L the lcm of the loops over the universe and the
+        three traces.  Every later position of the zipped triple repeats one
+        inside; taking the universe's shape too gives all universe traces one
+        window, so each trace's bitmasks are built once."""
+        if self.mode == BOUNDED:
+            width = self.bound + 1
+        else:
+            width = max(self._uni_pmax, *(len(t.prefix) for t in traces)) + lcm(
+                self._uni_llcm, *(len(t.loop) for t in traces)
+            )
+        full = (1 << width) - 1
+        masks = [self._trace_masks(t, width) for t in traces]
+        return _run_block(block, masks) & full == full
+
+    def _trace_masks(self, t: LassoTrace, width: int) -> dict[str, int]:
+        """Proposition -> bitmask of the positions in [0, width) where it holds."""
+        key = (self._key(t), width)
+        got = self._masks.get(key)
+        if got is None:
+            got = {}
+            for j in range(width):
+                for p in t.label_at(j):
+                    got[p] = got.get(p, 0) | 1 << j
+            self._masks[key] = got
         return got
 
     def _zip(self, agent, params, t1, t2, t3) -> LassoTrace:

@@ -167,13 +167,6 @@ def obs_divergence_point(system, agent: str, t1: LassoTrace, t2: LassoTrace):
     return None
 
 
-def obs_prefix_eq(system, agent: str, t1: LassoTrace, t2: LassoTrace, i: int) -> bool:
-    """True iff the agent observes identical prefixes of t1 and t2 up to and
-    including position i (synchronous perfect recall)."""
-    d = obs_divergence_point(system, agent, t1, t2)
-    return d is None or d > i
-
-
 # ---------------------------------------------------------------------------
 # Universes
 # ---------------------------------------------------------------------------

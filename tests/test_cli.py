@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ckltl import desugar, parse, save_system
-from ckltl.cli import main
+from ckltl import cli, desugar, parse, save_system
+from ckltl.cli import build_parser, main
 from ckltl.foe import print_fo, translate
 
 from test_semantics import cf_fixture
@@ -136,6 +138,8 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         ["check", "--model", model, "--formula", "p",
          "--universe-prefix", "1", "--universe-loop", "1",
          "--loop-states", "zz"],
+        # formula names an agent the model lacks
+        ["check", "--model", model, "--formula", "K[zz] p", *TRACES],
         # unknown demo variant
         ["demo", "zz"],
         # demo without a variant
@@ -145,6 +149,49 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_internal_error_exits_3_with_one_line(model, capsys, monkeypatch):
+    def crash(ctx, f):
+        raise RuntimeError("evaluator broke\non two lines")
+
+    monkeypatch.setattr(cli, "check_system", crash)
+    code, out, err = run(
+        capsys, ["check", "--model", model, "--formula", "p", *TRACES]
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: evaluator broke on two lines\n"
+
+
+def test_deep_formula_never_reads_as_not_satisfied(model, capsys, tmp_path):
+    # a 600-term disjunction (valid: it contains p and !p) nests deeper than
+    # a recursive evaluator gets; it must either hold or be an internal error
+    src = tmp_path / "deep.ck"
+    src.write_text(" | ".join(["p"] * 300 + ["!p"] * 300))
+    code, out, err = run(
+        capsys,
+        ["check", "--model", model, "--formula-file", str(src), *TRACES],
+    )
+    assert code in (0, 3), (code, err)
+    if code == 3:
+        assert err.startswith("internal error: RecursionError")
+        assert err.count("\n") == 1
+    else:
+        assert "result: satisfied" in out
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [x for x in readme.read_text().splitlines() if x.startswith("ckltl ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        assert callable(args.func), line
 
 
 def test_translate_matches_library(model, capsys):

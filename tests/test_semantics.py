@@ -37,8 +37,12 @@ from ckltl import (
     stabilize,
     subset_similarity,
     universe_of,
+    validate_relational,
     validate_similarity,
+    zip3,
 )
+from ckltl import semantics
+from ckltl.hiring import build_gender_frozen, decision_trace, single_round_universe
 from ckltl.model import KripkeStructure
 
 from gen import gen_formula, gen_system, gen_temporal, gen_trace, gen_universe
@@ -414,3 +418,107 @@ def test_validate_similarity_flags_bad_relation():
     assert not report.ok
     kinds = {v.kind for v in report.violations}
     assert "irreflexive" in kinds or "minimum" in kinds
+
+
+# ---------------------------------------------------------------------------
+# similarity queries: bitmask kernel against the zipped route
+
+
+@pytest.fixture
+def zip_calls(monkeypatch):
+    """Triples the context zips to answer similarity queries."""
+    calls = []
+    real = semantics.zip3
+
+    def counting(*args):
+        calls.append(args[:3])
+        return real(*args)
+
+    monkeypatch.setattr(semantics, "zip3", counting)
+    return calls
+
+
+def assert_routes_agree(ctx, agent, traces, positions, oracle_universe=None):
+    """`similarity_holds` equals the relation evaluated on the zipped triple,
+    for every triple of `traces`; in bounded mode, when a universe is given,
+    also the naive oracle's environment-based reading."""
+    rf = ctx.system.similarity_of(agent)
+    for x in traces:
+        for y in traces:
+            for z in traces:
+                zipped = zip3(x, y, z, rf.params)
+                for i in positions:
+                    got = ctx.similarity_holds(agent, x, y, z, i)
+                    assert got == ctx.value(zipped, rf.formula, i), (x, y, z, i)
+                    if oracle_universe is not None:
+                        env = dict(zip(rf.params, (x, y, z)))
+                        assert got == naive(
+                            ctx.system, oracle_universe, ctx.bound, x,
+                            rf.formula, i, env,
+                        ), (x, y, z, i)
+
+
+def test_similarity_kernel_matches_zipped_route(zip_calls):
+    r = random.Random(106)
+    for _ in range(12):
+        s = gen_system(r)
+        u = gen_universe(r, max_traces=4)
+        # traces outside the universe, with longer prefixes and loops
+        outside = [gen_trace(r, max_prefix=5, max_loop=4) for _ in range(2)]
+        traces = list(u.traces) + outside
+        contexts = [(EvalContext.exact(s, u), (0, 1, 4))]
+        contexts += [(EvalContext.bounded(s, u, n), range(n + 1)) for n in (0, 2, 5)]
+        for ctx, positions in contexts:
+            for a in s.agents:
+                assert_routes_agree(ctx, a, traces, positions)
+        assert zip_calls == []
+        # one past a bounded window H reads beyond N; the zipped route answers
+        for ctx, _ in contexts[1:]:
+            for a in s.agents:
+                assert_routes_agree(ctx, a, traces, (ctx.bound + 1,))
+        zip_calls.clear()
+
+
+def test_similarity_kernel_on_the_gender_frozen_relation(zip_calls):
+    s = build_gender_frozen()
+    u = single_round_universe(s)
+    traces = [
+        u.traces[0],
+        decision_trace("sales", "f", "sales", "f"),
+        decision_trace("sales", "m", "sales", "f"),
+        decision_trace("it", "f", "sales", "f"),
+        decision_trace("it", "m", "it", "m"),
+        # outside the universe: a longer prefix and a two-letter loop
+        LassoTrace(
+            (frozenset(), frozenset({"a_f", "a_it"}), frozenset({"a_m"})),
+            (frozenset({"a_f"}), frozenset()),
+        ),
+    ]
+    for ctx, positions in (
+        (EvalContext.exact(s, u), (0, 1, 3)),
+        (EvalContext.bounded(s, u, 2), (0, 1, 2)),
+    ):
+        for a in s.agents:
+            assert_routes_agree(ctx, a, traces, positions)
+    assert zip_calls == []
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "p@pi2 & !p@pi1",  # position-local
+        "G (p@pi1 -> p@pi2)",  # G without H
+        "G (p@pi1 -> p@pi2) & H (q@pi1 -> q@pi2)",  # different bodies
+        "G (X p@pi1 -> p@pi2) & H (X p@pi1 -> p@pi2)",  # temporal body
+    ],
+)
+def test_other_similarity_shapes_take_the_zipped_route(src, zip_calls):
+    s, u = cf_fixture()
+    rel = validate_relational(parse(src), ("pi", "pi1", "pi2"))
+    system = System(s.kripke, ("a",), s.observation, {"a": rel})
+    traces = list(u.traces) + [tr("{p} | {q} ; {}")]
+    assert_routes_agree(EvalContext.exact(system, u), "a", traces, (0, 2))
+    assert_routes_agree(
+        EvalContext.bounded(system, u, 3), "a", traces, (0, 2, 3), u
+    )
+    assert zip_calls
