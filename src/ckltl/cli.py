@@ -250,12 +250,14 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, model=True, formula=False) -> None:
-    if model:
-        p.add_argument("--model", help="model file (JSON)")
+def _add_common(p: argparse.ArgumentParser, formula=False, universe=True) -> None:
+    p.add_argument("--model", help="model file (JSON)")
     if formula:
         p.add_argument("--formula", help="formula source text")
         p.add_argument("--formula-file", help="file with formula source")
+    p.add_argument("--out", default=None, help="write the report here")
+    if not universe:
+        return
     p.add_argument("--universe-prefix", type=int, default=None, metavar="P")
     p.add_argument("--universe-loop", type=int, default=None, metavar="L")
     p.add_argument("--loop-states", default=None, metavar="S0,S1,...")
@@ -269,7 +271,6 @@ def _add_common(p: argparse.ArgumentParser, model=True, formula=False) -> None:
     p.add_argument("--max-traces", type=int, default=100_000)
     p.add_argument("--bounded", type=int, default=None, metavar="N")
     p.add_argument("--stabilization-cap", type=int, default=64)
-    p.add_argument("--out", default=None, help="write the report here")
     p.add_argument("--json", action="store_true")
 
 
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("translate", help="first-order form of a formula")
-    _add_common(p, formula=True)
+    _add_common(p, formula=True, universe=False)
     p.add_argument("--faithful", action="store_true")
     p.set_defaults(func=_cmd_translate)
 

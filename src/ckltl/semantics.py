@@ -18,6 +18,14 @@ The evaluator handles the surface operators (Or, Implies, Iff, F, G, O, H,
 Might, EMight) natively rather than desugaring first; `desugar` defines the
 reference core form and the test suite holds both routes to the same values.
 
+Memo layout.  A context hash-conses the formulas it meets into small node
+ids, one representative object per structurally distinct subformula, so equal
+subformulas (across ICE, WCE, GCE and the similarity relations too) share
+their values.  Traces get ids on first use: universe traces their universe
+order (shared by any other object for the same word), any other trace the
+next free id.  The values of node n on trace k form one bytearray row, filled
+in position order in both modes.
+
 All trace quantifiers (knowledge, counterfactuals, system-level checks) range
 over one finite TraceUniverse.  Verdicts are therefore exact only relative to
 the chosen universe.
@@ -33,7 +41,7 @@ shape.  Every other relation is evaluated on the zipped trace triple.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from math import ceil, lcm
 
 from .formula import (
@@ -61,7 +69,6 @@ from .formula import (
     UWould,
     Would,
     children,
-    conjoin,
     subformulas,
     to_source,
 )
@@ -77,7 +84,8 @@ from .trace import (
 EXACT_LASSO = "exact-lasso"
 BOUNDED = "bounded"
 
-_CF_NODES = (Would, Might, UWould, EMight)
+_CF_NODES = {Would: (False, False), Might: (False, True),
+             UWould: (True, False), EMight: (True, True)}
 
 
 class StabilizationCapExceeded(RuntimeError):
@@ -92,21 +100,9 @@ class StabilizationCapExceeded(RuntimeError):
         self.cap = cap
 
 
-@dataclass(slots=True)
-class _Seq:
-    """Truth values of one (trace, formula) pair, extended on demand.
-
-    Once (start, period) is set, every value at position >= start equals the
-    value at start + ((i - start) mod period)."""
-
-    trace: LassoTrace
-    formula: Formula
-    vals: list[bool] = field(default_factory=list)
-    start: int | None = None
-    period: int | None = None
-
-
 _MISSING = object()
+_NO_ROW = b""  # pads a node's row list up to the trace ids seen so far
+_ID_BITS = 32  # trace ids are packed into int memo keys at this width
 
 # Opcodes of a compiled pointwise block.  Registers hold ints read as bit
 # vectors over positions (bit j = value at position j); negative ints stand
@@ -115,9 +111,10 @@ _LOAD, _CONST, _NOT, _AND, _OR, _IMPLIES, _IFF = range(7)
 _BINARY = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
 
 
-def _all_positions_block(params: tuple[str, str, str], rel: Formula):
+def _all_positions_block(params: tuple[str, str, str], rel: Formula, node_id):
     """Compile `rel` into a flat op list when it has the all-positions shape,
-    else return None.
+    else return None.  `node_id` maps each subformula of `rel` to its node id,
+    which keys the registers, so equal subformulas share one.
 
     The shape is a conjunction of `G B_k` and `H B_k` in which the set of
     G-bodies equals the set of H-bodies and every body is pointwise over the
@@ -135,39 +132,43 @@ def _all_positions_block(params: tuple[str, str, str], rel: Formula):
             conjuncts.append(g)
     if not all(isinstance(g, (Globally, Historically)) for g in conjuncts):
         return None
-    g_bodies = dict.fromkeys(g.child for g in conjuncts if isinstance(g, Globally))
-    h_bodies = {g.child for g in conjuncts if isinstance(g, Historically)}
+    g_bodies = {node_id(g.child): g.child for g in conjuncts if isinstance(g, Globally)}
+    h_bodies = {node_id(g.child) for g in conjuncts if isinstance(g, Historically)}
     if set(g_bodies) != h_bodies:
         return None
     ops: list[tuple] = []
-    regs: dict = {}  # node key -> register (index of the op that fills it)
-
-    def key(g: Formula):
-        return (g.name, g.trace_var) if isinstance(g, TracedAtom) else id(g)
-
-    stack = [(conjoin(list(g_bodies)), False)]
-    while stack:
-        g, ready = stack.pop()
-        if key(g) in regs:
-            continue
-        if isinstance(g, TracedAtom):
-            if g.trace_var not in params:
+    regs: dict[int, int] = {}  # node id -> register (index of the op that fills it)
+    roots = []
+    for body in g_bodies.values():
+        stack = [(body, False)]
+        while stack:
+            g, ready = stack.pop()
+            n = node_id(g)
+            if n in regs:
+                continue
+            if isinstance(g, TracedAtom):
+                if g.trace_var not in params:
+                    return None
+                op = (_LOAD, params.index(g.trace_var), g.name)
+            elif isinstance(g, (TrueConst, FalseConst)):
+                op = (_CONST, -1 if isinstance(g, TrueConst) else 0, None)
+            elif not isinstance(g, (Not, *_BINARY)):
                 return None
-            op = (_LOAD, params.index(g.trace_var), g.name)
-        elif isinstance(g, (TrueConst, FalseConst)):
-            op = (_CONST, -1 if isinstance(g, TrueConst) else 0, None)
-        elif not isinstance(g, (Not, *_BINARY)):
-            return None
-        elif not ready:
-            stack.append((g, True))
-            stack.extend((c, False) for c in reversed(children(g)))
-            continue
-        elif isinstance(g, Not):
-            op = (_NOT, regs[key(g.child)], None)
-        else:
-            op = (_BINARY[type(g)], regs[key(g.left)], regs[key(g.right)])
-        regs[key(g)] = len(ops)
-        ops.append(op)
+            elif not ready:
+                stack.append((g, True))
+                stack += ((c, False) for c in reversed(children(g)))
+                continue
+            elif isinstance(g, Not):
+                op = (_NOT, regs[node_id(g.child)], None)
+            else:
+                op = (_BINARY[type(g)], regs[node_id(g.left)], regs[node_id(g.right)])
+            regs[n] = len(ops)
+            ops.append(op)
+        roots.append(regs[node_id(body)])
+    acc = roots[0]
+    for r in roots[1:]:
+        ops.append((_AND, acc, r))
+        acc = len(ops) - 1
     return tuple(ops)
 
 
@@ -197,18 +198,18 @@ def _run_block(ops: tuple, masks: list[dict[str, int]]) -> int:
 class EvalContext:
     """Evaluation state: system, universe, mode, and all memo tables.
 
+    Tables are indexed by node ids and trace ids (see the module docstring)
+    and filled lazily, so building a context costs nothing per trace.
     Caches persist across calls, so repeated checks over the same context are
     warm; results never depend on cache state.
     """
 
-    def __init__(
-        self,
-        system: System,
-        universe: TraceUniverse,
-        mode: str = EXACT_LASSO,
-        bound: int | None = None,
-        stabilization_cap: int = 64,
-    ):
+    __slots__ = ("system", "universe", "mode", "bound", "stabilization_cap",
+                 "_nid", "_pins", "_keys", "_nodes", "_bounds", "_rows", "_stab",
+                 "_tid", "_traces", "_shape", "_rels", "_divs", "_masks", "_zips")
+
+    def __init__(self, system: System, universe: TraceUniverse, mode: str = EXACT_LASSO,
+                 bound: int | None = None, stabilization_cap: int = 64):
         if mode not in (EXACT_LASSO, BOUNDED):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == BOUNDED:
@@ -223,19 +224,23 @@ class EvalContext:
         self.mode = mode
         self.bound = bound
         self.stabilization_cap = stabilization_cap
-        self._objs: dict[int, object] = {}
-        self._seqs: dict[tuple[int, int], _Seq] = {}
-        self._bmemo: dict[tuple[int, int, int], bool] = {}
-        self._zips: dict[tuple[str, int, int, int], LassoTrace] = {}
-        self._divs: dict[tuple[str, int, int], int | None] = {}
-        self._sims: dict[tuple, bool] = {}
-        self._rels: dict[str, tuple[tuple[str, str, str], Formula, tuple | None]] = {}
+        # id(object) -> node id, for representatives and for the formula
+        # objects callers pass in; `_pins` keeps the latter alive, and traces
+        # that take the id of a universe trace with the same word
+        self._nid: dict[int, int] = {}
+        self._pins: list[Formula] = []
+        self._keys: dict[tuple, int] = {}  # (type, scalars, child ids) -> node id
+        self._nodes: list[Formula] = []  # node id -> representative
+        self._bounds: list[tuple[int, int, bool]] = []  # node id -> (a, b, global)
+        self._rows: list[list] = []  # node id -> trace id -> row
+        self._stab: dict[tuple[int, int], tuple[int, int]] = {}  # -> (start, period)
+        self._tid: dict[int, int] = {}  # id(trace) -> trace id; `_traces` pins
+        self._traces: list[LassoTrace] = []
+        self._shape: tuple[int, int] | None = None  # universe max prefix, loop lcm
+        self._rels: dict[str, tuple] = {}
+        self._divs: dict[str, dict[int, int | None]] = {}
         self._masks: dict[tuple[int, int], dict[str, int]] = {}
-        self._bounds: dict[int, tuple[int, int, bool]] = {}
-        for t in universe:
-            self._key(t)
-        self._uni_pmax = max((len(t.prefix) for t in universe), default=0)
-        self._uni_llcm = lcm(*(len(t.loop) for t in universe)) if len(universe) else 1
+        self._zips: dict[tuple, LassoTrace] = {}
 
     @classmethod
     def exact(cls, system, universe, stabilization_cap: int = 64) -> "EvalContext":
@@ -245,22 +250,138 @@ class EvalContext:
     def bounded(cls, system, universe, bound: int) -> "EvalContext":
         return cls(system, universe, BOUNDED, bound)
 
-    # -- object identity keys (objects pinned so ids stay unique) --
+    def stats(self) -> dict[str, int]:
+        """Deterministic work counters: interned nodes, filled rows, stored
+        values, similarity and divergence memo entries."""
+        rows = [row for per_node in self._rows for row in per_node if row]
+        return {
+            "nodes": len(self._nodes), "rows": len(rows), "values": sum(map(len, rows)),
+            "similarity": sum(len(r[3]) for r in self._rels.values()),
+            "divergence": sum(map(len, self._divs.values())),
+        }
 
-    def _key(self, obj) -> int:
-        k = id(obj)
-        if k not in self._objs:
-            self._objs[k] = obj
+    # -- node and trace ids --
+
+    def _intern(self, f: Formula) -> int:
+        """Node id of `f`.  Unseen subformulas are interned bottom-up with an
+        explicit stack; a new node's representative is `f`'s own subobject
+        when its children are representatives, else a rebuilt copy over
+        them, so representatives form a DAG of representatives."""
+        nid, seen, stack = self._nid, {}, [(f, None)]
+        while stack:
+            g, fields = stack.pop()  # fields: None until g's children are pushed
+            if id(g) in seen:
+                continue
+            if fields is None:
+                n = nid.get(id(g))
+                if n is not None:
+                    seen[id(g)] = n
+                    continue
+                if not isinstance(g, Formula):
+                    raise TypeError(f"evaluator got an unknown node: {g!r}")
+                fields = [getattr(g, a) for a in g.__dataclass_fields__]
+                stack.append((g, fields))
+                stack += ((v, None) for v in fields if isinstance(v, Formula))
+                continue
+            kids = [v for v in fields if isinstance(v, Formula)]
+            ids = [seen[id(c)] for c in kids]
+            key = (type(g), *(v for v in fields if not isinstance(v, Formula)), *ids)
+            n = self._keys.get(key)
+            if n is None:
+                reps = [self._nodes[c] for c in ids]
+                rep = g
+                if any(r is not c for r, c in zip(reps, kids)):
+                    it = iter(reps)
+                    rep = type(g)(*(next(it) if isinstance(v, Formula) else v
+                                    for v in fields))
+                bound = self._node_bound(rep, ids)  # may intern a relation first
+                n = len(self._nodes)
+                self._keys[key] = n
+                self._nodes.append(rep)
+                self._bounds.append(bound)
+                self._rows.append([])
+                nid[id(rep)] = n
+            seen[id(g)] = n
+        n = seen[id(f)]
+        if id(f) not in nid:
+            nid[id(f)] = n
+            self._pins.append(f)
+        return n
+
+    def _node_bound(self, f: Formula, ids: tuple[int, ...]) -> tuple[int, int, bool]:
+        """Trace-independent stabilization bound (a, b, global) of a new node.
+
+        On any trace the value sequence of `f` is periodic from P0 + a*L0
+        with period b*L0, where (P0, L0) are the trace's own prefix and loop
+        lengths when `global` is false and the maximum prefix / lcm of loops
+        across the universe (joined with the trace's own) when `global` is
+        true.  Knowledge and counterfactuals force `global`: their value
+        draws on every universe trace and on zipped triples, and the
+        universe-wide bound dominates those shapes."""
+        kb = [self._bounds[c] for c in ids]
+        if isinstance(f, (Atom, TracedAtom, TrueConst, FalseConst)):
+            return (0, 1, False)
+        if isinstance(f, (Not, Next, Eventually, Globally)):
+            return kb[0]
+        if isinstance(f, Prev):
+            a, b, g = kb[0]
+            return (a + 1, b, g)
+        if isinstance(f, (Once, Historically)):
+            a, b, g = kb[0]
+            return (a + b, 2 * b, g)
+        if isinstance(f, Know):
+            a, b, _ = kb[0]
+            # observation divergence points lie below max-prefix + loop-lcm
+            return (max(a, 1), b, True)
+        if type(f) in _CF_NODES:
+            kb.append(self._bounds[self._nid[id(self._rel(f.agent)[1])]])
+            return (max(a for a, _, _ in kb), lcm(*(b for _, b, _ in kb)), True)
+        if not isinstance(f, (And, Or, Implies, Iff, Until, Since)):
+            raise TypeError(f"evaluator got an unknown node: {f!r}")
+        (a1, b1, g1), (a2, b2, g2) = kb
+        a, b = max(a1, a2), lcm(b1, b2)
+        if isinstance(f, Since):
+            # the running-Since bit over a settled block either latches or
+            # follows a block-periodic recurrence; two blocks always suffice
+            return (a + b, 2 * b, g1 or g2)
+        return (a, b, g1 or g2)
+
+    def _node_id(self, f: Formula) -> int:
+        n = self._nid.get(id(f))
+        return self._intern(f) if n is None else n
+
+    def _trace_id(self, t: LassoTrace) -> int:
+        k = self._tid.get(id(t))
+        if k is not None:
+            return k
+        if self._shape is None:
+            # first query: universe traces take their universe order as ids
+            traces = self.universe.traces
+            self._tid.update((id(u), k) for k, u in enumerate(traces))
+            self._traces += traces
+            self._shape = (max((len(u.prefix) for u in traces), default=0),
+                           lcm(*(len(u.loop) for u in traces)) if traces else 1)
+            k = self._tid.get(id(t))
+            if k is not None:
+                return k
+        if t in self.universe:  # another object for a universe word: share its rows
+            k = self.universe.index(t)
+            self._pins.append(t)
+        else:
+            k = len(self._traces)
+            self._traces.append(t)
+        self._tid[id(t)] = k
         return k
 
-    def _rel(self, agent: str) -> tuple[tuple[str, str, str], Formula, tuple | None]:
-        """(params, formula, compiled block or None) of the agent's relation."""
+    def _rel(self, agent: str) -> tuple[tuple, Formula, tuple | None, dict]:
+        """(params, representative formula, compiled block or None, memo of
+        similarity answers) of the agent's relation."""
         got = self._rels.get(agent)
         if got is None:
             rf = self.system.similarity_of(agent)
-            got = (rf.params, rf.formula, _all_positions_block(rf.params, rf.formula))
-            self._rels[agent] = got
-            self._key(got[1])
+            rel = self._nodes[self._node_id(rf.formula)]
+            block = _all_positions_block(rf.params, rel, self._node_id)
+            got = self._rels[agent] = (rf.params, rel, block, {})
         return got
 
     # ------------------------------------------------------------------
@@ -269,28 +390,29 @@ class EvalContext:
 
     def value(self, t: LassoTrace, f: Formula, i: int) -> bool:
         """Truth of `f` on `t` at position `i` (mode aware)."""
-        if self.mode == BOUNDED:
-            key = (self._key(f), self._key(t), i)
-            got = self._bmemo.get(key, _MISSING)
-            if got is _MISSING:
-                got = self._compute(t, f, i)
-                self._bmemo[key] = got
-            return got
-        seq = self._seq(t, f)
-        if seq.start is not None and i >= seq.start:
-            i = seq.start + (i - seq.start) % seq.period
-        vals = seq.vals
-        while len(vals) <= i:
-            vals.append(self._compute(t, f, len(vals)))
-        return vals[i]
-
-    def _seq(self, t: LassoTrace, f: Formula) -> _Seq:
-        key = (self._key(t), self._key(f))
-        seq = self._seqs.get(key)
-        if seq is None:
-            seq = _Seq(t, f)
-            self._seqs[key] = seq
-        return seq
+        n = self._nid.get(id(f))
+        if n is None:
+            n = self._intern(f)
+        k = self._tid.get(id(t))
+        if k is None:
+            k = self._trace_id(t)
+        rows = self._rows[n]
+        if k >= len(rows):
+            rows += [_NO_ROW] * (len(self._traces) - len(rows))
+        row = rows[k]
+        if i < len(row):
+            return row[i] == 1
+        # not stored: fold i into the proved period when there is one, else
+        # extend the row in position order (inline: one frame per level)
+        if row is _NO_ROW:
+            row = rows[k] = bytearray()
+        stab = self._stab.get((n, k))
+        if stab is not None and i >= stab[0]:
+            i = stab[0] + (i - stab[0]) % stab[1]
+        f = self._nodes[n]
+        while len(row) <= i:
+            row.append(self._compute(t, f, len(row)))
+        return row[i] == 1
 
     def _compute(self, t: LassoTrace, f: Formula, i: int) -> bool:
         if isinstance(f, Atom):
@@ -319,23 +441,26 @@ class EvalContext:
             if i == 0:
                 return False
             return self.value(t, f.child, i - 1)
+        # Rows fill in position order, so the value at i - 1 is known; where
+        # the expansion law (l U r = r | l & X(l U r)) equates it with the
+        # value at i, reuse it, so that filling a row up to i costs O(i).
         if isinstance(f, Until):
-            for k in range(i, self._horizon(t, f.left, f.right, i)):
+            if i and not self.value(t, f.right, i - 1) and self.value(t, f.left, i - 1):
+                return self.value(t, f, i - 1)
+            for k in range(i, self._horizon(t, i, f.left, f.right)):
                 if self.value(t, f.right, k):
                     return True
                 if not self.value(t, f.left, k):
                     return False
             return False
-        if isinstance(f, Eventually):
-            for k in range(i, self._horizon(t, f.child, None, i)):
-                if self.value(t, f.child, k):
-                    return True
-            return False
-        if isinstance(f, Globally):
-            for k in range(i, self._horizon(t, f.child, None, i)):
-                if not self.value(t, f.child, k):
-                    return False
-            return True
+        if isinstance(f, (Eventually, Globally)):
+            stop = isinstance(f, Eventually)  # the child value that decides
+            if i and self.value(t, f.child, i - 1) != stop:
+                return self.value(t, f, i - 1)
+            for k in range(i, self._horizon(t, i, f.child)):
+                if self.value(t, f.child, k) == stop:
+                    return stop
+            return not stop
         if isinstance(f, Since):
             # exists k <= i with right at k and left throughout (k, i]
             if self.value(t, f.right, i):
@@ -353,125 +478,90 @@ class EvalContext:
             return i == 0 or self.value(t, f, i - 1)
         if isinstance(f, Know):
             for t2 in self.universe:
-                if self._obs_eq(f.agent, t, t2, i) and not self.value(
-                    t2, f.child, i
-                ):
+                if self._obs_eq(f.agent, t, t2, i) and not self.value(t2, f.child, i):
                     return False
             return True
-        if isinstance(f, Would):
-            return self._cf(t, f.agent, f.ante, f.cons, i, False, False)
-        if isinstance(f, Might):
-            return not self._cf(t, f.agent, f.ante, f.cons, i, False, True)
-        if isinstance(f, UWould):
-            return self._cf(t, f.agent, f.ante, f.cons, i, True, False)
-        if isinstance(f, EMight):
-            return not self._cf(t, f.agent, f.ante, f.cons, i, True, True)
-        raise TypeError(f"evaluator got an unknown node: {f!r}")
+        # (universal, dual): Might and EMight negate Would and UWould
+        universal, dual = _CF_NODES[type(f)]
+        return self._cf(t, f.agent, f.ante, f.cons, i, universal, dual) != dual
 
-    def _horizon(
-        self, t: LassoTrace, left: Formula, right: Formula | None, i: int
-    ) -> int:
+    def _horizon(self, t: LassoTrace, i: int, *operands: Formula) -> int:
         """Scan horizon for forward fixpoint operators: one joint period past
-        max(position, stabilization starts)."""
+        max(position, stabilization starts of the operands)."""
         if self.mode == BOUNDED:
             return self.bound + 1
-        s1, p1 = self._ensure_stab(t, left)
-        if right is None:
-            return max(i, s1) + p1
-        s2, p2 = self._ensure_stab(t, right)
-        return max(i, s1, s2) + lcm(p1, p2)
+        stabs = [self._ensure_stab(t, g) for g in operands]
+        return max(i, *(s for s, _ in stabs)) + lcm(*(p for _, p in stabs))
 
-    def _cf(
-        self,
-        t: LassoTrace,
-        agent: str,
-        ante: Formula,
-        cons: Formula,
-        i: int,
-        universal: bool,
-        negate_cons: bool,
-    ) -> bool:
+    def _cf(self, t: LassoTrace, agent: str, ante: Formula, cons: Formula, i: int,
+            universal: bool, negate_cons: bool) -> bool:
         """Truth of the Would (universal=False) or UWould (universal=True)
         conditional; with negate_cons the consequent is read negated, which
         yields the duals Might = !(ante Would !cons) and EMight = !(ante
         UWould !cons) without building new formula objects."""
         traces = self.universe.traces
-        candidates = [
-            x
-            for x in traces
-            if self.similarity_holds(agent, t, t, x, i) and self.value(x, ante, i)
-        ]
+        sim = self.similarity_holds
+        val = self.value
+        candidates = [x for x in traces if sim(agent, t, t, x, i) and val(x, ante, i)]
         if not candidates:
             return True  # vacuity: no accessible antecedent trace
-        violators = [
-            y
-            for y in traces
-            if self.value(y, ante, i) and self.value(y, cons, i) == negate_cons
-        ]
+        violators = [y for y in traces
+                     if val(y, ante, i) and val(y, cons, i) == negate_cons]
         if not universal:
             # some accessible antecedent threshold below which ante forces cons
-            for x in candidates:
-                if not any(
-                    self.similarity_holds(agent, t, y, x, i) for y in violators
-                ):
-                    return True
-            return False
+            return any(not any(sim(agent, t, y, x, i) for y in violators)
+                       for x in candidates)
         # universal form: every accessible antecedent trace must see a
         # threshold at least as similar; thresholds need not be accessible
-        thresholds = [
-            e
-            for e in traces
-            if self.value(e, ante, i)
-            and not any(self.similarity_holds(agent, t, y, e, i) for y in violators)
-        ]
-        for x in candidates:
-            if not any(self.similarity_holds(agent, t, e, x, i) for e in thresholds):
-                return False
-        return True
+        thresholds = [e for e in traces if val(e, ante, i)
+                      and not any(sim(agent, t, y, e, i) for y in violators)]
+        return all(any(sim(agent, t, e, x, i) for e in thresholds) for x in candidates)
 
     # ------------------------------------------------------------------
     # observation equivalence and similarity
     # ------------------------------------------------------------------
 
     def _div_point(self, agent: str, t1: LassoTrace, t2: LassoTrace):
-        key = (agent, self._key(t1), self._key(t2))
-        got = self._divs.get(key, _MISSING)
+        divs = self._divs.get(agent)
+        if divs is None:
+            divs = self._divs[agent] = {}
+        key = self._trace_id(t1) << _ID_BITS | self._trace_id(t2)
+        got = divs.get(key, _MISSING)
         if got is _MISSING:
-            got = obs_divergence_point(self.system, agent, t1, t2)
-            self._divs[key] = got
+            got = divs[key] = obs_divergence_point(self.system, agent, t1, t2)
         return got
 
     def _obs_eq(self, agent: str, t1: LassoTrace, t2: LassoTrace, i: int) -> bool:
         d = self._div_point(agent, t1, t2)
         return d is None or d > i
 
-    def similarity_holds(
-        self,
-        agent: str,
-        t_ref: LassoTrace,
-        t1: LassoTrace,
-        t2: LassoTrace,
-        i: int,
-    ) -> bool:
+    def similarity_holds(self, agent: str, t_ref: LassoTrace, t1: LassoTrace,
+                         t2: LassoTrace, i: int) -> bool:
         """Does the agent's similarity formula accept (t_ref, t1, t2) at i?
 
         Reads "t1 is at least as similar to t_ref as t2, judged at position
         i", in the context's own mode.  A relation of the all-positions shape
         does not depend on i and is decided from per-trace bitmasks over the
         whole window; any other is evaluated on the zipped trace."""
-        params, rel, block = self._rel(agent)
+        params, rel, block, memo = self._rel(agent)
+        tid = self._tid
+        try:
+            key = (tid[id(t_ref)] << _ID_BITS | tid[id(t1)]) << _ID_BITS | tid[id(t2)]
+        except KeyError:
+            key = (
+                self._trace_id(t_ref) << _ID_BITS | self._trace_id(t1)
+            ) << _ID_BITS | self._trace_id(t2)
         bitwise = block is not None and (self.mode == EXACT_LASSO or i <= self.bound)
-        key = (agent, self._key(t_ref), self._key(t1), self._key(t2))
         if not bitwise:
-            key += (i,)
-        got = self._sims.get(key, _MISSING)
+            key = (key, i)
+        got = memo.get(key, _MISSING)
         if got is _MISSING:
             if bitwise:
                 got = self._block_holds(block, (t_ref, t1, t2))
             else:
                 z = self._zip(agent, params, t_ref, t1, t2)
                 got = self.value(z, rel, i)
-            self._sims[key] = got
+            memo[key] = got
         return got
 
     def _block_holds(self, block: tuple, traces: tuple) -> bool:
@@ -484,8 +574,9 @@ class EvalContext:
         if self.mode == BOUNDED:
             width = self.bound + 1
         else:
-            width = max(self._uni_pmax, *(len(t.prefix) for t in traces)) + lcm(
-                self._uni_llcm, *(len(t.loop) for t in traces)
+            pmax, llcm = self._shape
+            width = max(pmax, *(len(t.prefix) for t in traces)) + lcm(
+                llcm, *(len(t.loop) for t in traces)
             )
         full = (1 << width) - 1
         masks = [self._trace_masks(t, width) for t in traces]
@@ -493,7 +584,7 @@ class EvalContext:
 
     def _trace_masks(self, t: LassoTrace, width: int) -> dict[str, int]:
         """Proposition -> bitmask of the positions in [0, width) where it holds."""
-        key = (self._key(t), width)
+        key = (self._trace_id(t), width)
         got = self._masks.get(key)
         if got is None:
             got = {}
@@ -504,77 +595,28 @@ class EvalContext:
         return got
 
     def _zip(self, agent, params, t1, t2, t3) -> LassoTrace:
-        key = (agent, self._key(t1), self._key(t2), self._key(t3))
+        key = (agent, self._trace_id(t1), self._trace_id(t2), self._trace_id(t3))
         z = self._zips.get(key)
         if z is None:
-            z = zip3(t1, t2, t3, params)
-            self._zips[key] = z
-            self._key(z)
+            z = self._zips[key] = zip3(t1, t2, t3, params)
         return z
 
     # ------------------------------------------------------------------
     # stabilization (exact mode)
     # ------------------------------------------------------------------
 
-    def _struct_bound(self, f: Formula) -> tuple[int, int, bool]:
-        """Trace-independent stabilization bound (a, b, global).
-
-        On any trace the value sequence of `f` is periodic from P0 + a*L0
-        with period b*L0, where (P0, L0) are the trace's own prefix and loop
-        lengths when `global` is false and the maximum prefix / lcm of loops
-        across the universe (joined with the trace's own) when `global` is
-        true.  Knowledge and counterfactuals force `global`: their value
-        draws on every universe trace and on zipped triples, and the
-        universe-wide bound dominates those shapes."""
-        k = self._key(f)
-        got = self._bounds.get(k)
-        if got is not None:
-            return got
-        if isinstance(f, (Atom, TracedAtom, TrueConst, FalseConst)):
-            out = (0, 1, False)
-        elif isinstance(f, (Not, Next, Eventually, Globally)):
-            out = self._struct_bound(f.child)
-        elif isinstance(f, Prev):
-            a, b, g = self._struct_bound(f.child)
-            out = (a + 1, b, g)
-        elif isinstance(f, (And, Or, Implies, Iff, Until)):
-            a1, b1, g1 = self._struct_bound(f.left)
-            a2, b2, g2 = self._struct_bound(f.right)
-            out = (max(a1, a2), lcm(b1, b2), g1 or g2)
-        elif isinstance(f, Since):
-            a1, b1, g1 = self._struct_bound(f.left)
-            a2, b2, g2 = self._struct_bound(f.right)
-            a, b = max(a1, a2), lcm(b1, b2)
-            # the running-Since bit over a settled block either latches or
-            # follows a block-periodic recurrence; two blocks always suffice
-            out = (a + b, 2 * b, g1 or g2)
-        elif isinstance(f, (Once, Historically)):
-            a, b, g = self._struct_bound(f.child)
-            out = (a + b, 2 * b, g)
-        elif isinstance(f, Know):
-            a, b, _ = self._struct_bound(f.child)
-            # observation divergence points lie below max-prefix + loop-lcm
-            out = (max(a, 1), b, True)
-        elif isinstance(f, _CF_NODES):
-            a1, b1, _ = self._struct_bound(f.ante)
-            a2, b2, _ = self._struct_bound(f.cons)
-            ar, br, _ = self._struct_bound(self._rel(f.agent)[1])
-            out = (max(a1, a2, ar), lcm(b1, b2, br), True)
-        else:
-            raise TypeError(f"evaluator got an unknown node: {f!r}")
-        self._bounds[k] = out
-        return out
-
     def _ensure_stab(self, t: LassoTrace, f: Formula) -> tuple[int, int]:
         """Proved-and-minimized (start, period) for the value sequence of
         (t, f): for i >= start, value(i) == value(start + (i-start) % period)."""
-        seq = self._seq(t, f)
-        if seq.start is not None:
-            return seq.start, seq.period
-        a, b, glob = self._struct_bound(f)
+        n, k = self._node_id(f), self._trace_id(t)
+        got = self._stab.get((n, k))
+        if got is not None:
+            return got
+        a, b, glob = self._bounds[n]
         pt, lt = len(t.prefix), len(t.loop)
         if glob:
-            p0, l0 = max(pt, self._uni_pmax), lcm(lt, self._uni_llcm)
+            pmax, llcm = self._shape
+            p0, l0 = max(pt, pmax), lcm(lt, llcm)
         else:
             p0, l0 = pt, lt
         s, p = p0 + a * l0, b * l0
@@ -592,8 +634,8 @@ class EvalContext:
                 break
         while s > 0 and self.value(t, f, s - 1 + p) == self.value(t, f, s - 1):
             s -= 1
-        seq.start, seq.period = s, p
-        return s, p
+        got = self._stab[(n, k)] = (s, p)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -616,14 +658,8 @@ def eval_at(ctx: EvalContext, t: LassoTrace, i: int, f: Formula) -> bool:
     return ctx.value(t, f, i)
 
 
-def similarity_holds(
-    ctx: EvalContext,
-    agent: str,
-    t_ref: LassoTrace,
-    t1: LassoTrace,
-    t2: LassoTrace,
-    i: int,
-) -> bool:
+def similarity_holds(ctx: EvalContext, agent: str, t_ref: LassoTrace, t1: LassoTrace,
+                     t2: LassoTrace, i: int) -> bool:
     return ctx.similarity_holds(agent, t_ref, t1, t2, i)
 
 
@@ -635,12 +671,7 @@ class TrailEntry:
     value: bool
 
     def to_dict(self) -> dict:
-        return {
-            "formula": self.formula,
-            "trace": self.trace,
-            "position": self.position,
-            "value": self.value,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -679,18 +710,12 @@ def check_system(ctx: EvalContext, f: Formula) -> Verdict:
         return Verdict(True, None, (), None, ())
     first = failing[0]
     trail = tuple(explain(ctx, first, 0, f))
-    return Verdict(
-        False,
-        format_trace(first),
-        tuple(format_trace(t) for t in failing),
-        0,
-        trail,
-    )
+    failing = tuple(map(format_trace, failing))
+    return Verdict(False, failing[0], failing, 0, trail)
 
 
-def explain(
-    ctx: EvalContext, t: LassoTrace, i: int, f: Formula, limit: int = 50
-) -> list[TrailEntry]:
+def explain(ctx: EvalContext, t: LassoTrace, i: int, f: Formula,
+            limit: int = 50) -> list[TrailEntry]:
     """Evaluation trail: one entry per step down a single explanatory path
     (first false conjunct, witness position, violating trace, ...)."""
     out: list[TrailEntry] = []
@@ -726,11 +751,7 @@ def explain(
         elif isinstance(g, (Until, Eventually)):
             right = g.right if isinstance(g, Until) else g.child
             left = g.left if isinstance(g, Until) else None
-            hor = (
-                ctx._horizon(tr, left, right, j)
-                if left is not None
-                else ctx._horizon(tr, right, None, j)
-            )
+            hor = ctx._horizon(tr, j, *children(g))
             if v:
                 for k in range(j, hor):
                     if ctx.value(tr, right, k):
@@ -744,7 +765,7 @@ def explain(
                 walk(right, tr, j)
         elif isinstance(g, Globally):
             if not v:
-                for k in range(j, ctx._horizon(tr, g.child, None, j)):
+                for k in range(j, ctx._horizon(tr, j, g.child)):
                     if not ctx.value(tr, g.child, k):
                         walk(g.child, tr, k)
                         return
@@ -764,9 +785,8 @@ def explain(
         elif isinstance(g, Know):
             if not v:
                 for t2 in ctx.universe:
-                    if ctx._obs_eq(g.agent, tr, t2, j) and not ctx.value(
-                        t2, g.child, j
-                    ):
+                    seen_alike = ctx._obs_eq(g.agent, tr, t2, j)
+                    if seen_alike and not ctx.value(t2, g.child, j):
                         walk(g.child, t2, j)
                         return
         # atoms, constants, Iff, counterfactuals: stop here
@@ -797,28 +817,23 @@ def stabilize(ctx: EvalContext, t: LassoTrace, f: Formula) -> SatisfactionTable:
     p, l = len(t.prefix), len(t.loop)
 
     def block(k: int) -> tuple[bool, ...]:
-        return tuple(
-            ctx.value(t, g, p + k * l + j) for g in subs for j in range(l)
-        )
+        return tuple(ctx.value(t, g, p + k * l + j) for g in subs for j in range(l))
 
+    cap = ctx.stabilization_cap
     prev = block(0)
     c = None
-    for k in range(1, ctx.stabilization_cap + 1):
+    for k in range(1, cap + 1):
         cur = block(k)
         if cur == prev:
             c = k
             break
         prev = cur
     if c is None:
-        raise StabilizationCapExceeded(
-            t, f, ctx.stabilization_cap + 1, ctx.stabilization_cap
-        )
+        raise StabilizationCapExceeded(t, f, cap + 1, cap)
     positions = p + c * l
     order = tuple(to_source(g) for g in subs)
-    rows = {
-        to_source(g): tuple(ctx.value(t, g, j) for j in range(positions))
-        for g in subs
-    }
+    rows = {to_source(g): tuple(ctx.value(t, g, j) for j in range(positions))
+            for g in subs}
     return SatisfactionTable(format_trace(t), positions, c, order, rows)
 
 
@@ -845,19 +860,15 @@ class SimilarityReport:
         return not self.violations
 
 
-def validate_similarity(
-    ctx: EvalContext, agent: str, t_ref: LassoTrace, i: int
-) -> SimilarityReport:
+def validate_similarity(ctx: EvalContext, agent: str, t_ref: LassoTrace,
+                        i: int) -> SimilarityReport:
     """Check that the agent's similarity relation, viewed from `t_ref` at
     position `i`, is a preorder on the universe with the reference as minimum:
     reflexive on accessible traces, transitive, and no trace counts as at
     least as similar as the reference unless it is itself accessible."""
     traces = ctx.universe.traces
-    rel = {
-        (u, v): ctx.similarity_holds(agent, t_ref, u, v, i)
-        for u in traces
-        for v in traces
-    }
+    sim = ctx.similarity_holds
+    rel = {(u, v): sim(agent, t_ref, u, v, i) for u in traces for v in traces}
     accessible = {v: ctx.similarity_holds(agent, t_ref, t_ref, v, i) for v in traces}
     violations: list[SimilarityViolation] = []
     for v in traces:
@@ -869,35 +880,20 @@ def validate_similarity(
                 continue
             for w in traces:
                 if rel[(v, w)] and not rel[(u, w)]:
-                    violations.append(
-                        SimilarityViolation(
-                            "intransitive",
-                            (format_trace(u), format_trace(v), format_trace(w)),
-                        )
-                    )
+                    trio = (format_trace(u), format_trace(v), format_trace(w))
+                    violations.append(SimilarityViolation("intransitive", trio))
     for v in traces:
         if not accessible[v] and ctx.similarity_holds(agent, t_ref, v, t_ref, i):
             violations.append(SimilarityViolation("minimum", (format_trace(v),)))
     return SimilarityReport(agent, format_trace(t_ref), i, tuple(violations))
 
 
-def closest_antecedents(
-    ctx: EvalContext, agent: str, t: LassoTrace, i: int, ante: Formula
-) -> tuple[LassoTrace, ...]:
+def closest_antecedents(ctx: EvalContext, agent: str, t: LassoTrace, i: int,
+                        ante: Formula) -> tuple[LassoTrace, ...]:
     """Minimal elements (under the agent's similarity preorder seen from `t`
     at `i`) of the accessible traces satisfying `ante` at `i`."""
-    cands = [
-        x
-        for x in ctx.universe
-        if ctx.similarity_holds(agent, t, t, x, i) and ctx.value(x, ante, i)
-    ]
-    out = []
-    for x in cands:
-        strictly_closer = any(
-            ctx.similarity_holds(agent, t, y, x, i)
-            and not ctx.similarity_holds(agent, t, x, y, i)
-            for y in cands
-        )
-        if not strictly_closer:
-            out.append(x)
-    return tuple(out)
+    sim = ctx.similarity_holds
+    cands = [x for x in ctx.universe
+             if sim(agent, t, t, x, i) and ctx.value(x, ante, i)]
+    return tuple(x for x in cands if not any(  # nothing strictly closer
+        sim(agent, t, y, x, i) and not sim(agent, t, x, y, i) for y in cands))

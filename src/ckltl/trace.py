@@ -56,6 +56,8 @@ class LassoTrace:
         while prefix and prefix[-1] == loop[-1]:
             loop = (loop[-1],) + loop[:-1]
             prefix.pop()
+        if len(loop) == len(self.loop) and len(prefix) == len(self.prefix):
+            return self  # already canonical
         return LassoTrace(tuple(prefix), loop)
 
     def same_word(self, other: "LassoTrace") -> bool:
@@ -179,18 +181,22 @@ class TraceUniverse:
     traces: tuple[LassoTrace, ...]
     origins: tuple[str, ...] = field(default=())  # 'model' or 'user', per trace
     provenance: str = "user"
+    # canonical trace -> position; derived from `traces`, so left out of
+    # equality and hashing
+    _index: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.origins:
             object.__setattr__(self, "origins", tuple("user" for _ in self.traces))
         if len(self.origins) != len(self.traces):
             raise ValueError("origins must align with traces")
-        seen = set()
-        for t in self.traces:
+        index = {}
+        for k, t in enumerate(self.traces):
             c = t.canonical()
-            if c in seen:
+            if c in index:
                 raise ValueError(f"duplicate trace in universe: {format_trace(t)}")
-            seen.add(c)
+            index[c] = k
+        object.__setattr__(self, "_index", index)
 
     def __iter__(self) -> Iterator[LassoTrace]:
         return iter(self.traces)
@@ -199,18 +205,13 @@ class TraceUniverse:
         return len(self.traces)
 
     def index(self, trace: LassoTrace) -> int:
-        c = trace.canonical()
-        for k, t in enumerate(self.traces):
-            if t.canonical() == c:
-                return k
-        raise KeyError(f"trace not in universe: {format_trace(trace)}")
+        k = self._index.get(trace.canonical())
+        if k is None:
+            raise KeyError(f"trace not in universe: {format_trace(trace)}")
+        return k
 
     def __contains__(self, trace: LassoTrace) -> bool:
-        try:
-            self.index(trace)
-            return True
-        except KeyError:
-            return False
+        return trace.canonical() in self._index
 
 
 def universe_of(traces: Iterable[LassoTrace], provenance: str = "user") -> TraceUniverse:
@@ -377,7 +378,7 @@ def add_trace(universe: TraceUniverse, trace: LassoTrace, system=None) -> TraceU
                 f"not an initial path of the model: {format_trace(trace)}"
             )
     c = trace.canonical()
-    if any(t.canonical() == c for t in universe.traces):
+    if c in universe:
         return universe
     return TraceUniverse(
         universe.traces + (c,),

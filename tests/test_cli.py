@@ -215,6 +215,16 @@ def test_translate_faithful_differs_on_counterfactuals(model, capsys):
     assert amended.count("E(") == unpinned.count("E(") + 1
 
 
+def test_translate_rejects_flags_it_would_ignore(model, capsys):
+    base = ["translate", "--model", model, "--formula", "p"]
+    for extra in (["--json"], ["--bounded", "3"], ["--trace", "| {p}"],
+                  ["--universe-prefix", "1"], ["--stabilization-cap", "8"]):
+        with pytest.raises(SystemExit) as e:
+            main(base + extra)
+        assert e.value.code == 2, extra
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_validate_ok(model, capsys):
     code, out, _ = run(capsys, ["validate", "--model", model, *TRACES])
     assert code == 0

@@ -27,6 +27,7 @@ from ckltl import (
     System,
     UWould,
     Would,
+    build_gce,
     check_system,
     closest_antecedents,
     desugar,
@@ -35,6 +36,7 @@ from ckltl import (
     parse,
     parse_trace_literal,
     stabilize,
+    subformulas,
     subset_similarity,
     universe_of,
     validate_relational,
@@ -42,7 +44,13 @@ from ckltl import (
     zip3,
 )
 from ckltl import semantics
-from ckltl.hiring import build_gender_frozen, decision_trace, single_round_universe
+from ckltl.hiring import (
+    build_explainable,
+    build_gender_frozen,
+    decision_trace,
+    hiring_vocabulary,
+    single_round_universe,
+)
 from ckltl.model import KripkeStructure
 
 from gen import gen_formula, gen_system, gen_temporal, gen_trace, gen_universe
@@ -370,6 +378,93 @@ def test_stabilization_cap_trips_on_deep_past_nesting():
     # evaluating the bare past body at a fixed position never needs the cap:
     # the engine just walks the recurrence left of the position
     eval_at(ctx, t, 1, f.child)
+
+
+def test_wide_bounded_window_past_operators_reach_position_0():
+    # the only attribute sits at position 0, so each past operator at N
+    # depends on the whole window; rows fill in position order, so this
+    # needs no recursion proportional to N
+    s, _ = cf_fixture()
+    n = 1000
+    for first, truths in (
+        ("{p}", (True, True, True)),
+        ("{q}", (False, False, False)),
+        ("{p,q}", (True, False, True)),
+    ):
+        t = tr(first + " ; {} ; {} | {}")
+        ctx = EvalContext.bounded(s, universe_of([t]), n)
+        t = ctx.universe.traces[0]
+        srcs = ("O p", "H !q", "!q S p")
+        got = tuple(eval_at(ctx, t, n, parse(src)) for src in srcs)
+        assert got == truths, first
+
+
+def test_forward_operator_rows_fill_in_linear_time(monkeypatch):
+    # a row fills in position order; each position of F, G or U reuses the
+    # previous one where the expansion law allows, so reaching position n
+    # takes O(n) evaluator calls, not a fresh O(n) scan per position
+    calls = []
+    real = EvalContext.value
+
+    def counting(ctx, t, f, i):
+        calls.append(i)
+        return real(ctx, t, f, i)
+
+    monkeypatch.setattr(EvalContext, "value", counting)
+    s, _ = cf_fixture()
+    n = 1000
+    u = universe_of([tr(" ; ".join(["{q}"] * (n + 1)) + " | {p}")])
+    t = u.traces[0]
+    # q on [0, n], p from n + 1 on: inside the bounded window p never holds
+    for src, exact, bounded in (("F p", True, False), ("G q", False, True),
+                                ("q U p", True, False)):
+        for ctx, want in ((EvalContext.exact(s, u), exact),
+                          (EvalContext.bounded(s, u, n), bounded)):
+            calls.clear()
+            assert eval_at(ctx, t, n, parse(src)) == want, (src, ctx.mode)
+            assert len(calls) < 10 * n, (src, ctx.mode, len(calls))
+
+
+def test_deep_formula_evaluates_within_the_recursion_limit():
+    # evaluation recurses once per formula level through `value` and
+    # `_compute` only, so a 350-deep chain fits the default limit of 1000
+    s, u = cf_fixture()
+    f = parse(" | ".join(["p"] * 350 + ["q"]))
+    for ctx in (EvalContext.exact(s, u), EvalContext.bounded(s, u, 2)):
+        assert [eval_at(ctx, t, 0, f) for t in u] == [False, True, True, True]
+
+
+def test_stats_count_hash_consed_nodes_and_rows():
+    s = build_explainable()
+    ctx = EvalContext.exact(s, single_round_universe(s))
+    assert ctx.stats() == {
+        "nodes": 0, "rows": 0, "values": 0, "similarity": 0, "divergence": 0,
+    }
+    gce = build_gce(hiring_vocabulary(), "a", "a")
+    check_system(ctx, gce)
+    rel = s.similarity_of("a").formula
+    got = ctx.stats()
+    # structurally equal subformulas share one node, the relation's included
+    assert got["nodes"] == len(set(subformulas(gce)) | set(subformulas(rel))) == 835
+    assert got["values"] >= got["rows"] > 0
+    assert got["similarity"] > 0 and got["divergence"] > 0
+    # an equal formula built separately evaluates on the same nodes and rows
+    again = build_gce(hiring_vocabulary(), "a", "a")
+    assert again is not gce
+    check_system(ctx, again)
+    assert ctx.stats() == got
+
+
+def test_copies_of_universe_traces_share_their_rows():
+    s, u = cf_fixture()
+    ctx = EvalContext.exact(s, u)
+    f = parse("((p | q) MIGHT[a] p) & F q")
+    truths = [eval_at(ctx, t, 1, f) for t in u]
+    before = ctx.stats()
+    # the same words in another presentation: no new rows or memo entries
+    copies = [LassoTrace(t.prefix + t.loop, t.loop) for t in u]
+    assert [eval_at(ctx, t, 1, f) for t in copies] == truths
+    assert ctx.stats() == before
 
 
 def test_position_and_mode_validation():

@@ -116,6 +116,25 @@ def test_universe_rejects_duplicates_and_preserves_order():
     assert tr("| {p,q}") not in u
 
 
+def test_universe_index_by_canonical_form():
+    r = random.Random(11)
+    u = gen_universe(r)
+    for k, t in enumerate(u.traces):
+        assert u.index(t) == k and t in u
+        # an equal object, and another presentation of the same word
+        copy = LassoTrace(t.prefix, t.loop)
+        unrolled = LassoTrace(t.prefix + t.loop, t.loop + t.loop)
+        assert u.index(copy) == u.index(unrolled) == k
+    unknown = LassoTrace((), (frozenset({"never-seen"}),))
+    assert unknown not in u
+    with pytest.raises(KeyError):
+        u.index(unknown)
+    # the index is derived state: equal universes compare and hash equal
+    same = TraceUniverse(u.traces, u.origins, u.provenance)
+    assert same == u and hash(same) == hash(u)
+    assert same != TraceUniverse(u.traces[:-1], u.origins[:-1], u.provenance)
+
+
 def test_obs_divergence_point_matches_brute_scan():
     r = random.Random(10)
     for _ in range(150):
