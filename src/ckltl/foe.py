@@ -414,29 +414,42 @@ def eval_fo(
             raise ValueError(f"{v}: position {i} outside the domain [0, {dom.n}]")
         if t not in dom.universe:
             raise ValueError(f"{v}: trace not in the domain universe")
-    tindex = {id(t): k for k, t in enumerate(dom.universe)}
+    ev = _FoEvaluator(dom)
+    missing = ev.fv(f) - set(env or {})
+    if missing:
+        raise ValueError(f"unbound variables: {sorted(missing)}")
+    return ev.ev(f, dict(env or {}))
 
-    def tix(t: LassoTrace) -> int:
-        k = tindex.get(id(t))
+
+class _FoEvaluator:
+    """State of one `eval_fo` call: trace indices, free-variable sets and the
+    quantifier memo."""
+
+    def __init__(self, dom: FoDomain):
+        self.dom = dom
+        self.tindex = {id(t): k for k, t in enumerate(dom.universe)}
+        self.fv_cache: dict[int, frozenset[str]] = {}
+        self.memo: dict[tuple, bool] = {}
+
+    def tix(self, t: LassoTrace) -> int:
+        k = self.tindex.get(id(t))
         if k is None:
-            for j, u in enumerate(dom.universe):
+            for j, u in enumerate(self.dom.universe):
                 if u.same_word(t):
                     return j
             raise ValueError("environment trace not in the domain universe")
         return k
 
-    fv_cache: dict[int, frozenset[str]] = {}
-
-    def fv(node: FoFormula) -> frozenset[str]:
-        got = fv_cache.get(id(node))
+    def fv(self, node: FoFormula) -> frozenset[str]:
+        got = self.fv_cache.get(id(node))
         if got is not None:
             return got
         if isinstance(node, (FoExists, FoForall)):
-            out = fv(node.body) - {node.var}
+            out = self.fv(node.body) - {node.var}
         elif isinstance(node, FoNot):
-            out = fv(node.child)
+            out = self.fv(node.child)
         elif isinstance(node, (FoAnd, FoOr, FoImplies, FoIff)):
-            out = fv(node.left) | fv(node.right)
+            out = self.fv(node.left) | self.fv(node.right)
         elif isinstance(node, FoPred):
             out = frozenset((node.trace_of, node.pos_of))
         elif isinstance(node, (FoLess, FoEq, FoEqualLevel, FoSucc)):
@@ -445,21 +458,20 @@ def eval_fo(
             out = frozenset((node.var,))
         else:
             raise TypeError(f"not an FO node: {node!r}")
-        fv_cache[id(node)] = out
+        self.fv_cache[id(node)] = out
         return out
 
-    memo: dict[tuple, bool] = {}
-
-    def ev(node: FoFormula, env: dict) -> bool:
+    def ev(self, node: FoFormula, env: dict) -> bool:
+        ev = self.ev
         if isinstance(node, (FoExists, FoForall)):
             key = (
                 id(node),
-                tuple(sorted((v, tix(env[v][0]), env[v][1]) for v in fv(node))),
+                tuple(sorted((v, self.tix(env[v][0]), env[v][1]) for v in self.fv(node))),
             )
-            got = memo.get(key)
+            got = self.memo.get(key)
             if got is None:
-                got = _quant(node, env)
-                memo[key] = got
+                got = self.quant(node, env)
+                self.memo[key] = got
             return got
         if isinstance(node, FoNot):
             return not ev(node.child, env)
@@ -490,24 +502,19 @@ def eval_fo(
             return env[node.var][1] == 0
         raise TypeError(f"not an FO node: {node!r}")
 
-    def _quant(node, env) -> bool:
+    def quant(self, node, env) -> bool:
         sub = dict(env)
         if isinstance(node, FoExists):
-            for pt in dom.points():
+            for pt in self.dom.points():
                 sub[node.var] = pt
-                if ev(node.body, sub):
+                if self.ev(node.body, sub):
                     return True
             return False
-        for pt in dom.points():
+        for pt in self.dom.points():
             sub[node.var] = pt
-            if not ev(node.body, sub):
+            if not self.ev(node.body, sub):
                 return False
         return True
-
-    missing = fv(f) - set(env or {})
-    if missing:
-        raise ValueError(f"unbound variables: {sorted(missing)}")
-    return ev(f, dict(env or {}))
 
 
 # ---------------------------------------------------------------------------

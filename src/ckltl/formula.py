@@ -5,7 +5,7 @@ per-agent knowledge operator ``K[a]`` (synchronous perfect recall) and four
 Lewis-style counterfactual operators: ``WOULD[a]`` / ``MIGHT[a]`` and their
 chain-quantified variants ``UWOULD[a]`` / ``EMIGHT[a]``.
 
-Concrete syntax is plain ASCII.  Grammar, loosest to tightest binding::
+Concrete syntax is plain text.  Grammar, loosest to tightest binding::
 
     iff   := impl ('<->' impl)*                 left associative
     impl  := or ('->' or)*                      right associative
@@ -16,6 +16,19 @@ Concrete syntax is plain ASCII.  Grammar, loosest to tightest binding::
     unary := ('!' | 'X' | 'F' | 'G' | 'Y' | 'O' | 'H' | 'K' '[' agent ']') unary
            | atom
     atom  := 'true' | 'false' | ident | ident '@' ident | '(' iff ')'
+
+One compiled regular expression (``_TOKEN``) splits the text into token
+strings.  Whitespace is space, tab, CR and LF.  An identifier starts with a
+character that passes ``isalpha()`` or is ``_`` and goes on with characters
+that pass ``isalnum()`` or are ``_``; the keywords above are not identifiers.
+No position is kept per token: a :class:`ParseError` computes its 1-based line
+and column from the token's offset when it is raised.
+
+The four binary connectives are parsed by precedence climbing over one table,
+``_BINARY`` (precedence, node class, right associativity), which the printer
+shares.  ``cf``, ``until`` and ``unary`` keep a method each; a run of prefix
+operators is applied without recursion.  A level of parentheses costs four
+Python frames, so about 240 levels parse within the default recursion limit.
 
 Counterfactual operators do not associate: nesting one under another requires
 parentheses.  A traced atom ``p@pi`` reads proposition ``p`` on the trace bound
@@ -30,7 +43,9 @@ removed by :func:`desugar`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 
@@ -48,22 +63,22 @@ class Formula:
 # -- core nodes --
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueConst(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseConst(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TracedAtom(Formula):
     """Proposition `name` read on the trace bound to variable `trace_var`."""
 
@@ -71,42 +86,42 @@ class TracedAtom(Formula):
     trace_var: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Next(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prev(Formula):
     """Previous-step operator (`Y`); false at the first position of a trace."""
 
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Since(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Know(Formula):
     """`K[agent] child`: child holds on every observation-equivalent trace."""
 
@@ -114,7 +129,7 @@ class Know(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Would(Formula):
     """Lewis counterfactual `ante WOULD[agent] cons` (variably strict, no
     limit assumption): either no accessible trace satisfies the antecedent, or
@@ -126,7 +141,7 @@ class Would(Formula):
     cons: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UWould(Formula):
     """Chain-wise counterfactual `ante UWOULD[agent] cons`: every accessible
     antecedent trace is at least as far as some threshold antecedent trace
@@ -140,45 +155,45 @@ class UWould(Formula):
 # -- surface (derived) nodes --
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eventually(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Globally(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Once(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Historically(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Might(Formula):
     """Dual of Would: `ante MIGHT[agent] cons` == `!(ante WOULD[agent] !cons)`."""
 
@@ -187,7 +202,7 @@ class Might(Formula):
     cons: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EMight(Formula):
     """Dual of UWould: `ante EMIGHT[agent] cons` == `!(ante UWOULD[agent] !cons)`."""
 
@@ -221,29 +236,37 @@ def is_core(f: Formula) -> bool:
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Not, Next, Prev, Eventually, Globally, Once, Historically)):
-        return (f.child,)
-    if isinstance(f, Know):
-        return (f.child,)
-    if isinstance(f, (And, Or, Implies, Iff, Until, Since)):
-        return (f.left, f.right)
-    if isinstance(f, (Would, UWould, Might, EMight)):
-        return (f.ante, f.cons)
-    return ()
+    """Operands in order: (child,), (left, right) or (ante, cons)."""
+    get = _CHILDREN.get(type(f))
+    return get(f) if get else ()
+
+
+_CHILDREN = dict.fromkeys(
+    (Not, Next, Prev, Eventually, Globally, Once, Historically, Know),
+    lambda f: (f.child,),
+)
+_CHILDREN.update(dict.fromkeys(
+    (And, Or, Implies, Iff, Until, Since), lambda f: (f.left, f.right)))
+_CHILDREN.update(dict.fromkeys(
+    (Would, UWould, Might, EMight), lambda f: (f.ante, f.cons)))
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """Postorder traversal of distinct subformulas (structural dedup)."""
-    seen: set[Formula] = set()
+    """Postorder traversal of distinct subformulas (structural dedup).
 
-    def walk(g: Formula) -> Iterator[Formula]:
-        for c in children(g):
-            yield from walk(c)
-        if g not in seen:
+    Iterative: a node is yielded after its children, the first time it is
+    met; a subtree met again is skipped whole, as everything in it has been
+    yielded already."""
+    seen: set[Formula] = set()
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:
             seen.add(g)
             yield g
-
-    yield from walk(f)
+        elif g not in seen:
+            stack.append((g, True))
+            stack += ((c, False) for c in reversed(children(g)))
 
 
 def node_count(f: Formula) -> int:
@@ -332,7 +355,49 @@ _KEYWORDS = frozenset(
      "WOULD", "MIGHT", "UWOULD", "EMIGHT"]
 )
 
-_UNARY_TEMPORAL = {
+# Skipped whitespace, then one token: an arrow, a punctuation character, a
+# run of word characters, or any other single character.  `\w` is exactly
+# `isalnum()` or `_`, so a run is an identifier or keyword when its first
+# character passes `isalpha()` or is `_`.  Runs that start otherwise and
+# single characters outside `_PUNCT` are tokens no rule accepts; the first of
+# them is reported as an unexpected character.
+_TOKEN = re.compile(r"[ \t\r\n]*(<->|->|[()\[\]@!&|]|\w+|[^ \t\r\n])")
+_PUNCT = frozenset(["<->", "->", "(", ")", "[", "]", "@", "!", "&", "|"])
+_SPACE = " \t\r\n"
+
+
+def _scan_end(text: str) -> int:
+    """Where token scanning stops: before trailing whitespace, where every
+    match attempt would scan to the end of the text and fail."""
+    return len(text.rstrip(_SPACE))
+
+
+def _is_ident(tok: str) -> bool:
+    return tok not in _KEYWORDS and (tok[:1].isalpha() or tok[:1] == "_")
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+# ---------------------------------------------------------------------------
+# Parser (precedence climbing over the binary connectives)
+# ---------------------------------------------------------------------------
+
+# precedence levels, shared with the printer; higher binds tighter
+_P_IFF, _P_IMPL, _P_OR, _P_AND, _P_CF, _P_UNTIL, _P_UNARY, _P_ATOM = range(8)
+
+# binary connectives: precedence, node, right associative
+_BINARY = {
+    "<->": (_P_IFF, Iff, False),
+    "->": (_P_IMPL, Implies, True),
+    "|": (_P_OR, Or, False),
+    "&": (_P_AND, And, False),
+}
+_CF_OPS = {"WOULD": Would, "MIGHT": Might, "UWOULD": UWould, "EMIGHT": EMight}
+_UNTIL_OPS = {"U": Until, "S": Since}
+_PREFIX_OPS = {
+    "!": Not,
     "X": Next,
     "F": Eventually,
     "G": Globally,
@@ -341,191 +406,118 @@ _UNARY_TEMPORAL = {
     "H": Historically,
 }
 
-_CF_OPS = {"WOULD": Would, "MIGHT": Might, "UWOULD": UWould, "EMIGHT": EMight}
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident', 'kw', 'punct', 'eof'
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("<->", i):
-            toks.append(_Token("punct", "<->", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            toks.append(_Token("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "()[]@!&|":
-            toks.append(_Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in _KEYWORDS else "ident"
-            toks.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
-    return toks
-
-
-# ---------------------------------------------------------------------------
-# Parser (recursive descent, one level per precedence tier)
-# ---------------------------------------------------------------------------
-
 
 class _Parser:
+    __slots__ = ("text", "toks", "pos")
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = _TOKEN.findall(text, 0, _scan_end(text)) + [""]  # "": end of input
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
-
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
     def error(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
+        """`message` at the current token, whose position is found only now.
+        An unexpected character anywhere in the text is reported instead, as
+        a tokenizer that reads the whole text before parsing would: no parse
+        consumes one."""
+        text = self.text
+        offsets = []
+        for m in _TOKEN.finditer(text, 0, _scan_end(text)):
+            tok = m.group(1)
+            if not (tok in _PUNCT or tok in _KEYWORDS or _is_ident(tok)):
+                return ParseError(
+                    f"unexpected character {tok[0]!r}", *_line_col(text, m.start(1))
+                )
+            offsets.append(m.start(1))
+        offsets.append(len(text))
+        return ParseError(message, *_line_col(text, offsets[self.pos]))
 
-    def expect(self, text: str) -> _Token:
-        t = self.peek()
-        if t.text != text or t.kind == "eof":
-            raise self.error(f"expected {text!r}, found {t.text or 'end of input'!r}")
-        return self.next()
+    def expect(self, text: str) -> None:
+        t = self.toks[self.pos]
+        if t != text:
+            raise self.error(f"expected {text!r}, found {t or 'end of input'!r}")
+        self.pos += 1
 
     def agent_name(self) -> str:
         self.expect("[")
-        t = self.peek()
-        if t.kind != "ident":
+        t = self.toks[self.pos]
+        if not _is_ident(t):
             raise self.error("expected an agent name")
-        self.next()
+        self.pos += 1
         self.expect("]")
-        return t.text
+        return t
 
-    # precedence tiers, loosest first
-
-    def iff(self) -> Formula:
-        f = self.impl()
-        while self.peek().text == "<->":
-            self.next()
-            f = Iff(f, self.impl())
-        return f
-
-    def impl(self) -> Formula:
-        f = self.disj()
-        if self.peek().text == "->":
-            self.next()
-            return Implies(f, self.impl())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek().text == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
+    def binary(self, min_prec: int) -> Formula:
         f = self.cf()
-        while self.peek().text == "&":
-            self.next()
-            f = And(f, self.cf())
-        return f
+        while True:
+            op = _BINARY.get(self.toks[self.pos])
+            if op is None or op[0] < min_prec:
+                return f
+            self.pos += 1
+            prec, node, right_assoc = op
+            f = node(f, self.binary(prec if right_assoc else prec + 1))
 
     def cf(self) -> Formula:
         f = self.until()
-        t = self.peek()
-        if t.kind == "kw" and t.text in _CF_OPS:
-            self.next()
-            agent = self.agent_name()
-            rhs = self.until()
-            after = self.peek()
-            if after.kind == "kw" and after.text in _CF_OPS:
-                raise self.error(
-                    "counterfactual operators do not associate; parenthesize"
-                )
-            return _CF_OPS[t.text](agent, f, rhs)
+        node = _CF_OPS.get(self.toks[self.pos])
+        if node is None:
+            return f
+        self.pos += 1
+        agent = self.agent_name()
+        f = node(agent, f, self.until())
+        if self.toks[self.pos] in _CF_OPS:
+            raise self.error("counterfactual operators do not associate; parenthesize")
         return f
 
     def until(self) -> Formula:
         f = self.unary()
-        t = self.peek()
-        if t.kind == "kw" and t.text in ("U", "S"):
-            self.next()
-            rhs = self.until()  # right associative
-            return (Until if t.text == "U" else Since)(f, rhs)
-        return f
+        node = _UNTIL_OPS.get(self.toks[self.pos])
+        if node is None:
+            return f
+        self.pos += 1
+        return node(f, self.until())  # right associative
 
     def unary(self) -> Formula:
-        t = self.peek()
-        if t.text == "!":
-            self.next()
-            return Not(self.unary())
-        if t.kind == "kw" and t.text in _UNARY_TEMPORAL:
-            self.next()
-            return _UNARY_TEMPORAL[t.text](self.unary())
-        if t.kind == "kw" and t.text == "K":
-            self.next()
-            agent = self.agent_name()
-            return Know(agent, self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        t = self.peek()
-        if t.text == "(":
-            self.next()
-            f = self.iff()
+        """Prefix operators, applied innermost first, then an atom; a chain
+        of prefix operators costs no recursion."""
+        toks = self.toks
+        ops = []
+        while True:
+            t = toks[self.pos]
+            if t in _PREFIX_OPS:
+                self.pos += 1
+                ops.append(_PREFIX_OPS[t])
+            elif t == "K":
+                self.pos += 1
+                ops.append(partial(Know, self.agent_name()))
+            else:
+                break
+        if t == "(":
+            self.pos += 1
+            f = self.binary(_P_IFF)
             self.expect(")")
-            return f
-        if t.kind == "kw" and t.text == "true":
-            self.next()
-            return TrueConst()
-        if t.kind == "kw" and t.text == "false":
-            self.next()
-            return FalseConst()
-        if t.kind == "ident":
-            self.next()
-            if self.peek().text == "@":
-                self.next()
-                v = self.peek()
-                if v.kind != "ident":
+        elif t == "true":
+            self.pos += 1
+            f = TrueConst()
+        elif t == "false":
+            self.pos += 1
+            f = FalseConst()
+        elif _is_ident(t):
+            self.pos += 1
+            if toks[self.pos] == "@":
+                self.pos += 1
+                v = toks[self.pos]
+                if not _is_ident(v):
                     raise self.error("expected a trace variable after '@'")
-                self.next()
-                return TracedAtom(t.text, v.text)
-            return Atom(t.text)
-        raise self.error(f"expected a formula, found {t.text or 'end of input'!r}")
+                self.pos += 1
+                f = TracedAtom(t, v)
+            else:
+                f = Atom(t)
+        else:
+            raise self.error(f"expected a formula, found {t or 'end of input'!r}")
+        while ops:
+            f = ops.pop()(f)
+        return f
 
 
 def parse(text: str) -> Formula:
@@ -534,10 +526,10 @@ def parse(text: str) -> Formula:
     Raises :class:`ParseError` with line/column on malformed input.
     """
     p = _Parser(text)
-    f = p.iff()
-    t = p.peek()
-    if t.kind != "eof":
-        raise p.error(f"unexpected trailing input {t.text!r}")
+    f = p.binary(_P_IFF)
+    t = p.toks[p.pos]
+    if t:
+        raise p.error(f"unexpected trailing input {t!r}")
     return f
 
 
@@ -545,28 +537,15 @@ def parse(text: str) -> Formula:
 # Printer
 # ---------------------------------------------------------------------------
 
-# precedence levels; higher binds tighter
-_P_IFF, _P_IMPL, _P_OR, _P_AND, _P_CF, _P_UNTIL, _P_UNARY, _P_ATOM = range(8)
-
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, Iff):
-        return _P_IFF
-    if isinstance(f, Implies):
-        return _P_IMPL
-    if isinstance(f, Or):
-        return _P_OR
-    if isinstance(f, And):
-        return _P_AND
-    if isinstance(f, (Would, Might, UWould, EMight)):
-        return _P_CF
-    if isinstance(f, (Until, Since)):
-        return _P_UNTIL
-    if isinstance(
-        f, (Not, Next, Eventually, Globally, Prev, Once, Historically, Know)
-    ):
-        return _P_UNARY
-    return _P_ATOM
+_CF_NAMES = {node: text for text, node in _CF_OPS.items()}
+_PREFIX_NAMES = {node: text for text, node in _PREFIX_OPS.items()}
+# infix nodes: operator text, right associative
+_INFIX = {node: (text, right) for text, (_, node, right) in _BINARY.items()}
+_INFIX.update({Until: ("U", True), Since: ("S", True)})
+_PREC = {node: prec for prec, node, _ in _BINARY.values()}
+_PREC.update({Until: _P_UNTIL, Since: _P_UNTIL, Know: _P_UNARY})
+_PREC.update(dict.fromkeys(_CF_NAMES, _P_CF))
+_PREC.update(dict.fromkeys(_PREFIX_NAMES, _P_UNARY))
 
 
 def to_source(f: Formula) -> str:
@@ -575,7 +554,7 @@ def to_source(f: Formula) -> str:
 
 
 def _render(f: Formula, ctx: int) -> str:
-    p = _prec(f)
+    p = _PREC.get(type(f), _P_ATOM)
     s = _render_at(f, p)
     if p < ctx:
         return f"({s})"
@@ -583,45 +562,30 @@ def _render(f: Formula, ctx: int) -> str:
 
 
 def _render_at(f: Formula, p: int) -> str:
-    if isinstance(f, TrueConst):
-        return "true"
-    if isinstance(f, FalseConst):
-        return "false"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, TracedAtom):
-        return f"{f.name}@{f.trace_var}"
-    if isinstance(f, Iff):  # left associative
-        return f"{_render(f.left, p)} <-> {_render(f.right, p + 1)}"
-    if isinstance(f, Implies):  # right associative
-        return f"{_render(f.left, p + 1)} -> {_render(f.right, p)}"
-    if isinstance(f, Or):
-        return f"{_render(f.left, p)} | {_render(f.right, p + 1)}"
-    if isinstance(f, And):
-        return f"{_render(f.left, p)} & {_render(f.right, p + 1)}"
-    if isinstance(f, (Would, Might, UWould, EMight)):
-        op = {Would: "WOULD", Might: "MIGHT", UWould: "UWOULD", EMight: "EMIGHT"}[
-            type(f)
-        ]
+    cls = type(f)
+    if cls in _INFIX:
+        op, right = _INFIX[cls]
+        # the operand on the associating side shares the operator's level
+        lp, rp = (p + 1, p) if right else (p, p + 1)
+        return f"{_render(f.left, lp)} {op} {_render(f.right, rp)}"
+    if cls in _CF_NAMES:
         # non-associative: both operands live one level up (until tier)
+        op = _CF_NAMES[cls]
         return f"{_render(f.ante, p + 1)} {op}[{f.agent}] {_render(f.cons, p + 1)}"
-    if isinstance(f, (Until, Since)):  # right associative
-        op = "U" if isinstance(f, Until) else "S"
-        return f"{_render(f.left, p + 1)} {op} {_render(f.right, p)}"
-    if isinstance(f, Not):
+    if cls is Not:
         return f"!{_render(f.child, p)}"
-    if isinstance(f, (Next, Eventually, Globally, Prev, Once, Historically)):
-        op = {
-            Next: "X",
-            Eventually: "F",
-            Globally: "G",
-            Prev: "Y",
-            Once: "O",
-            Historically: "H",
-        }[type(f)]
-        return f"{op} {_render(f.child, p)}"
-    if isinstance(f, Know):
+    if cls in _PREFIX_NAMES:
+        return f"{_PREFIX_NAMES[cls]} {_render(f.child, p)}"
+    if cls is Know:
         return f"K[{f.agent}] {_render(f.child, p)}"
+    if cls is TrueConst:
+        return "true"
+    if cls is FalseConst:
+        return "false"
+    if cls is Atom:
+        return f.name
+    if cls is TracedAtom:
+        return f"{f.name}@{f.trace_var}"
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -664,36 +628,40 @@ def validate_relational(f: Formula, params: tuple[str, str, str]) -> RelationalF
     if len(set(params)) != len(params):
         raise ValueError(f"duplicate trace parameters: {params!r}")
     violations: list[RelationalViolation] = []
-
-    def walk(g: Formula, path: str) -> None:
-        if isinstance(g, (Know,)):
+    # preorder, left operand first; a path is "root" or (parent path, step),
+    # rendered only for a violation
+    stack: list[tuple[Formula, object]] = [(f, "root")]
+    while stack:
+        g, path = stack.pop()
+        cls = type(g)
+        if cls is TracedAtom:
+            if g.trace_var not in params:
+                violations.append(RelationalViolation(
+                    "undeclared-trace-variable", g.trace_var, _path_text(path)))
+            continue
+        if cls is Know or cls in _CF_NAMES:
+            op = "K" if cls is Know else _CF_NAMES[cls]
             violations.append(
-                RelationalViolation("forbidden-operator", "K", path)
-            )
-        elif isinstance(g, (Would, Might, UWould, EMight)):
-            op = {Would: "WOULD", Might: "MIGHT", UWould: "UWOULD", EMight: "EMIGHT"}[
-                type(g)
-            ]
-            violations.append(RelationalViolation("forbidden-operator", op, path))
-        elif isinstance(g, Atom):
-            violations.append(RelationalViolation("untraced-atom", g.name, path))
-        elif isinstance(g, TracedAtom) and g.trace_var not in params:
-            violations.append(
-                RelationalViolation(
-                    "undeclared-trace-variable", g.trace_var, path
-                )
-            )
+                RelationalViolation("forbidden-operator", op, _path_text(path)))
+        elif cls is Atom:
+            violations.append(RelationalViolation("untraced-atom", g.name, _path_text(path)))
         kids = children(g)
         if len(kids) == 1:
-            walk(kids[0], f"{path}.child")
+            stack.append((kids[0], (path, ".child")))
         elif len(kids) == 2:
-            walk(kids[0], f"{path}.left")
-            walk(kids[1], f"{path}.right")
-
-    walk(f, "root")
+            stack.append((kids[1], (path, ".right")))
+            stack.append((kids[0], (path, ".left")))
     if violations:
         raise RelationalFormulaError(violations)
     return RelationalFormula(tuple(params), f)
+
+
+def _path_text(path) -> str:
+    steps = []
+    while isinstance(path, tuple):
+        path, step = path
+        steps.append(step)
+    return path + "".join(reversed(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -719,35 +719,31 @@ def explain(ctx: EvalContext, t: LassoTrace, i: int, f: Formula,
     """Evaluation trail: one entry per step down a single explanatory path
     (first false conjunct, witness position, violating trace, ...)."""
     out: list[TrailEntry] = []
-
-    def emit(g: Formula, tr: LassoTrace, j: int) -> bool:
+    step = (f, t, i)
+    while step is not None and len(out) < limit:
+        g, tr, j = step
+        step = None
         v = ctx.value(tr, g, j)
         out.append(TrailEntry(to_source(g), format_trace(tr), j, v))
-        return v
-
-    def walk(g: Formula, tr: LassoTrace, j: int) -> None:
-        if len(out) >= limit:
-            return
-        v = emit(g, tr, j)
         if isinstance(g, Not):
-            walk(g.child, tr, j)
+            step = (g.child, tr, j)
         elif isinstance(g, And):
             if not v:
                 loser = g.left if not ctx.value(tr, g.left, j) else g.right
-                walk(loser, tr, j)
+                step = (loser, tr, j)
         elif isinstance(g, Or):
             if v:
                 winner = g.left if ctx.value(tr, g.left, j) else g.right
-                walk(winner, tr, j)
+                step = (winner, tr, j)
         elif isinstance(g, Implies):
             if not v:
-                walk(g.right, tr, j)
+                step = (g.right, tr, j)
         elif isinstance(g, Next):
             if not (ctx.mode == BOUNDED and j >= ctx.bound):
-                walk(g.child, tr, j + 1)
+                step = (g.child, tr, j + 1)
         elif isinstance(g, Prev):
             if j > 0:
-                walk(g.child, tr, j - 1)
+                step = (g.child, tr, j - 1)
         elif isinstance(g, (Until, Eventually)):
             right = g.right if isinstance(g, Until) else g.child
             left = g.left if isinstance(g, Until) else None
@@ -755,43 +751,42 @@ def explain(ctx: EvalContext, t: LassoTrace, i: int, f: Formula,
             if v:
                 for k in range(j, hor):
                     if ctx.value(tr, right, k):
-                        walk(right, tr, k)
-                        return
+                        step = (right, tr, k)
+                        break
             elif left is not None:
                 for k in range(j, hor):
                     if not ctx.value(tr, left, k):
-                        walk(left, tr, k)
-                        return
-                walk(right, tr, j)
+                        step = (left, tr, k)
+                        break
+                else:
+                    step = (right, tr, j)
         elif isinstance(g, Globally):
             if not v:
                 for k in range(j, ctx._horizon(tr, j, g.child)):
                     if not ctx.value(tr, g.child, k):
-                        walk(g.child, tr, k)
-                        return
+                        step = (g.child, tr, k)
+                        break
         elif isinstance(g, (Since, Once)):
             right = g.right if isinstance(g, Since) else g.child
             if v:
                 for k in range(j, -1, -1):
                     if ctx.value(tr, right, k):
-                        walk(right, tr, k)
-                        return
+                        step = (right, tr, k)
+                        break
         elif isinstance(g, Historically):
             if not v:
                 for k in range(j, -1, -1):
                     if not ctx.value(tr, g.child, k):
-                        walk(g.child, tr, k)
-                        return
+                        step = (g.child, tr, k)
+                        break
         elif isinstance(g, Know):
             if not v:
                 for t2 in ctx.universe:
                     seen_alike = ctx._obs_eq(g.agent, tr, t2, j)
                     if seen_alike and not ctx.value(t2, g.child, j):
-                        walk(g.child, t2, j)
-                        return
+                        step = (g.child, t2, j)
+                        break
         # atoms, constants, Iff, counterfactuals: stop here
-
-    walk(f, t, i)
     return out
 
 

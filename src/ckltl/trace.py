@@ -253,48 +253,36 @@ def generate_universe(
             raise ValueError(f"loop_states not in the model: {sorted(unknown)}")
 
     found: dict[LassoTrace, None] = {}
-
-    def labels(path: list[str]) -> tuple[frozenset, ...]:
-        return tuple(k.labels[s] for s in path)
-
-    def add(prefix_path: list[str], loop_path: list[str]) -> None:
-        t = LassoTrace(labels(prefix_path), labels(loop_path)).canonical()
-        if t not in found:
-            if len(found) >= max_traces:
-                raise SizeLimitExceeded(
-                    f"universe exceeds {max_traces} traces; raise the cap or "
-                    f"tighten the bounds"
-                )
-            found[t] = None
-
-    def loops_from(start_candidates: list[str], prefix_path: list[str]) -> None:
+    trans, labels = k.transitions, k.labels
+    # Depth-first over prefix paths, each before its extensions, the empty
+    # prefix first.  The lassos of a prefix loop back into a successor of its
+    # last state (the initial state for the empty prefix): by loop length,
+    # then by first loop state, then depth-first over the loop paths.
+    prefixes: list[tuple[str, ...]] = [()]
+    while prefixes:
+        path = prefixes.pop()
+        succ = trans[path[-1]] if path else (k.initial,)
+        prefix = tuple(labels[s] for s in path)
         for length in range(1, max_loop + 1):
-            for first in start_candidates:
-                if allowed is not None and first not in allowed:
-                    continue
-                _extend_loop(prefix_path, [first], length)
-
-    def _extend_loop(prefix_path: list[str], loop_path: list[str], length: int) -> None:
-        if len(loop_path) == length:
-            if loop_path[0] in k.transitions[loop_path[-1]]:
-                add(prefix_path, loop_path)
-            return
-        for nxt in k.transitions[loop_path[-1]]:
-            if allowed is not None and nxt not in allowed:
-                continue
-            _extend_loop(prefix_path, loop_path + [nxt], length)
-
-    def prefixes(path: list[str], remaining: int) -> None:
-        # a lasso with this exact prefix: loop starts at a successor
-        loops_from(list(k.transitions[path[-1]]), path)
-        if remaining > 0:
-            for nxt in k.transitions[path[-1]]:
-                prefixes(path + [nxt], remaining - 1)
-
-    # empty prefix: the loop must start at the initial state
-    loops_from([k.initial], [])
-    if max_prefix >= 1:
-        prefixes([k.initial], max_prefix - 1)
+            loops = [(s,) for s in reversed(succ) if allowed is None or s in allowed]
+            while loops:
+                loop = loops.pop()
+                if len(loop) < length:
+                    loops += (
+                        loop + (s,) for s in reversed(trans[loop[-1]])
+                        if allowed is None or s in allowed
+                    )
+                elif loop[0] in trans[loop[-1]]:
+                    t = LassoTrace(prefix, tuple(labels[s] for s in loop)).canonical()
+                    if t not in found:
+                        if len(found) >= max_traces:
+                            raise SizeLimitExceeded(
+                                f"universe exceeds {max_traces} traces; raise the "
+                                f"cap or tighten the bounds"
+                            )
+                        found[t] = None
+        if len(path) < max_prefix:
+            prefixes += (path + (s,) for s in reversed(succ))
 
     if not found:
         warnings.warn(

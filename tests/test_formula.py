@@ -1,6 +1,8 @@
 """Formula ASTs, the parser/printer pair, desugaring, relational validation."""
 
+import hashlib
 import random
+import sys
 
 import pytest
 
@@ -29,6 +31,7 @@ from ckltl import (
     Until,
     UWould,
     Would,
+    build_gce,
     build_minimal_antecedent,
     conjoin,
     desugar,
@@ -39,6 +42,7 @@ from ckltl import (
     validate_relational,
 )
 from ckltl.formula import is_core, node_count
+from ckltl.hiring import hiring_vocabulary
 
 from gen import gen_formula
 
@@ -94,17 +98,76 @@ def test_counterfactual_operands_at_until_level():
     assert f == Would("a", Until(Atom("p"), Atom("q")), Until(Atom("s"), Atom("p")))
 
 
-def test_parse_error_carries_position():
-    with pytest.raises(ParseError) as e:
-        parse("p &\n& q")
-    assert e.value.line == 2
-    assert e.value.col == 1
-
-
 def test_parse_error_on_truncated_input():
     for src in ("p &", "K[", "K[a", "(p | q", "p WOULD[a]", "p @"):
         with pytest.raises(ParseError):
             parse(src)
+
+
+# (source, message, line, column) for malformed inputs
+PARSE_ERRORS = [
+    ("p &", "expected a formula, found 'end of input'", 1, 4),
+    ("K[", "expected an agent name", 1, 3),
+    ("K[a", "expected ']', found 'end of input'", 1, 4),
+    ("(p | q", "expected ')', found 'end of input'", 1, 7),
+    ("p WOULD[a]", "expected a formula, found 'end of input'", 1, 11),
+    ("p @", "expected a trace variable after '@'", 1, 4),
+    ("p $ q", "unexpected character '$'", 1, 3),
+    ("p &\n& q", "expected a formula, found '&'", 2, 1),
+    ("p WOULD[a] q MIGHT[a] s",
+     "counterfactual operators do not associate; parenthesize", 1, 14),
+    ("K[U] p", "expected an agent name", 1, 3),
+    ("p@U", "expected a trace variable after '@'", 1, 3),
+    ("p q", "unexpected trailing input 'q'", 1, 3),
+    ("U", "expected a formula, found 'U'", 1, 1),
+    ("p\f", "unexpected character '\\x0c'", 1, 2),
+    ("²p", "unexpected character '²'", 1, 1),
+    ("", "expected a formula, found 'end of input'", 1, 1),
+    ("  ", "expected a formula, found 'end of input'", 1, 3),
+    ("p <- q", "unexpected character '<'", 1, 3),
+    ("K p", "expected '[', found 'p'", 1, 3),
+    ("p WOULD[] q", "expected an agent name", 1, 9),
+    ("p@@q", "expected a trace variable after '@'", 1, 3),
+    ("true@x", "unexpected trailing input '@'", 1, 5),
+    ("\tp &", "expected a formula, found 'end of input'", 1, 5),
+    ("p\r\n&", "expected a formula, found 'end of input'", 2, 2),
+    ("p\n  & (q\n", "expected ')', found 'end of input'", 3, 1),
+    ("p S S q", "expected a formula, found 'S'", 1, 5),
+    ("_1 & 1", "unexpected character '1'", 1, 6),
+    ("a\u0301", "unexpected character '\u0301'", 1, 2),  # combining accent
+    ("p \xa0 q", "unexpected character '\\xa0'", 1, 3),
+    # an unexpected character anywhere wins over an earlier syntax error
+    ("p q $", "unexpected character '$'", 1, 5),
+]
+
+
+def test_parse_error_carries_position():
+    for src, message, line, col in PARSE_ERRORS:
+        with pytest.raises(ParseError) as e:
+            parse(src)
+        got = (str(e.value), e.value.line, e.value.col)
+        assert got == (f"{message} (line {line}, column {col})", line, col), src
+
+
+def test_identifier_characters():
+    # first character: isalpha() or '_'; then isalnum() or '_'
+    assert parse("é & p") == And(Atom("é"), Atom("p"))
+    assert parse("x² | _") == Or(Atom("x²"), Atom("_"))
+    assert parse("p1@pi_2") == TracedAtom("p1", "pi_2")
+
+
+def test_nesting_depth_within_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert parse("(" * 200 + "p" + ")" * 200) == Atom("p")
+        f = parse("!" * 900 + "p")
+    finally:
+        sys.setrecursionlimit(limit)
+    for _ in range(900):
+        assert isinstance(f, Not)
+        f = f.child
+    assert f == Atom("p")
 
 
 def test_roundtrip_fixed_examples():
@@ -171,6 +234,27 @@ def test_subformulas_and_node_count():
     assert node_count(f) == 5
 
 
+def _order_digest(formulas) -> tuple[int, str]:
+    h = hashlib.sha256()
+    n = 0
+    for f in formulas:
+        for g in subformulas(f):
+            h.update(to_source(g).encode() + b"\n")
+            n += 1
+    return n, h.hexdigest()[:16]
+
+
+def test_subformulas_order_is_pinned():
+    # postorder, each distinct subformula at its first occurrence, left
+    # operand before right
+    assert _order_digest([build_gce(hiring_vocabulary(), "a", "a")]) == (
+        743, "2c8782af66c92c00"
+    )
+    r = random.Random(20251018)
+    fs = [gen_formula(r, depth=r.randint(1, 6)) for _ in range(200)]
+    assert _order_digest(fs) == (1602, "8946f808b5d72925")
+
+
 def test_conjoin_disjoin():
     assert conjoin([]) == TrueConst()
     assert disjoin([]) == FalseConst()
@@ -194,6 +278,14 @@ def test_validate_relational_rejects_untraced_atom():
 def test_validate_relational_rejects_unknown_trace_var():
     with pytest.raises(RelationalFormulaError):
         validate_relational(TracedAtom("p", "rho"), ("pi", "pi1", "pi2"))
+    # every offending node, in preorder, with its path
+    with pytest.raises(RelationalFormulaError) as e:
+        validate_relational(parse("(p & K[a] q@pi) | !r@rho"), ("pi", "pi1", "pi2"))
+    assert [(v.kind, v.detail, v.path) for v in e.value.violations] == [
+        ("untraced-atom", "p", "root.left.left"),
+        ("forbidden-operator", "K", "root.left.right"),
+        ("undeclared-trace-variable", "rho", "root.right.child"),
+    ]
 
 
 def test_validate_relational_rejects_knowledge_and_counterfactuals():

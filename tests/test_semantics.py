@@ -6,6 +6,7 @@ stabilization bounds, or operator fusion.  Any disagreement between the two
 is a bug in one of them.
 """
 
+import gc
 import random
 
 import pytest
@@ -324,6 +325,34 @@ def test_explain_crosses_traces_for_knowledge():
     steps = [(e.formula, e.trace, e.value) for e in trail]
     assert ("!q", "| {q}", False) in steps
     assert steps[-1] == ("q", "| {q}", True)
+
+
+def test_library_calls_leave_no_reference_cycles():
+    # every object these calls make is freed by reference counting alone, so
+    # a context, domain or universe never waits for the cyclic collector
+    from pathlib import Path
+
+    from ckltl import build_ice, load_system, position_variant
+    from ckltl.foe import FoDomain, eval_fo, translate
+
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "unexplainable.json"
+    system = load_system(fixture)
+    ice1 = position_variant(build_ice(hiring_vocabulary(), "a"), 1)
+    small = universe_of([tr("{p} | {}"), tr("| {p}")])
+    sentence = translate(desugar(parse("F p & G (p -> X !p)")), system)
+    gc.collect()
+    gc.disable()
+    try:
+        load_system(fixture)
+        u = single_round_universe(system)
+        verdict = check_system(EvalContext.exact(system, u), ice1)
+        assert not verdict.result and verdict.trail  # explain ran
+        eval_fo(FoDomain(small, 3), sentence)
+        validate_relational(parse("G (p@pi <-> p@pi1) & !q@rho"), ("pi", "pi1", "rho"))
+        del u, verdict
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_stabilize_table_shape():
