@@ -39,200 +39,222 @@ The core fragment (what the evaluators consume) is: constants, atoms, traced
 atoms, Not, And, Next, Until, Prev, Since, Know, Would, UWould.  Everything
 else is surface sugar preserved by the parser for round-trip printing and
 removed by :func:`desugar`.
+
+Formula nodes are hash-consed (Filliatre and Conchon, "Type-Safe Modular
+Hash-Consing", 2006): every constructor looks its node up in one module-level
+unique table keyed by (type, scalar fields, child nodes), so a formula is a
+DAG in which structurally equal subformulas are one object.  Equality and
+hashing are identity, nodes are immutable, and `parse(to_source(f)) is f`.
+The table holds its nodes weakly, so formulas that nobody refers to any more
+leave it.  Printing, desugaring, counting and traversal are iterative
+postorders over the DAG: no formula is too deep or too wide for them.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import Iterator
 
 
 # ---------------------------------------------------------------------------
-# AST nodes
+# AST nodes (hash-consed)
 # ---------------------------------------------------------------------------
 
 
-class Formula:
-    """Base class for all formula nodes.  Nodes are immutable and hashable."""
+class _Entry(weakref.ref):
+    """Unique-table entry: a weak reference to a node that knows its key."""
 
-    __slots__ = ()
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    # atomic, and only while the key still maps to a dead entry: an equal
+    # node built after this one died may hold the key by now
+    _remove_dead_weakref(_TABLE, entry.key)
+
+
+_TABLE: dict[tuple, _Entry] = {}  # (type, *fields) -> entry of the live node
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _add(key: tuple, node: Formula) -> Formula:
+    """The table's node for `key`: `node`, unless an equal live node got in
+    first.  Each step is one atomic dict operation, so no lock is needed."""
+    entry = _Entry(node, _forget)
+    entry.key = key
+    while True:
+        live = _TABLE.setdefault(key, entry)()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_TABLE, key)
+
+
+class Formula:
+    """Base class for all formula nodes.
+
+    Nodes are hash-consed.  A constructor call returns the one live node of
+    its type with the same fields, found in a unique table keyed by the type,
+    the scalar fields and the child nodes, so structurally equal formulas are
+    the same object: equality and hashing are identity, and setting a field
+    raises.  The table refers to its nodes weakly, so a node lives exactly as
+    long as some caller or parent node holds it.  A subclass declares its
+    fields, in constructor order, as its `__slots__`."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        entry = _TABLE.get(key)
+        node = entry() if entry is not None else None
+        if node is None:
+            names = cls.__slots__
+            if len(fields) != len(names):
+                raise TypeError(f"{cls.__name__} takes the fields {names}, got {fields!r}")
+            node = _new(cls)
+            for name, value in zip(names, fields):
+                _set(node, name, value)
+            node = _add(key, node)
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"formula nodes are immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), _fields(self)
+
+    def __repr__(self) -> str:
+        return f"parse({to_source(self)!r})"
+
+
+def _fields(f: Formula) -> tuple:
+    """Constructor arguments of `f`, in order."""
+    return tuple(getattr(f, name) for name in type(f).__slots__)
 
 
 # -- core nodes --
 
 
-@dataclass(frozen=True, slots=True)
 class TrueConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class FalseConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class TracedAtom(Formula):
     """Proposition `name` read on the trace bound to variable `trace_var`."""
 
-    name: str
-    trace_var: str
+    __slots__ = ("name", "trace_var")
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Next(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class Until(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Prev(Formula):
     """Previous-step operator (`Y`); false at the first position of a trace."""
 
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class Since(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Know(Formula):
     """`K[agent] child`: child holds on every observation-equivalent trace."""
 
-    agent: str
-    child: Formula
+    __slots__ = ("agent", "child")
 
 
-@dataclass(frozen=True, slots=True)
 class Would(Formula):
     """Lewis counterfactual `ante WOULD[agent] cons` (variably strict, no
     limit assumption): either no accessible trace satisfies the antecedent, or
     some accessible antecedent trace bounds a similarity threshold below which
     the antecedent forces the consequent."""
 
-    agent: str
-    ante: Formula
-    cons: Formula
+    __slots__ = ("agent", "ante", "cons")
 
 
-@dataclass(frozen=True, slots=True)
 class UWould(Formula):
     """Chain-wise counterfactual `ante UWOULD[agent] cons`: every accessible
     antecedent trace is at least as far as some threshold antecedent trace
     below which the antecedent forces the consequent."""
 
-    agent: str
-    ante: Formula
-    cons: Formula
+    __slots__ = ("agent", "ante", "cons")
 
 
 # -- surface (derived) nodes --
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Eventually(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class Globally(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class Once(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class Historically(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class Might(Formula):
     """Dual of Would: `ante MIGHT[agent] cons` == `!(ante WOULD[agent] !cons)`."""
 
-    agent: str
-    ante: Formula
-    cons: Formula
+    __slots__ = ("agent", "ante", "cons")
 
 
-@dataclass(frozen=True, slots=True)
 class EMight(Formula):
     """Dual of UWould: `ante EMIGHT[agent] cons` == `!(ante UWOULD[agent] !cons)`."""
 
-    agent: str
-    ante: Formula
-    cons: Formula
-
-
-_CORE_KINDS = (
-    TrueConst,
-    FalseConst,
-    Atom,
-    TracedAtom,
-    Not,
-    And,
-    Next,
-    Until,
-    Prev,
-    Since,
-    Know,
-    Would,
-    UWould,
-)
+    __slots__ = ("agent", "ante", "cons")
 
 
 def is_core(f: Formula) -> bool:
     """True iff `f` contains no derived (surface) operators."""
-    if not isinstance(f, _CORE_KINDS):
-        return False
-    return all(is_core(c) for c in children(f))
+    return all(isinstance(g, Formula) and type(g) not in _SUGAR for g in subformulas(f))
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -252,7 +274,7 @@ _CHILDREN.update(dict.fromkeys(
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """Postorder traversal of distinct subformulas (structural dedup).
+    """Postorder traversal of distinct subformulas, left operand first.
 
     Iterative: a node is yielded after its children, the first time it is
     met; a subtree met again is skipped whole, as everything in it has been
@@ -270,12 +292,29 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 def node_count(f: Formula) -> int:
-    return 1 + sum(node_count(c) for c in children(f))
+    """Size of `f` as a tree: a subformula counts once per occurrence."""
+    size: dict[Formula, int] = {}
+    for g in subformulas(f):
+        size[g] = 1 + sum(size[c] for c in children(g))
+    return size[f]
 
 
 # ---------------------------------------------------------------------------
 # Desugaring
 # ---------------------------------------------------------------------------
+
+# surface node -> its core form, built over the already desugared fields
+_SUGAR = {
+    Or: lambda a, b: Not(And(Not(a), Not(b))),
+    Implies: lambda a, b: Not(And(a, Not(b))),
+    Iff: lambda a, b: And(Not(And(a, Not(b))), Not(And(b, Not(a)))),
+    Eventually: lambda a: Until(TrueConst(), a),
+    Globally: lambda a: Not(Until(TrueConst(), Not(a))),
+    Once: lambda a: Since(TrueConst(), a),
+    Historically: lambda a: Not(Since(TrueConst(), Not(a))),
+    Might: lambda agent, a, c: Not(Would(agent, a, Not(c))),
+    EMight: lambda agent, a, c: Not(UWould(agent, a, Not(c))),
+}
 
 
 def desugar(f: Formula) -> Formula:
@@ -292,48 +331,17 @@ def desugar(f: Formula) -> Formula:
       MIGHT[g]     == !(ante WOULD[g] !cons)
       EMIGHT[g]    == !(ante UWOULD[g] !cons)
 
-    Idempotent: core formulas are returned unchanged (same structure).
+    Each distinct subformula is rewritten once, in postorder.  A core node is
+    rebuilt over its rewritten children, which hash-consing turns back into
+    the node itself when they are unchanged: `desugar(core) is core`.
     """
-    if isinstance(f, (TrueConst, FalseConst, Atom, TracedAtom)):
-        return f
-    if isinstance(f, Not):
-        return Not(desugar(f.child))
-    if isinstance(f, And):
-        return And(desugar(f.left), desugar(f.right))
-    if isinstance(f, Next):
-        return Next(desugar(f.child))
-    if isinstance(f, Until):
-        return Until(desugar(f.left), desugar(f.right))
-    if isinstance(f, Prev):
-        return Prev(desugar(f.child))
-    if isinstance(f, Since):
-        return Since(desugar(f.left), desugar(f.right))
-    if isinstance(f, Know):
-        return Know(f.agent, desugar(f.child))
-    if isinstance(f, Would):
-        return Would(f.agent, desugar(f.ante), desugar(f.cons))
-    if isinstance(f, UWould):
-        return UWould(f.agent, desugar(f.ante), desugar(f.cons))
-    if isinstance(f, Or):
-        return Not(And(Not(desugar(f.left)), Not(desugar(f.right))))
-    if isinstance(f, Implies):
-        return Not(And(desugar(f.left), Not(desugar(f.right))))
-    if isinstance(f, Iff):
-        a, b = desugar(f.left), desugar(f.right)
-        return And(Not(And(a, Not(b))), Not(And(b, Not(a))))
-    if isinstance(f, Eventually):
-        return Until(TrueConst(), desugar(f.child))
-    if isinstance(f, Globally):
-        return Not(Until(TrueConst(), Not(desugar(f.child))))
-    if isinstance(f, Once):
-        return Since(TrueConst(), desugar(f.child))
-    if isinstance(f, Historically):
-        return Not(Since(TrueConst(), Not(desugar(f.child))))
-    if isinstance(f, Might):
-        return Not(Would(f.agent, desugar(f.ante), Not(desugar(f.cons))))
-    if isinstance(f, EMight):
-        return Not(UWould(f.agent, desugar(f.ante), Not(desugar(f.cons))))
-    raise TypeError(f"not a formula node: {f!r}")
+    core: dict[Formula, Formula] = {}
+    for g in subformulas(f):
+        if not isinstance(g, Formula):
+            raise TypeError(f"not a formula node: {g!r}")
+        args = [core[v] if isinstance(v, Formula) else v for v in _fields(g)]
+        core[g] = _SUGAR.get(type(g), type(g))(*args)
+    return core[f]
 
 
 # ---------------------------------------------------------------------------
@@ -549,44 +557,52 @@ _PREC.update(dict.fromkeys(_PREFIX_NAMES, _P_UNARY))
 
 
 def to_source(f: Formula) -> str:
-    """Render `f` in canonical concrete syntax; `parse(to_source(f)) == f`."""
-    return _render(f, 0)
+    """Render `f` in canonical concrete syntax; `parse(to_source(f)) is f`.
 
-
-def _render(f: Formula, ctx: int) -> str:
-    p = _PREC.get(type(f), _P_ATOM)
-    s = _render_at(f, p)
-    if p < ctx:
-        return f"({s})"
-    return s
-
-
-def _render_at(f: Formula, p: int) -> str:
-    cls = type(f)
-    if cls in _INFIX:
-        op, right = _INFIX[cls]
-        # the operand on the associating side shares the operator's level
-        lp, rp = (p + 1, p) if right else (p, p + 1)
-        return f"{_render(f.left, lp)} {op} {_render(f.right, rp)}"
-    if cls in _CF_NAMES:
-        # non-associative: both operands live one level up (until tier)
-        op = _CF_NAMES[cls]
-        return f"{_render(f.ante, p + 1)} {op}[{f.agent}] {_render(f.cons, p + 1)}"
-    if cls is Not:
-        return f"!{_render(f.child, p)}"
-    if cls in _PREFIX_NAMES:
-        return f"{_PREFIX_NAMES[cls]} {_render(f.child, p)}"
-    if cls is Know:
-        return f"K[{f.agent}] {_render(f.child, p)}"
-    if cls is TrueConst:
-        return "true"
-    if cls is FalseConst:
-        return "false"
-    if cls is Atom:
-        return f.name
-    if cls is TracedAtom:
-        return f"{f.name}@{f.trace_var}"
-    raise TypeError(f"not a formula node: {f!r}")
+    Iterative: a stack holds the text still to emit and the (node, context
+    precedence) pairs still to render, and pieces are joined once at the end,
+    so the cost is linear in the output."""
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, ctx = item
+        cls = type(g)
+        p = _PREC.get(cls, _P_ATOM)
+        if p < ctx:
+            out.append("(")
+            stack.append(")")
+        if cls in _INFIX:
+            op, right = _INFIX[cls]
+            # the operand on the associating side shares the operator's level
+            lp, rp = (p + 1, p) if right else (p, p + 1)
+            stack += ((g.right, rp), f" {op} ", (g.left, lp))
+        elif cls in _CF_NAMES:
+            # non-associative: both operands live one level up (until tier)
+            stack += ((g.cons, p + 1), f" {_CF_NAMES[cls]}[{g.agent}] ", (g.ante, p + 1))
+        elif cls is Not:
+            out.append("!")
+            stack.append((g.child, p))
+        elif cls in _PREFIX_NAMES:
+            out.append(f"{_PREFIX_NAMES[cls]} ")
+            stack.append((g.child, p))
+        elif cls is Know:
+            out.append(f"K[{g.agent}] ")
+            stack.append((g.child, p))
+        elif cls is TrueConst:
+            out.append("true")
+        elif cls is FalseConst:
+            out.append("false")
+        elif cls is Atom:
+            out.append(g.name)
+        elif cls is TracedAtom:
+            out.append(f"{g.name}@{g.trace_var}")
+        else:  # by type name: a node's repr is printed by this function
+            raise TypeError(f"not a formula node: {cls.__name__}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -706,16 +722,8 @@ def build_minimal_antecedent(
     if n == 0:
         raise ValueError("need at least one conjunct")
     parts: list[Formula] = [Might(agent, conjoin(conjuncts), consequent)]
-    subsets: list[tuple[int, ...]] = []
     for size in range(1, n):
-        subsets.extend(_index_subsets(n, size))
-    for idxs in subsets:
-        sub = conjoin([conjuncts[i] for i in idxs])
-        parts.append(Not(Might(agent, sub, consequent)))
+        for idxs in combinations(range(n), size):
+            sub = conjoin([conjuncts[i] for i in idxs])
+            parts.append(Not(Might(agent, sub, consequent)))
     return conjoin(parts)
-
-
-def _index_subsets(n: int, size: int) -> list[tuple[int, ...]]:
-    from itertools import combinations
-
-    return list(combinations(range(n), size))

@@ -18,13 +18,15 @@ The evaluator handles the surface operators (Or, Implies, Iff, F, G, O, H,
 Might, EMight) natively rather than desugaring first; `desugar` defines the
 reference core form and the test suite holds both routes to the same values.
 
-Memo layout.  A context hash-conses the formulas it meets into small node
-ids, one representative object per structurally distinct subformula, so equal
-subformulas (across ICE, WCE, GCE and the similarity relations too) share
-their values.  Traces get ids on first use: universe traces their universe
-order (shared by any other object for the same word), any other trace the
-next free id.  The values of node n on trace k form one bytearray row, filled
-in position order in both modes.
+Memo layout.  Formula nodes are hash-consed where they are built (see
+`formula`), so a structurally equal subformula is the same node wherever it
+comes from (ICE, WCE, GCE and the similarity relations too), and a context
+keys its tables by the node itself.  The first time a context meets a node it
+records the node's stabilization bound, and those of the nodes below it that
+it has not met yet.  Traces get ids on first use: universe traces their
+universe order (shared by any other object for the same word), any other
+trace the next free id.  The values of node f on trace k form one bytearray
+row, filled in position order in both modes.
 
 All trace quantifiers (knowledge, counterfactuals, system-level checks) range
 over one finite TraceUniverse.  Verdicts are therefore exact only relative to
@@ -111,10 +113,10 @@ _LOAD, _CONST, _NOT, _AND, _OR, _IMPLIES, _IFF = range(7)
 _BINARY = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
 
 
-def _all_positions_block(params: tuple[str, str, str], rel: Formula, node_id):
+def _all_positions_block(params: tuple[str, str, str], rel: Formula):
     """Compile `rel` into a flat op list when it has the all-positions shape,
-    else return None.  `node_id` maps each subformula of `rel` to its node id,
-    which keys the registers, so equal subformulas share one.
+    else return None.  Registers are keyed by node, so equal subformulas
+    share one.
 
     The shape is a conjunction of `G B_k` and `H B_k` in which the set of
     G-bodies equals the set of H-bodies and every body is pointwise over the
@@ -132,19 +134,18 @@ def _all_positions_block(params: tuple[str, str, str], rel: Formula, node_id):
             conjuncts.append(g)
     if not all(isinstance(g, (Globally, Historically)) for g in conjuncts):
         return None
-    g_bodies = {node_id(g.child): g.child for g in conjuncts if isinstance(g, Globally)}
-    h_bodies = {node_id(g.child) for g in conjuncts if isinstance(g, Historically)}
-    if set(g_bodies) != h_bodies:
+    g_bodies = dict.fromkeys(g.child for g in conjuncts if isinstance(g, Globally))
+    h_bodies = {g.child for g in conjuncts if isinstance(g, Historically)}
+    if g_bodies.keys() != h_bodies:
         return None
     ops: list[tuple] = []
-    regs: dict[int, int] = {}  # node id -> register (index of the op that fills it)
+    regs: dict[Formula, int] = {}  # node -> register (index of the op that fills it)
     roots = []
-    for body in g_bodies.values():
+    for body in g_bodies:
         stack = [(body, False)]
         while stack:
             g, ready = stack.pop()
-            n = node_id(g)
-            if n in regs:
+            if g in regs:
                 continue
             if isinstance(g, TracedAtom):
                 if g.trace_var not in params:
@@ -159,12 +160,12 @@ def _all_positions_block(params: tuple[str, str, str], rel: Formula, node_id):
                 stack += ((c, False) for c in reversed(children(g)))
                 continue
             elif isinstance(g, Not):
-                op = (_NOT, regs[node_id(g.child)], None)
+                op = (_NOT, regs[g.child], None)
             else:
-                op = (_BINARY[type(g)], regs[node_id(g.left)], regs[node_id(g.right)])
-            regs[n] = len(ops)
+                op = (_BINARY[type(g)], regs[g.left], regs[g.right])
+            regs[g] = len(ops)
             ops.append(op)
-        roots.append(regs[node_id(body)])
+        roots.append(regs[body])
     acc = roots[0]
     for r in roots[1:]:
         ops.append((_AND, acc, r))
@@ -198,14 +199,14 @@ def _run_block(ops: tuple, masks: list[dict[str, int]]) -> int:
 class EvalContext:
     """Evaluation state: system, universe, mode, and all memo tables.
 
-    Tables are indexed by node ids and trace ids (see the module docstring)
+    Tables are indexed by formula nodes and trace ids (see the module docstring)
     and filled lazily, so building a context costs nothing per trace.
     Caches persist across calls, so repeated checks over the same context are
     warm; results never depend on cache state.
     """
 
     __slots__ = ("system", "universe", "mode", "bound", "stabilization_cap",
-                 "_nid", "_pins", "_keys", "_nodes", "_bounds", "_rows", "_stab",
+                 "_pins", "_bounds", "_rows", "_stab",
                  "_tid", "_traces", "_shape", "_rels", "_divs", "_masks", "_zips")
 
     def __init__(self, system: System, universe: TraceUniverse, mode: str = EXACT_LASSO,
@@ -224,17 +225,11 @@ class EvalContext:
         self.mode = mode
         self.bound = bound
         self.stabilization_cap = stabilization_cap
-        # id(object) -> node id, for representatives and for the formula
-        # objects callers pass in; `_pins` keeps the latter alive, and traces
-        # that take the id of a universe trace with the same word
-        self._nid: dict[int, int] = {}
-        self._pins: list[Formula] = []
-        self._keys: dict[tuple, int] = {}  # (type, scalars, child ids) -> node id
-        self._nodes: list[Formula] = []  # node id -> representative
-        self._bounds: list[tuple[int, int, bool]] = []  # node id -> (a, b, global)
-        self._rows: list[list] = []  # node id -> trace id -> row
-        self._stab: dict[tuple[int, int], tuple[int, int]] = {}  # -> (start, period)
+        self._bounds: dict[Formula, tuple[int, int, bool]] = {}  # met node -> (a, b, global)
+        self._rows: dict[Formula, list] = {}  # met node -> trace id -> row
+        self._stab: dict[tuple[Formula, int], tuple[int, int]] = {}  # -> (start, period)
         self._tid: dict[int, int] = {}  # id(trace) -> trace id; `_traces` pins
+        self._pins: list[LassoTrace] = []  # traces that share a universe trace's id
         self._traces: list[LassoTrace] = []
         self._shape: tuple[int, int] | None = None  # universe max prefix, loop lcm
         self._rels: dict[str, tuple] = {}
@@ -251,64 +246,38 @@ class EvalContext:
         return cls(system, universe, BOUNDED, bound)
 
     def stats(self) -> dict[str, int]:
-        """Deterministic work counters: interned nodes, filled rows, stored
-        values, similarity and divergence memo entries."""
-        rows = [row for per_node in self._rows for row in per_node if row]
+        """Deterministic work counters: nodes met, filled rows, stored values,
+        similarity and divergence memo entries."""
+        rows = [row for per_node in self._rows.values() for row in per_node if row]
         return {
-            "nodes": len(self._nodes), "rows": len(rows), "values": sum(map(len, rows)),
+            "nodes": len(self._bounds), "rows": len(rows), "values": sum(map(len, rows)),
             "similarity": sum(len(r[3]) for r in self._rels.values()),
             "divergence": sum(map(len, self._divs.values())),
         }
 
-    # -- node and trace ids --
+    # -- nodes and trace ids --
 
-    def _intern(self, f: Formula) -> int:
-        """Node id of `f`.  Unseen subformulas are interned bottom-up with an
-        explicit stack; a new node's representative is `f`'s own subobject
-        when its children are representatives, else a rebuilt copy over
-        them, so representatives form a DAG of representatives."""
-        nid, seen, stack = self._nid, {}, [(f, None)]
+    def _meet(self, f: Formula) -> list:
+        """Row list of `f`.  The nodes of `f` that the context has not met
+        yet get their bounds and empty row lists, children first, in an
+        iterative walk that stops at nodes met before."""
+        bounds, stack = self._bounds, [f]
         while stack:
-            g, fields = stack.pop()  # fields: None until g's children are pushed
-            if id(g) in seen:
+            g = stack[-1]
+            if g in bounds:
+                stack.pop()
                 continue
-            if fields is None:
-                n = nid.get(id(g))
-                if n is not None:
-                    seen[id(g)] = n
-                    continue
-                if not isinstance(g, Formula):
-                    raise TypeError(f"evaluator got an unknown node: {g!r}")
-                fields = [getattr(g, a) for a in g.__dataclass_fields__]
-                stack.append((g, fields))
-                stack += ((v, None) for v in fields if isinstance(v, Formula))
+            kids = children(g)
+            unmet = [c for c in kids if c not in bounds]
+            if unmet:
+                stack += unmet
                 continue
-            kids = [v for v in fields if isinstance(v, Formula)]
-            ids = [seen[id(c)] for c in kids]
-            key = (type(g), *(v for v in fields if not isinstance(v, Formula)), *ids)
-            n = self._keys.get(key)
-            if n is None:
-                reps = [self._nodes[c] for c in ids]
-                rep = g
-                if any(r is not c for r, c in zip(reps, kids)):
-                    it = iter(reps)
-                    rep = type(g)(*(next(it) if isinstance(v, Formula) else v
-                                    for v in fields))
-                bound = self._node_bound(rep, ids)  # may intern a relation first
-                n = len(self._nodes)
-                self._keys[key] = n
-                self._nodes.append(rep)
-                self._bounds.append(bound)
-                self._rows.append([])
-                nid[id(rep)] = n
-            seen[id(g)] = n
-        n = seen[id(f)]
-        if id(f) not in nid:
-            nid[id(f)] = n
-            self._pins.append(f)
-        return n
+            stack.pop()
+            bounds[g] = self._node_bound(g, kids)  # may meet a relation first
+            self._rows[g] = []
+        return self._rows[f]
 
-    def _node_bound(self, f: Formula, ids: tuple[int, ...]) -> tuple[int, int, bool]:
+    def _node_bound(self, f: Formula, kids: tuple[Formula, ...]) -> tuple[int, int, bool]:
         """Trace-independent stabilization bound (a, b, global) of a new node.
 
         On any trace the value sequence of `f` is periodic from P0 + a*L0
@@ -318,7 +287,7 @@ class EvalContext:
         true.  Knowledge and counterfactuals force `global`: their value
         draws on every universe trace and on zipped triples, and the
         universe-wide bound dominates those shapes."""
-        kb = [self._bounds[c] for c in ids]
+        kb = [self._bounds[c] for c in kids]
         if isinstance(f, (Atom, TracedAtom, TrueConst, FalseConst)):
             return (0, 1, False)
         if isinstance(f, (Not, Next, Eventually, Globally)):
@@ -334,7 +303,7 @@ class EvalContext:
             # observation divergence points lie below max-prefix + loop-lcm
             return (max(a, 1), b, True)
         if type(f) in _CF_NODES:
-            kb.append(self._bounds[self._nid[id(self._rel(f.agent)[1])]])
+            kb.append(self._bounds[self._rel(f.agent)[1]])
             return (max(a for a, _, _ in kb), lcm(*(b for _, b, _ in kb)), True)
         if not isinstance(f, (And, Or, Implies, Iff, Until, Since)):
             raise TypeError(f"evaluator got an unknown node: {f!r}")
@@ -345,10 +314,6 @@ class EvalContext:
             # follows a block-periodic recurrence; two blocks always suffice
             return (a + b, 2 * b, g1 or g2)
         return (a, b, g1 or g2)
-
-    def _node_id(self, f: Formula) -> int:
-        n = self._nid.get(id(f))
-        return self._intern(f) if n is None else n
 
     def _trace_id(self, t: LassoTrace) -> int:
         k = self._tid.get(id(t))
@@ -374,14 +339,14 @@ class EvalContext:
         return k
 
     def _rel(self, agent: str) -> tuple[tuple, Formula, tuple | None, dict]:
-        """(params, representative formula, compiled block or None, memo of
-        similarity answers) of the agent's relation."""
+        """(params, formula, compiled block or None, memo of similarity
+        answers) of the agent's relation, whose nodes are met on first use."""
         got = self._rels.get(agent)
         if got is None:
             rf = self.system.similarity_of(agent)
-            rel = self._nodes[self._node_id(rf.formula)]
-            block = _all_positions_block(rf.params, rel, self._node_id)
-            got = self._rels[agent] = (rf.params, rel, block, {})
+            self._meet(rf.formula)
+            block = _all_positions_block(rf.params, rf.formula)
+            got = self._rels[agent] = (rf.params, rf.formula, block, {})
         return got
 
     # ------------------------------------------------------------------
@@ -390,13 +355,12 @@ class EvalContext:
 
     def value(self, t: LassoTrace, f: Formula, i: int) -> bool:
         """Truth of `f` on `t` at position `i` (mode aware)."""
-        n = self._nid.get(id(f))
-        if n is None:
-            n = self._intern(f)
+        rows = self._rows.get(f)
+        if rows is None:
+            rows = self._meet(f)
         k = self._tid.get(id(t))
         if k is None:
             k = self._trace_id(t)
-        rows = self._rows[n]
         if k >= len(rows):
             rows += [_NO_ROW] * (len(self._traces) - len(rows))
         row = rows[k]
@@ -406,10 +370,9 @@ class EvalContext:
         # extend the row in position order (inline: one frame per level)
         if row is _NO_ROW:
             row = rows[k] = bytearray()
-        stab = self._stab.get((n, k))
+        stab = self._stab.get((f, k))
         if stab is not None and i >= stab[0]:
             i = stab[0] + (i - stab[0]) % stab[1]
-        f = self._nodes[n]
         while len(row) <= i:
             row.append(self._compute(t, f, len(row)))
         return row[i] == 1
@@ -608,11 +571,11 @@ class EvalContext:
     def _ensure_stab(self, t: LassoTrace, f: Formula) -> tuple[int, int]:
         """Proved-and-minimized (start, period) for the value sequence of
         (t, f): for i >= start, value(i) == value(start + (i-start) % period)."""
-        n, k = self._node_id(f), self._trace_id(t)
-        got = self._stab.get((n, k))
+        k = self._trace_id(t)
+        got = self._stab.get((f, k))
         if got is not None:
             return got
-        a, b, glob = self._bounds[n]
+        a, b, glob = self._bounds[f]
         pt, lt = len(t.prefix), len(t.loop)
         if glob:
             pmax, llcm = self._shape
@@ -634,7 +597,7 @@ class EvalContext:
                 break
         while s > 0 and self.value(t, f, s - 1 + p) == self.value(t, f, s - 1):
             s -= 1
-        got = self._stab[(n, k)] = (s, p)
+        got = self._stab[(f, k)] = (s, p)
         return got
 
 

@@ -132,11 +132,7 @@ def _pair_formula(a: AttrLiteral, b: AttrLiteral) -> Formula:
 
 
 def _pairs_for(vocab: AttributeVocabulary, agents: Iterable[str]):
-    lits: list[AttrLiteral] = []
-    for agent in agents:
-        for lit in vocab.literals_of(agent):
-            if lit not in lits:
-                lits.append(lit)
+    lits = list(dict.fromkeys(lit for agent in agents for lit in vocab.literals_of(agent)))
     if not lits:
         raise ValueError("empty attribute set")
     return satisfiable_pairs(lits)

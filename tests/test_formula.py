@@ -1,6 +1,9 @@
 """Formula ASTs, the parser/printer pair, desugaring, relational validation."""
 
+import copy
+import gc
 import hashlib
+import pickle
 import random
 import sys
 
@@ -32,6 +35,7 @@ from ckltl import (
     UWould,
     Would,
     build_gce,
+    build_ice,
     build_minimal_antecedent,
     conjoin,
     desugar,
@@ -41,8 +45,9 @@ from ckltl import (
     to_source,
     validate_relational,
 )
-from ckltl.formula import is_core, node_count
+from ckltl.formula import _TABLE, is_core, node_count
 from ckltl.hiring import hiring_vocabulary
+from ckltl.specs import AttributeVocabulary
 
 from gen import gen_formula
 
@@ -313,3 +318,84 @@ def test_build_minimal_antecedent_single():
 def test_build_minimal_antecedent_empty():
     with pytest.raises(ValueError):
         build_minimal_antecedent([], Atom("x"), "a")
+
+
+# ---------------------------------------------------------------------------
+# hash-consing and large formulas
+# ---------------------------------------------------------------------------
+
+
+def _gce(k: int):
+    vocab = AttributeVocabulary(
+        positives={"a": tuple(f"a{j}" for j in range(k)),
+                   "b": tuple(f"b{j}" for j in range(k))},
+        outcome="o",
+    )
+    return build_gce(vocab, "a", "a")
+
+
+def _prefix_chain(n: int):
+    f = Atom("p")
+    for j in range(n):
+        f = Not(f) if j % 2 else Next(f)
+    return f
+
+
+@pytest.mark.parametrize("build, size", [
+    # G, ->, !o; 1,103 |; 1,104 disjuncts K[a]((l & l') MIGHT[a] o) of 4 nodes
+    # plus the literals, each of 48 in 46 pairs, 24 of size 1 and 24 of size 2
+    (lambda: _gce(12), 4 + 1_103 + 4 * 1_104 + 46 * (24 + 2 * 24)),
+    (lambda: disjoin([Atom(f"p{j}") for j in range(10_000)]), 19_999),
+    (lambda: _prefix_chain(5_000), 5_001),
+], ids=["gce-12-attributes", "10000-term-or", "5000-deep-prefix"])
+def test_formula_layer_handles_large_formulas(build, size):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        f = build()
+        assert parse(to_source(f)) is f
+        core = desugar(f)
+        assert is_core(core) and desugar(core) is core
+        assert node_count(f) == size
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_equal_formulas_are_one_object():
+    vocab = hiring_vocabulary()
+    gce = build_gce(vocab, "a", "a")
+    assert build_gce(vocab, "a", "a") is gce
+    assert parse(to_source(gce)) is gce
+    # ICE's disjuncts are the GCE disjuncts over the applicant's own pairs
+    ice_knows = {g for g in subformulas(build_ice(vocab, "a")) if isinstance(g, Know)}
+    assert ice_knows and ice_knows <= set(subformulas(gce))
+    assert desugar(parse("p | q")) is parse("!(!p & !q)")
+    assert desugar(parse("p MIGHT[a] q")) is Not(Would("a", Atom("p"), Not(Atom("q"))))
+    core = desugar(gce)
+    assert desugar(core) is core
+    # copies are the node itself
+    assert copy.copy(gce) is gce and copy.deepcopy(gce) is gce
+    assert pickle.loads(pickle.dumps(gce)) is gce
+
+
+def test_formula_nodes_are_immutable():
+    f = parse("p & K[a] q")
+    for node, field in ((f, "left"), (f.right, "agent"), (f.left, "name")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, Atom("s"))
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    assert f is And(Atom("p"), Know("a", Atom("q")))
+
+
+def test_unique_table_is_weak():
+    gc.collect()
+    start = len(_TABLE)
+    r = random.Random(20261018)
+    peak = 0
+    for _ in range(10_000):
+        f = gen_formula(r, depth=r.randint(1, 6))
+        peak = max(peak, len(_TABLE))
+    del f
+    gc.collect()
+    assert peak > start + 10 and len(_TABLE) == start
