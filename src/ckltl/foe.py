@@ -8,6 +8,14 @@ size (plus the inlined similarity formulas) and the bounded evaluator here is
 deliberately brute force: it serves as an independent oracle for the direct
 semantics engine, so it shares no code with it.
 
+FO nodes are hash-consed like formula nodes: they subclass
+`formula.HashConsed` and live in the same weak unique table, so structurally
+equal subformulas are one object, equality and hashing are identity, and
+`parse_fo(print_fo(f)) is f`.  They are not `Formula`s: `desugar` and
+`to_source` reject them.  Counting, free variables, printing and parsing are
+iterative over one children table and one operator table; only the
+translator and the evaluator recurse, once per level of their input.
+
 Amendment: in both counterfactual cases the inner comparison variable (the
 universally quantified trace the conditional's guarantee ranges over) carries
 an extra conjunct E(x_c, x_t) pinning it to the evaluation level, since the
@@ -18,13 +26,16 @@ equivalence is not expected to hold.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import partial, reduce
 
 from .formula import (
     And,
     Atom,
     FalseConst,
     Formula,
+    HashConsed,
     Know,
     Next,
     Not,
@@ -36,7 +47,11 @@ from .formula import (
     Until,
     UWould,
     Would,
+    _fields,
+    _scan_end,
+    _syntax_error,
     desugar,
+    postorder,
 )
 from .model import System
 from .trace import LassoTrace, TraceUniverse
@@ -47,118 +62,102 @@ class UnsupportedNode(TypeError):
 
 
 # ---------------------------------------------------------------------------
-# FO AST
+# FO AST (hash-consed)
 # ---------------------------------------------------------------------------
 
 
-class FoFormula:
+class FoFormula(HashConsed):
     __slots__ = ()
 
+    def __repr__(self) -> str:
+        return f"parse_fo({print_fo(self)!r})"
 
-@dataclass(frozen=True)
+
 class FoExists(FoFormula):
-    var: str
-    body: FoFormula
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class FoForall(FoFormula):
-    var: str
-    body: FoFormula
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class FoNot(FoFormula):
-    child: FoFormula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
 class FoAnd(FoFormula):
-    left: FoFormula
-    right: FoFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FoOr(FoFormula):
-    left: FoFormula
-    right: FoFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FoImplies(FoFormula):
-    left: FoFormula
-    right: FoFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FoIff(FoFormula):
-    left: FoFormula
-    right: FoFormula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FoPred(FoFormula):
     """Proposition `name` on the trace of `trace_of` at the position of
     `pos_of`.  The split mirrors the projections used when similarity
     formulas are inlined; most predicates have trace_of == pos_of."""
 
-    name: str
-    trace_of: str
-    pos_of: str
+    __slots__ = ("name", "trace_of", "pos_of")
 
 
-@dataclass(frozen=True)
 class FoLess(FoFormula):
     """Same trace, strictly smaller position."""
 
-    left: str
-    right: str
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FoEq(FoFormula):
     """Same trace and same position."""
 
-    left: str
-    right: str
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FoEqualLevel(FoFormula):
     """Same position, any traces (the equal-level predicate E)."""
 
-    left: str
-    right: str
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FoSucc(FoFormula):
     """Same trace, position of `right` is position of `left` plus one."""
 
-    left: str
-    right: str
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FoMin(FoFormula):
-    var: str
+    __slots__ = ("var",)
+
+
+_FO_CHILDREN = dict.fromkeys((FoExists, FoForall), lambda f: (f.body,))
+_FO_CHILDREN[FoNot] = lambda f: (f.child,)
+_FO_CHILDREN.update(dict.fromkeys(
+    (FoAnd, FoOr, FoImplies, FoIff), lambda f: (f.left, f.right)))
+
+
+def fo_children(f: FoFormula) -> tuple[FoFormula, ...]:
+    """Operands in order: (body,), (child,) or (left, right)."""
+    get = _FO_CHILDREN.get(type(f))
+    return get(f) if get else ()
 
 
 def fo_node_count(f: FoFormula) -> int:
-    if isinstance(f, (FoExists, FoForall)):
-        return 1 + fo_node_count(f.body)
-    if isinstance(f, FoNot):
-        return 1 + fo_node_count(f.child)
-    if isinstance(f, (FoAnd, FoOr, FoImplies, FoIff)):
-        return 1 + fo_node_count(f.left) + fo_node_count(f.right)
-    return 1
+    """Size of `f` as a tree: a subformula counts once per occurrence."""
+    size: dict[FoFormula, int] = {}
+    for g in postorder(f, fo_children):
+        size[g] = 1 + sum(size[c] for c in fo_children(g))
+    return size[f]
 
 
-def _fo_conjoin(parts: list[FoFormula]) -> FoFormula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = FoAnd(out, p)
-    return out
+_fo_conjoin = partial(reduce, FoAnd)  # left-associative conjunction of a nonempty list
 
 
 # ---------------------------------------------------------------------------
@@ -200,29 +199,18 @@ class _Translator:
         if isinstance(f, Prev):
             y = self.fresh()
             return FoExists(y, FoAnd(FoSucc(y, x), self.go(f.child, y, env)))
-        if isinstance(f, Until):
+        if isinstance(f, (Until, Since)):
             x2 = self.fresh()
             right = self.go(f.right, x2, env)
             x1 = self.fresh()
             left = self.go(f.left, x1, env)
-            between = FoAnd(_ge(x1, x), FoLess(x1, x2))
+            if isinstance(f, Until):  # x <= x2, and x <= x1 < x2
+                reach, between = _ge(x2, x), FoAnd(_ge(x1, x), FoLess(x1, x2))
+            else:  # x2 <= x, and x2 < x1 <= x
+                reach, between = _ge(x, x2), FoAnd(FoLess(x2, x1), _ge(x, x1))
             return FoExists(
                 x2,
-                _fo_conjoin(
-                    [_ge(x2, x), right, FoForall(x1, FoImplies(between, left))]
-                ),
-            )
-        if isinstance(f, Since):
-            x2 = self.fresh()
-            right = self.go(f.right, x2, env)
-            x1 = self.fresh()
-            left = self.go(f.left, x1, env)
-            between = FoAnd(FoLess(x2, x1), _ge(x, x1))
-            return FoExists(
-                x2,
-                _fo_conjoin(
-                    [_ge(x, x2), right, FoForall(x1, FoImplies(between, left))]
-                ),
+                _fo_conjoin([reach, right, FoForall(x1, FoImplies(between, left))]),
             )
         if isinstance(f, Know):
             if env is not None:
@@ -428,44 +416,42 @@ class _FoEvaluator:
     def __init__(self, dom: FoDomain):
         self.dom = dom
         self.tindex = {id(t): k for k, t in enumerate(dom.universe)}
-        self.fv_cache: dict[int, frozenset[str]] = {}
+        self.fv_cache: dict[FoFormula, frozenset[str]] = {}
         self.memo: dict[tuple, bool] = {}
 
     def tix(self, t: LassoTrace) -> int:
         k = self.tindex.get(id(t))
-        if k is None:
-            for j, u in enumerate(self.dom.universe):
-                if u.same_word(t):
-                    return j
-            raise ValueError("environment trace not in the domain universe")
-        return k
+        return self.dom.universe.index(t) if k is None else k
 
     def fv(self, node: FoFormula) -> frozenset[str]:
-        got = self.fv_cache.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, (FoExists, FoForall)):
-            out = self.fv(node.body) - {node.var}
-        elif isinstance(node, FoNot):
-            out = self.fv(node.child)
-        elif isinstance(node, (FoAnd, FoOr, FoImplies, FoIff)):
-            out = self.fv(node.left) | self.fv(node.right)
-        elif isinstance(node, FoPred):
-            out = frozenset((node.trace_of, node.pos_of))
-        elif isinstance(node, (FoLess, FoEq, FoEqualLevel, FoSucc)):
-            out = frozenset((node.left, node.right))
-        elif isinstance(node, FoMin):
-            out = frozenset((node.var,))
-        else:
-            raise TypeError(f"not an FO node: {node!r}")
-        self.fv_cache[id(node)] = out
-        return out
+        """Free variables of `node`; one postorder walk finds them for every
+        subformula not met before."""
+        cache = self.fv_cache
+        if node not in cache:
+            for g in postorder(node, fo_children):
+                if g in cache:
+                    continue
+                cls = type(g)
+                if cls in _QUANT_NAMES:
+                    out = cache[g.body] - {g.var}
+                elif cls is FoNot:
+                    out = cache[g.child]
+                elif cls in _INFIX:
+                    out = cache[g.left] | cache[g.right]
+                elif cls is FoPred:
+                    out = frozenset((g.trace_of, g.pos_of))
+                elif cls in _COMPARE_NAMES or cls in _CALL_NAMES:
+                    out = frozenset(_fields(g))  # every field is a variable
+                else:
+                    raise TypeError(f"not an FO node: {g!r}")
+                cache[g] = out
+        return cache[node]
 
     def ev(self, node: FoFormula, env: dict) -> bool:
         ev = self.ev
         if isinstance(node, (FoExists, FoForall)):
             key = (
-                id(node),
+                node,
                 tuple(sorted((v, self.tix(env[v][0]), env[v][1]) for v in self.fv(node))),
             )
             got = self.memo.get(key)
@@ -521,232 +507,211 @@ class _FoEvaluator:
 # printing and parsing
 # ---------------------------------------------------------------------------
 
-_P_QUANT, _P_IFF, _P_IMPL, _P_OR, _P_AND, _P_NOT, _P_ATOM = range(7)
+# precedence levels, shared by printer and parser; higher binds tighter.  A
+# comparison `x < y` sits just below `!`, so a negated one is parenthesized.
+_P_QUANT, _P_IFF, _P_IMPL, _P_OR, _P_AND, _P_CMP, _P_ATOM = range(7)
+
+_QUANTS = {"forall": FoForall, "exists": FoExists}
+# binary connectives: precedence, node, right associative
+_BINARY = {
+    "<->": (_P_IFF, FoIff, False),
+    "->": (_P_IMPL, FoImplies, True),
+    "|": (_P_OR, FoOr, False),
+    "&": (_P_AND, FoAnd, False),
+}
+_COMPARE = {"<": FoLess, "=": FoEq}
+# predicates written name(var, ...), one variable per field
+_CALLS = {"E": FoEqualLevel, "succ": FoSucc, "min": FoMin}
+
+_QUANT_NAMES = {node: text for text, node in _QUANTS.items()}
+_INFIX = {node: (f" {text} ", right) for text, (_, node, right) in _BINARY.items()}
+_COMPARE_NAMES = {node: f" {text} " for text, node in _COMPARE.items()}
+_CALL_NAMES = {node: text for text, node in _CALLS.items()}
+_PREC = {node: prec for prec, node, _ in _BINARY.values()}
+_PREC.update(dict.fromkeys(_QUANT_NAMES, _P_QUANT))
+_PREC.update(dict.fromkeys(_COMPARE_NAMES, _P_CMP))
 
 
 def print_fo(f: FoFormula) -> str:
-    return _render(f, _P_QUANT)
+    """Render `f` as text; `parse_fo(print_fo(f)) is f`.
+
+    Iterative, like `formula.to_source`: a stack holds the text still to
+    emit and the (node, context precedence) pairs still to render."""
+    out: list[str] = []
+    stack: list = [(f, _P_QUANT)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, ctx = item
+        cls = type(g)
+        p = _PREC.get(cls, _P_ATOM)
+        if p < ctx:
+            out.append("(")
+            stack.append(")")
+        if cls in _INFIX:
+            op, right = _INFIX[cls]
+            # the operand on the associating side shares the operator's level
+            lp, rp = (p + 1, p) if right else (p, p + 1)
+            stack += ((g.right, rp), op, (g.left, lp))
+        elif cls in _QUANT_NAMES:
+            out.append(f"{_QUANT_NAMES[cls]} {g.var}. ")
+            stack.append((g.body, p))
+        elif cls is FoNot:
+            out.append("!")
+            stack.append((g.child, _P_ATOM))
+        elif cls is FoPred:
+            if g.trace_of == g.pos_of:
+                out.append(f"P_{g.name}({g.trace_of})")
+            else:
+                out.append(f"P_{g.name}(tr({g.trace_of}), pos({g.pos_of}))")
+        elif cls in _COMPARE_NAMES:
+            out.append(f"{g.left}{_COMPARE_NAMES[cls]}{g.right}")
+        elif cls in _CALL_NAMES:
+            out.append(f"{_CALL_NAMES[cls]}({', '.join(_fields(g))})")
+        else:  # by type name: an FO node's repr is printed by this function
+            raise TypeError(f"not an FO node: {cls.__name__}")
+    return "".join(out)
 
 
-def _render(f: FoFormula, ctx: int) -> str:
-    if isinstance(f, FoForall):
-        s = f"forall {f.var}. {_render(f.body, _P_QUANT)}"
-        return f"({s})" if ctx > _P_QUANT else s
-    if isinstance(f, FoExists):
-        s = f"exists {f.var}. {_render(f.body, _P_QUANT)}"
-        return f"({s})" if ctx > _P_QUANT else s
-    if isinstance(f, FoIff):
-        s = f"{_render(f.left, _P_IFF)} <-> {_render(f.right, _P_IFF + 1)}"
-        return f"({s})" if ctx > _P_IFF else s
-    if isinstance(f, FoImplies):
-        s = f"{_render(f.left, _P_IMPL + 1)} -> {_render(f.right, _P_IMPL)}"
-        return f"({s})" if ctx > _P_IMPL else s
-    if isinstance(f, FoOr):
-        s = f"{_render(f.left, _P_OR)} | {_render(f.right, _P_OR + 1)}"
-        return f"({s})" if ctx > _P_OR else s
-    if isinstance(f, FoAnd):
-        s = f"{_render(f.left, _P_AND)} & {_render(f.right, _P_AND + 1)}"
-        return f"({s})" if ctx > _P_AND else s
-    if isinstance(f, FoNot):
-        if isinstance(f.child, (FoLess, FoEq)):
-            return f"!({_render(f.child, _P_QUANT)})"
-        return f"!{_render(f.child, _P_NOT)}"
-    if isinstance(f, FoPred):
-        if f.trace_of == f.pos_of:
-            return f"P_{f.name}({f.trace_of})"
-        return f"P_{f.name}(tr({f.trace_of}), pos({f.pos_of}))"
-    if isinstance(f, FoLess):
-        s = f"{f.left} < {f.right}"
-        return f"({s})" if ctx > _P_ATOM else s
-    if isinstance(f, FoEq):
-        s = f"{f.left} = {f.right}"
-        return f"({s})" if ctx > _P_ATOM else s
-    if isinstance(f, FoEqualLevel):
-        return f"E({f.left}, {f.right})"
-    if isinstance(f, FoSucc):
-        return f"succ({f.left}, {f.right})"
-    if isinstance(f, FoMin):
-        return f"min({f.var})"
-    raise TypeError(f"not an FO node: {f!r}")
+# Skipped whitespace, then one token: an arrow, a punctuation character, a
+# run of word characters, or any other single character.  A run whose first
+# character fails `isalpha()` and is not `_`, and a single character outside
+# `_FO_PUNCT`, are tokens no rule accepts: the first of them is reported as
+# an unexpected character.
+_FO_TOKEN = re.compile(r"[ \t\r\n]*(<->|->|[()<=.,!&|]|\w+|[^ \t\r\n])")
+_FO_PUNCT = frozenset(["<->", "->", "(", ")", "<", "=", ".", ",", "!", "&", "|"])
 
 
-def _fo_tokenize(text: str):
-    toks = []
-    line, col, k = 1, 1, 0
-    n = len(text)
-    while k < n:
-        c = text[k]
-        if c == "\n":
-            line += 1
-            col = 1
-            k += 1
-            continue
-        if c in " \t\r":
-            k += 1
-            col += 1
-            continue
-        if text.startswith("<->", k):
-            toks.append(("<->", line, col))
-            k += 3
-            col += 3
-            continue
-        if text.startswith("->", k):
-            toks.append(("->", line, col))
-            k += 2
-            col += 2
-            continue
-        if c in "()<=.,!&|":
-            toks.append((c, line, col))
-            k += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = k
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((text[k:j], line, col))
-            col += j - k
-            k = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(("", line, col))
-    return toks
+def _is_var(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _is_fo_token(tok: str) -> bool:
+    return tok in _FO_PUNCT or _is_var(tok)
 
 
 class _FoParser:
+    __slots__ = ("text", "toks", "pos")
+
     def __init__(self, text: str):
-        self.toks = _fo_tokenize(text)
-        self.k = 0
+        self.text = text
+        self.toks = _FO_TOKEN.findall(text, 0, _scan_end(text)) + [""]  # "": end of input
+        self.pos = 0
 
-    def peek(self) -> str:
-        return self.toks[self.k][0]
+    def error(self, message: str) -> ParseError:
+        return _syntax_error(self.text, _FO_TOKEN, _is_fo_token, self.pos, message)
 
-    def next(self) -> str:
-        tok = self.toks[self.k]
-        self.k += 1
-        return tok[0]
-
-    def err(self, msg: str):
-        _, line, col = self.toks[self.k]
-        raise ParseError(msg, line, col)
-
-    def expect(self, tok: str):
-        if self.peek() != tok:
-            self.err(f"expected {tok!r}, found {self.peek()!r}")
-        return self.next()
+    def expect(self, tok: str) -> None:
+        t = self.toks[self.pos]
+        if t != tok:
+            raise self.error(f"expected {tok!r}, found {t!r}")
+        self.pos += 1
 
     def variable(self) -> str:
-        v = self.peek()
-        if not v or not (v[0].isalpha() or v[0] == "_"):
-            self.err("expected a variable name")
-        return self.next()
-
-    def sentence(self) -> FoFormula:
-        if self.peek() in ("forall", "exists"):
-            kind = self.next()
-            v = self.variable()
-            self.expect(".")
-            body = self.sentence()
-            return FoForall(v, body) if kind == "forall" else FoExists(v, body)
-        return self.iff()
-
-    def iff(self) -> FoFormula:
-        out = self.impl()
-        while self.peek() == "<->":
-            self.next()
-            out = FoIff(out, self.impl())
-        return out
-
-    def impl(self) -> FoFormula:
-        left = self.disj()
-        if self.peek() == "->":
-            self.next()
-            return FoImplies(left, self.impl())
-        return left
-
-    def disj(self) -> FoFormula:
-        out = self.conj()
-        while self.peek() == "|":
-            self.next()
-            out = FoOr(out, self.conj())
-        return out
-
-    def conj(self) -> FoFormula:
-        out = self.unary()
-        while self.peek() == "&":
-            self.next()
-            out = FoAnd(out, self.unary())
-        return out
-
-    def unary(self) -> FoFormula:
-        if self.peek() == "!":
-            self.next()
-            return FoNot(self.unary())
-        return self.atom()
+        t = self.toks[self.pos]
+        if not _is_var(t):
+            raise self.error("expected a variable name")
+        self.pos += 1
+        return t
 
     def atom(self) -> FoFormula:
-        tok = self.peek()
-        if tok == "(":
-            self.next()
-            out = self.sentence()
-            self.expect(")")
-            return out
-        if tok == "E":
-            self.next()
+        """A predicate or a comparison of two variables."""
+        t = self.toks[self.pos]
+        node = _CALLS.get(t)
+        if node is not None:
+            self.pos += 1
             self.expect("(")
-            a = self.variable()
-            self.expect(",")
-            b = self.variable()
+            args = [self.variable()]
+            for _ in node.__slots__[1:]:
+                self.expect(",")
+                args.append(self.variable())
             self.expect(")")
-            return FoEqualLevel(a, b)
-        if tok == "succ":
-            self.next()
+            return node(*args)
+        if t.startswith("P_") and len(t) > 2:
+            self.pos += 1
             self.expect("(")
-            a = self.variable()
-            self.expect(",")
-            b = self.variable()
-            self.expect(")")
-            return FoSucc(a, b)
-        if tok == "min":
-            self.next()
-            self.expect("(")
-            a = self.variable()
-            self.expect(")")
-            return FoMin(a)
-        if tok.startswith("P_") and len(tok) > 2:
-            self.next()
-            name = tok[2:]
-            self.expect("(")
-            if self.peek() == "tr":
-                self.next()
+            if self.toks[self.pos] == "tr":
+                self.pos += 1
                 self.expect("(")
                 a = self.variable()
-                self.expect(")")
-                self.expect(",")
-                self.expect("pos")
-                self.expect("(")
+                for tok in (")", ",", "pos", "("):
+                    self.expect(tok)
                 b = self.variable()
                 self.expect(")")
-                self.expect(")")
-                return FoPred(name, a, b)
-            a = self.variable()
+            else:
+                a = b = self.variable()
             self.expect(")")
-            return FoPred(name, a, a)
-        if tok and (tok[0].isalpha() or tok[0] == "_"):
-            a = self.next()
-            if self.peek() == "<":
-                self.next()
-                return FoLess(a, self.variable())
-            if self.peek() == "=":
-                self.next()
-                return FoEq(a, self.variable())
-            self.err(f"expected '<' or '=' after variable {a!r}")
-        self.err(f"unexpected token {tok!r}")
+            return FoPred(t[2:], a, b)
+        if _is_var(t):
+            self.pos += 1
+            node = _COMPARE.get(self.toks[self.pos])
+            if node is None:
+                raise self.error(f"expected '<' or '=' after variable {t!r}")
+            self.pos += 1
+            return node(t, self.variable())
+        raise self.error(f"unexpected token {t!r}")
+
+
+def _fold(args: list, ops: list, prec: int, right: bool) -> None:
+    """Apply the pending operators that bind before an operator of level
+    `prec` (associating right when `right`) to the operands they join."""
+    while ops and (ops[-1][0] > prec or (ops[-1][0] == prec and not right)):
+        node = ops.pop()[1]
+        b = args.pop()
+        args[-1] = node(args[-1], b)
 
 
 def parse_fo(text: str) -> FoFormula:
+    """Parse the text `print_fo` writes.
+
+    A sentence is a run of quantifier prefixes, then operands joined by the
+    binary connectives, folded by precedence over `_BINARY`; an operand is a
+    run of `!` before a parenthesized sentence or an atom.  One loop does it
+    all with explicit stacks, so no input is too deep or too wide for it.
+    Raises :class:`ParseError` with line/column on malformed input."""
     p = _FoParser(text)
-    out = p.sentence()
-    if p.peek() != "":
-        p.err(f"trailing input {p.peek()!r}")
-    return out
+    toks = p.toks
+    outer = []  # enclosing sentences: (quantifiers, operands, operators, negations)
+    quants: list = []
+    args: list[FoFormula] = []
+    ops: list[tuple] = []
+    while True:  # a sentence starts
+        while toks[p.pos] in _QUANTS:
+            node = _QUANTS[toks[p.pos]]
+            p.pos += 1
+            quants.append(partial(node, p.variable()))
+            p.expect(".")
+        while True:  # an operand starts
+            nots = 0
+            while toks[p.pos] == "!":
+                p.pos += 1
+                nots += 1
+            if toks[p.pos] == "(":
+                p.pos += 1
+                outer.append((quants, args, ops, nots))
+                quants, args, ops = [], [], []
+                break
+            f = p.atom()
+            while True:  # an operand ends
+                for _ in range(nots):
+                    f = FoNot(f)
+                args.append(f)
+                t = toks[p.pos]
+                op = _BINARY.get(t)
+                if op is not None:
+                    p.pos += 1
+                    _fold(args, ops, op[0], op[2])
+                    ops.append(op)
+                    break
+                _fold(args, ops, -1, False)  # the sentence ends
+                f = args.pop()
+                while quants:
+                    f = quants.pop()(f)
+                if not outer:
+                    if t:
+                        raise p.error(f"trailing input {t!r}")
+                    return f
+                p.expect(")")
+                quants, args, ops, nots = outer.pop()

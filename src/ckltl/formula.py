@@ -41,13 +41,17 @@ else is surface sugar preserved by the parser for round-trip printing and
 removed by :func:`desugar`.
 
 Formula nodes are hash-consed (Filliatre and Conchon, "Type-Safe Modular
-Hash-Consing", 2006): every constructor looks its node up in one module-level
-unique table keyed by (type, scalar fields, child nodes), so a formula is a
-DAG in which structurally equal subformulas are one object.  Equality and
-hashing are identity, nodes are immutable, and `parse(to_source(f)) is f`.
-The table holds its nodes weakly, so formulas that nobody refers to any more
-leave it.  Printing, desugaring, counting and traversal are iterative
-postorders over the DAG: no formula is too deep or too wide for them.
+Hash-Consing", 2006): every constructor, inherited from the base class
+`HashConsed`, looks its node up in one module-level unique table keyed by
+(type, scalar fields, child nodes), so a formula is a DAG in which
+structurally equal subformulas are one object.  Equality and hashing are
+identity, nodes are immutable, and `parse(to_source(f)) is f`.  The table
+holds its nodes weakly, so formulas that nobody refers to any more leave it.
+The first-order nodes of `foe` subclass `HashConsed` too and share the table,
+but they are not `Formula`s: `desugar` and `to_source` reject them.
+Printing, desugaring, counting and traversal are iterative postorders over
+the DAG (`postorder`, given a children function): no formula is too deep or
+too wide for them.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _add(key: tuple, node: Formula) -> Formula:
+def _add(key: tuple, node: HashConsed) -> HashConsed:
     """The table's node for `key`: `node`, unless an equal live node got in
     first.  Each step is one atomic dict operation, so no lock is needed."""
     entry = _Entry(node, _forget)
@@ -95,16 +99,17 @@ def _add(key: tuple, node: Formula) -> Formula:
         _remove_dead_weakref(_TABLE, key)
 
 
-class Formula:
-    """Base class for all formula nodes.
+class HashConsed:
+    """Base class of hash-consed nodes: formulas here and the first-order
+    nodes of `foe`.
 
-    Nodes are hash-consed.  A constructor call returns the one live node of
-    its type with the same fields, found in a unique table keyed by the type,
-    the scalar fields and the child nodes, so structurally equal formulas are
-    the same object: equality and hashing are identity, and setting a field
-    raises.  The table refers to its nodes weakly, so a node lives exactly as
-    long as some caller or parent node holds it.  A subclass declares its
-    fields, in constructor order, as its `__slots__`."""
+    A constructor call returns the one live node of its type with the same
+    fields, found in a unique table keyed by the type, the scalar fields and
+    the child nodes, so structurally equal nodes are the same object:
+    equality and hashing are identity, and setting a field raises.  The table
+    refers to its nodes weakly, so a node lives exactly as long as some
+    caller or parent node holds it.  A subclass declares its fields, in
+    constructor order, as its `__slots__`."""
 
     __slots__ = ("__weakref__",)
 
@@ -130,11 +135,17 @@ class Formula:
     def __reduce__(self):
         return type(self), _fields(self)
 
+
+class Formula(HashConsed):
+    """Base class for all formula nodes."""
+
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return f"parse({to_source(self)!r})"
 
 
-def _fields(f: Formula) -> tuple:
+def _fields(f: HashConsed) -> tuple:
     """Constructor arguments of `f`, in order."""
     return tuple(getattr(f, name) for name in type(f).__slots__)
 
@@ -274,21 +285,29 @@ _CHILDREN.update(dict.fromkeys(
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """Postorder traversal of distinct subformulas, left operand first.
+    """Postorder traversal of distinct subformulas, left operand first."""
+    return postorder(f, children)
 
-    Iterative: a node is yielded after its children, the first time it is
-    met; a subtree met again is skipped whole, as everything in it has been
+
+def postorder(root: HashConsed, kids) -> Iterator[HashConsed]:
+    """Distinct nodes reachable from `root` through `kids(node)`, each after
+    its children, left operand first.
+
+    Iterative: a node met the first time is pushed back under a `None`
+    marker with its children above it, and yielded when the marker comes
+    up; a subtree met again is skipped whole, as everything in it has been
     yielded already."""
-    seen: set[Formula] = set()
-    stack: list[tuple[Formula, bool]] = [(f, False)]
+    seen: set[HashConsed] = set()
+    stack: list = [root]
     while stack:
-        g, expanded = stack.pop()
-        if expanded:
+        g = stack.pop()
+        if g is None:
+            g = stack.pop()
             seen.add(g)
             yield g
         elif g not in seen:
-            stack.append((g, True))
-            stack += ((c, False) for c in reversed(children(g)))
+            stack += (g, None)
+            stack += kids(g)[::-1]
 
 
 def node_count(f: Formula) -> int:
@@ -384,8 +403,29 @@ def _is_ident(tok: str) -> bool:
     return tok not in _KEYWORDS and (tok[:1].isalpha() or tok[:1] == "_")
 
 
+def _is_token(tok: str) -> bool:
+    return tok in _PUNCT or tok in _KEYWORDS or _is_ident(tok)
+
+
 def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _syntax_error(text: str, token: re.Pattern, valid, k: int, message: str) -> ParseError:
+    """`message` at the `k`-th match of `token` in `text`, whose position is
+    found only now.  The first token that `valid` rejects, anywhere in the
+    text, is reported instead as an unexpected character, as a tokenizer that
+    reads the whole text before parsing would: no parse consumes one."""
+    offsets = []
+    for m in token.finditer(text, 0, _scan_end(text)):
+        tok = m.group(1)
+        if not valid(tok):
+            return ParseError(
+                f"unexpected character {tok[0]!r}", *_line_col(text, m.start(1))
+            )
+        offsets.append(m.start(1))
+    offsets.append(len(text))
+    return ParseError(message, *_line_col(text, offsets[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -424,21 +464,7 @@ class _Parser:
         self.pos = 0
 
     def error(self, message: str) -> ParseError:
-        """`message` at the current token, whose position is found only now.
-        An unexpected character anywhere in the text is reported instead, as
-        a tokenizer that reads the whole text before parsing would: no parse
-        consumes one."""
-        text = self.text
-        offsets = []
-        for m in _TOKEN.finditer(text, 0, _scan_end(text)):
-            tok = m.group(1)
-            if not (tok in _PUNCT or tok in _KEYWORDS or _is_ident(tok)):
-                return ParseError(
-                    f"unexpected character {tok[0]!r}", *_line_col(text, m.start(1))
-                )
-            offsets.append(m.start(1))
-        offsets.append(len(text))
-        return ParseError(message, *_line_col(text, offsets[self.pos]))
+        return _syntax_error(self.text, _TOKEN, _is_token, self.pos, message)
 
     def expect(self, text: str) -> None:
         t = self.toks[self.pos]

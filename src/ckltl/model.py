@@ -259,6 +259,8 @@ def subset_similarity(
 
     The induced relation is a preorder with the reference itself as minimum.
     """
+    if len(set(params)) != len(params):
+        raise ValueError(f"duplicate trace parameters: {params!r}")
     ref, near, far = params
     parts = []
     for p in props:
@@ -270,5 +272,7 @@ def subset_similarity(
     # all-positions shape and answers it from per-trace bitmasks without
     # zipping; other relations are evaluated on zipped trace triples
     block = conjoin(parts)
+    # only traced atoms over `params` under boolean and temporal connectives:
+    # valid by construction, so `validate_relational` would find nothing
     body = And(Globally(block), Historically(block))
-    return validate_relational(body, params)
+    return RelationalFormula(tuple(params), body)

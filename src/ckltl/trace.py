@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Iterator
 
-Label = frozenset
-
 
 class SizeLimitExceeded(RuntimeError):
     """Universe generation hit the configured trace-count cap."""

@@ -21,6 +21,7 @@ from ckltl import (
     system_from_dict,
     system_to_dict,
     to_source,
+    validate_relational,
 )
 from ckltl.model import SIM_PARAMS
 
@@ -105,6 +106,15 @@ def test_subset_similarity_shape():
     src = to_source(body)
     for var in SIM_PARAMS:
         assert f"@{var}" in src
+
+
+def test_subset_similarity_is_valid_by_construction():
+    for props in [("p",), ("p", "q"), ("q", "p", "s"), ("a_job", "r_gen", "offer")]:
+        for params in [SIM_PARAMS, ("u", "v", "w")]:
+            rf = subset_similarity(props, params)
+            assert rf == validate_relational(rf.formula, params)
+    with pytest.raises(ValueError, match="duplicate trace parameters"):
+        subset_similarity(("p",), ("pi", "pi", "pi2"))
 
 
 def test_json_roundtrip_identity():
