@@ -6,8 +6,8 @@ generated traces), demo (run a packaged hiring variant end to end).
 
 Exit status: 0 success / satisfied, 1 not satisfied (or violations found),
 2 bad input, 3 internal error (reported as one line on stderr; an exhausted
-resource such as the interpreter's recursion limit counts as one).  Output is
-deterministic byte-for-byte for fixed inputs.
+resource such as memory counts as one).  Output is deterministic byte-for-byte
+for fixed inputs.
 """
 
 from __future__ import annotations

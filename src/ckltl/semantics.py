@@ -2,13 +2,12 @@
 
 Two modes:
 
-* exact-lasso -- true infinite-word semantics.  Truth values of every
-  subformula on every trace form an eventually periodic position sequence.
-  The engine derives a proven (start, period) bound for each sequence from the
-  formula structure and the prefix/loop shapes of the traces involved, then
-  minimizes it against computed values; forward fixpoint operators are
-  resolved by scanning one period past the stabilization start.  Proof
-  obligations never rest on an empirically observed repeat.
+* exact-lasso -- true infinite-word semantics.  On a set of traces with
+  longest prefix P and loop lcm L, the values of a subformula repeat from
+  P + a*L with period b*L, for a bound (a, b) proved from the formula
+  structure alone, never read off computed values.  U, F and G pass over
+  the period twice: from the least (U, F) or greatest (G) fixpoint to settle
+  the value at its start, then from that value to fill it.
 
 * bounded(N) -- positions range over [0, N]; X is false at N, Y is false at 0,
   Until/Since witnesses are clipped to the window.  This mirrors the
@@ -21,12 +20,15 @@ reference core form and the test suite holds both routes to the same values.
 Memo layout.  Formula nodes are hash-consed where they are built (see
 `formula`), so a structurally equal subformula is the same node wherever it
 comes from (ICE, WCE, GCE and the similarity relations too), and a context
-keys its tables by the node itself.  The first time a context meets a node it
-records the node's stabilization bound, and those of the nodes below it that
-it has not met yet.  Traces get ids on first use: universe traces their
-universe order (shared by any other object for the same word), any other
-trace the next free id.  The values of node f on trace k form one bytearray
-row, filled in position order in both modes.
+keys its tables by the node itself.  The universe is one trace set, in
+universe order; a trace outside it (a zipped triple, say) is a set of its
+own.  A node's values on a set form one column, whose entry j packs a known
+mask and, above it, a value mask: bit k stands for the set's trace k.
+Exact-mode columns span [0, P + (a+b)*L), and later positions fold back
+into the period; bounded columns span [0, N].  Each request carries the
+mask of traces it needs, so `&`, `|`, `->`, K and counterfactuals skip
+operands per trace.  Node evaluations are generators suspended on one
+explicit stack: nothing recurses per formula level or position.
 
 All trace quantifiers (knowledge, counterfactuals, system-level checks) range
 over one finite TraceUniverse.  Verdicts are therefore exact only relative to
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from math import ceil, lcm
+from math import lcm
 
 from .formula import (
     And,
@@ -75,19 +77,15 @@ from .formula import (
     to_source,
 )
 from .model import System
-from .trace import (
-    LassoTrace,
-    TraceUniverse,
-    format_trace,
-    obs_divergence_point,
-    zip3,
-)
+from .trace import LassoTrace, TraceUniverse, format_trace, zip3
 
 EXACT_LASSO = "exact-lasso"
 BOUNDED = "bounded"
 
 _CF_NODES = {Would: (False, False), Might: (False, True),
              UWould: (True, False), EMight: (True, True)}
+_LEAVES = frozenset((Atom, TracedAtom, TrueConst, FalseConst))
+_TEMPORAL = (Until, Eventually, Globally, Since, Once, Historically)  # future ones first
 
 
 class StabilizationCapExceeded(RuntimeError):
@@ -103,7 +101,6 @@ class StabilizationCapExceeded(RuntimeError):
 
 
 _MISSING = object()
-_NO_ROW = b""  # pads a node's row list up to the trace ids seen so far
 _ID_BITS = 32  # trace ids are packed into int memo keys at this width
 
 # Opcodes of a compiled pointwise block.  Registers hold ints read as bit
@@ -195,19 +192,57 @@ def _run_block(ops: tuple, masks: list[dict[str, int]]) -> int:
             push(a)
     return r[-1]
 
+def _members(m: int):
+    """Indices of the set bits of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _operands(f: Formula) -> tuple:
+    """(l, r) of the recurrence v = r | l & v' that U, F, G (v' one position
+    later) and S, O, H (v' one position earlier) follow; None reads as true
+    for l and as false for r."""
+    if isinstance(f, (Until, Since)):
+        return f.left, f.right
+    if isinstance(f, (Eventually, Once)):
+        return None, f.child
+    return f.child, None
+
+
+def _leaf(f: Formula, st: tuple, j: int) -> int:
+    """Entry of an atom or constant at j: known on every trace."""
+    full = (1 << st[1]) - 1
+    if isinstance(f, (TrueConst, FalseConst)):
+        return full | (full if isinstance(f, TrueConst) else 0) << st[1]
+    key = f.name if isinstance(f, Atom) else (f.name, f.trace_var)
+    return full | sum(1 << k for k, t in enumerate(st[0]) if key in t.label_at(j)) << st[1]
+
+
+def _step(l, r, k, x, other):
+    """r | l & other at k on the traces x: l is asked only where `other`
+    holds, and r only where that has not decided the value."""
+    v = x & other
+    if l is not None and v:
+        v = yield l, k, v
+    if r is not None and x & ~v:
+        v |= yield r, k, x & ~v
+    return v
+
 
 class EvalContext:
     """Evaluation state: system, universe, mode, and all memo tables.
 
-    Tables are indexed by formula nodes and trace ids (see the module docstring)
-    and filled lazily, so building a context costs nothing per trace.
-    Caches persist across calls, so repeated checks over the same context are
-    warm; results never depend on cache state.
+    Columns are indexed by trace set and formula node (see the module
+    docstring) and filled lazily, so building a context costs nothing per
+    trace.  Caches persist across calls, so repeated checks over the same
+    context are warm; results never depend on cache state.
     """
 
     __slots__ = ("system", "universe", "mode", "bound", "stabilization_cap",
-                 "_pins", "_bounds", "_rows", "_stab",
-                 "_tid", "_traces", "_shape", "_rels", "_divs", "_masks", "_zips")
+                 "_pins", "_bounds", "_sets", "_parts", "_asks",
+                 "_tid", "_rels", "_masks", "_zips")
 
     def __init__(self, system: System, universe: TraceUniverse, mode: str = EXACT_LASSO,
                  bound: int | None = None, stabilization_cap: int = 64):
@@ -225,15 +260,15 @@ class EvalContext:
         self.mode = mode
         self.bound = bound
         self.stabilization_cap = stabilization_cap
-        self._bounds: dict[Formula, tuple[int, int, bool]] = {}  # met node -> (a, b, global)
-        self._rows: dict[Formula, list] = {}  # met node -> trace id -> row
-        self._stab: dict[tuple[Formula, int], tuple[int, int]] = {}  # -> (start, period)
-        self._tid: dict[int, int] = {}  # id(trace) -> trace id; `_traces` pins
+        self._bounds: dict[Formula, tuple[int, int]] = {}  # met node -> (a, b)
+        # -1: the universe, k: the foreign trace of id k; each set is (traces,
+        # size, longest prefix, loop lcm, node -> column)
+        self._sets: dict[int, tuple] = {}
+        self._parts: dict[str, list[list[int]]] = {}  # agent -> position -> classes
+        self._asks = 0
+        self._tid: dict[int, int] = {}  # id(trace) -> id; the universe and sets pin them
         self._pins: list[LassoTrace] = []  # traces that share a universe trace's id
-        self._traces: list[LassoTrace] = []
-        self._shape: tuple[int, int] | None = None  # universe max prefix, loop lcm
         self._rels: dict[str, tuple] = {}
-        self._divs: dict[str, dict[int, int | None]] = {}
         self._masks: dict[tuple[int, int], dict[str, int]] = {}
         self._zips: dict[tuple, LassoTrace] = {}
 
@@ -246,21 +281,27 @@ class EvalContext:
         return cls(system, universe, BOUNDED, bound)
 
     def stats(self) -> dict[str, int]:
-        """Deterministic work counters: nodes met, filled rows, stored values,
-        similarity and divergence memo entries."""
-        rows = [row for per_node in self._rows.values() for row in per_node if row]
+        """Deterministic work counters: nodes met, (node, trace set) columns,
+        operand asks, known values, similarity answers, partitions built."""
+        cols = [(col[0], (1 << st[1]) - 1)
+                for st in self._sets.values() for col in st[4].values()]
         return {
-            "nodes": len(self._bounds), "rows": len(rows), "values": sum(map(len, rows)),
+            "nodes": len(self._bounds), "columns": len(cols), "asks": self._asks,
+            "values": sum((x & full).bit_count() for e, full in cols for x in e),
             "similarity": sum(len(r[3]) for r in self._rels.values()),
-            "divergence": sum(map(len, self._divs.values())),
+            "partitions": sum(map(len, self._parts.values())),
         }
 
-    # -- nodes and trace ids --
+    # -- nodes, traces and sets --
 
-    def _meet(self, f: Formula) -> list:
-        """Row list of `f`.  The nodes of `f` that the context has not met
-        yet get their bounds and empty row lists, children first, in an
-        iterative walk that stops at nodes met before."""
+    def _meet(self, f: Formula) -> tuple[int, int]:
+        """Structural stabilization bound (a, b) of `f`: on any trace set, its
+        values repeat from P + a*L with period b*L, where P is the set's
+        longest prefix and L the lcm of its loops.  The nodes of `f` that the
+        context has not met yet get theirs, children first, in an iterative
+        walk that stops at nodes met before.  Knowledge and counterfactuals
+        range over the universe, whose shape dominates the zipped triples
+        that similarity is evaluated on."""
         bounds, stack = self._bounds, [f]
         while stack:
             g = stack[-1]
@@ -273,68 +314,49 @@ class EvalContext:
                 stack += unmet
                 continue
             stack.pop()
-            bounds[g] = self._node_bound(g, kids)  # may meet a relation first
-            self._rows[g] = []
-        return self._rows[f]
+            kb = [bounds[c] for c in kids]
+            if type(g) in _CF_NODES:  # may meet a relation first
+                kb.append(bounds[self._rel(g.agent)[1]])
+            elif type(g) not in self._OPS and type(g) not in _LEAVES:
+                raise TypeError(f"evaluator got an unknown node: {g!r}")
+            a, b = max((a for a, _ in kb), default=0), lcm(*(b for _, b in kb))
+            if isinstance(g, (Since, Once, Historically)):
+                # the running-Since bit over a settled block either latches or
+                # follows a block-periodic recurrence; two blocks always suffice
+                a, b = a + b, 2 * b
+            elif isinstance(g, Prev):
+                a += 1
+            elif isinstance(g, Know):
+                a = max(a, 1)  # observations that diverge do so below P + L
+            bounds[g] = (a, b)
+        return bounds[f]
 
-    def _node_bound(self, f: Formula, kids: tuple[Formula, ...]) -> tuple[int, int, bool]:
-        """Trace-independent stabilization bound (a, b, global) of a new node.
-
-        On any trace the value sequence of `f` is periodic from P0 + a*L0
-        with period b*L0, where (P0, L0) are the trace's own prefix and loop
-        lengths when `global` is false and the maximum prefix / lcm of loops
-        across the universe (joined with the trace's own) when `global` is
-        true.  Knowledge and counterfactuals force `global`: their value
-        draws on every universe trace and on zipped triples, and the
-        universe-wide bound dominates those shapes."""
-        kb = [self._bounds[c] for c in kids]
-        if isinstance(f, (Atom, TracedAtom, TrueConst, FalseConst)):
-            return (0, 1, False)
-        if isinstance(f, (Not, Next, Eventually, Globally)):
-            return kb[0]
-        if isinstance(f, Prev):
-            a, b, g = kb[0]
-            return (a + 1, b, g)
-        if isinstance(f, (Once, Historically)):
-            a, b, g = kb[0]
-            return (a + b, 2 * b, g)
-        if isinstance(f, Know):
-            a, b, _ = kb[0]
-            # observation divergence points lie below max-prefix + loop-lcm
-            return (max(a, 1), b, True)
-        if type(f) in _CF_NODES:
-            kb.append(self._bounds[self._rel(f.agent)[1]])
-            return (max(a for a, _, _ in kb), lcm(*(b for _, b, _ in kb)), True)
-        if not isinstance(f, (And, Or, Implies, Iff, Until, Since)):
-            raise TypeError(f"evaluator got an unknown node: {f!r}")
-        (a1, b1, g1), (a2, b2, g2) = kb
-        a, b = max(a1, a2), lcm(b1, b2)
-        if isinstance(f, Since):
-            # the running-Since bit over a settled block either latches or
-            # follows a block-periodic recurrence; two blocks always suffice
-            return (a + b, 2 * b, g1 or g2)
-        return (a, b, g1 or g2)
+    def _uset(self) -> tuple:
+        """The universe's trace set, made on first use: universe traces take
+        their universe order as ids."""
+        st = self._sets.get(-1)
+        if st is None:
+            traces = self.universe.traces
+            self._tid.update((id(u), k) for k, u in enumerate(traces))
+            st = self._sets[-1] = (
+                traces, len(traces), max((len(u.prefix) for u in traces), default=0),
+                lcm(*(len(u.loop) for u in traces)), {},
+            )
+        return st
 
     def _trace_id(self, t: LassoTrace) -> int:
         k = self._tid.get(id(t))
+        if k is None:
+            self._uset()
+            k = self._tid.get(id(t))
         if k is not None:
             return k
-        if self._shape is None:
-            # first query: universe traces take their universe order as ids
-            traces = self.universe.traces
-            self._tid.update((id(u), k) for k, u in enumerate(traces))
-            self._traces += traces
-            self._shape = (max((len(u.prefix) for u in traces), default=0),
-                           lcm(*(len(u.loop) for u in traces)) if traces else 1)
-            k = self._tid.get(id(t))
-            if k is not None:
-                return k
-        if t in self.universe:  # another object for a universe word: share its rows
+        if t in self.universe:  # another object for a universe word: share its bit
             k = self.universe.index(t)
             self._pins.append(t)
-        else:
-            k = len(self._traces)
-            self._traces.append(t)
+        else:  # a trace outside the universe: a set of its own
+            k = len(self.universe) + len(self._sets) - 1
+            self._sets[k] = ((t,), 1, len(t.prefix), len(t.loop), {})
         self._tid[id(t)] = k
         return k
 
@@ -350,153 +372,205 @@ class EvalContext:
         return got
 
     # ------------------------------------------------------------------
-    # values
+    # columns
     # ------------------------------------------------------------------
 
     def value(self, t: LassoTrace, f: Formula, i: int) -> bool:
         """Truth of `f` on `t` at position `i` (mode aware)."""
-        rows = self._rows.get(f)
-        if rows is None:
-            rows = self._meet(f)
-        k = self._tid.get(id(t))
-        if k is None:
-            k = self._trace_id(t)
-        if k >= len(rows):
-            rows += [_NO_ROW] * (len(self._traces) - len(rows))
-        row = rows[k]
-        if i < len(row):
-            return row[i] == 1
-        # not stored: fold i into the proved period when there is one, else
-        # extend the row in position order (inline: one frame per level)
-        if row is _NO_ROW:
-            row = rows[k] = bytearray()
-        stab = self._stab.get((f, k))
-        if stab is not None and i >= stab[0]:
-            i = stab[0] + (i - stab[0]) % stab[1]
-        while len(row) <= i:
-            row.append(self._compute(t, f, len(row)))
-        return row[i] == 1
+        k = self._trace_id(t)
+        if k < len(self.universe):
+            return self._eval(f, self._sets[-1], i, 1 << k) != 0
+        return self._eval(f, self._sets[k], i, 1) != 0  # a set of its own
 
-    def _compute(self, t: LassoTrace, f: Formula, i: int) -> bool:
-        if isinstance(f, Atom):
-            return f.name in t.label_at(i)
-        if isinstance(f, TracedAtom):
-            return (f.name, f.trace_var) in t.label_at(i)
-        if isinstance(f, Not):
-            return not self.value(t, f.child, i)
-        if isinstance(f, And):
-            return self.value(t, f.left, i) and self.value(t, f.right, i)
-        if isinstance(f, Or):
-            return self.value(t, f.left, i) or self.value(t, f.right, i)
-        if isinstance(f, Implies):
-            return not self.value(t, f.left, i) or self.value(t, f.right, i)
-        if isinstance(f, Iff):
-            return self.value(t, f.left, i) == self.value(t, f.right, i)
-        if isinstance(f, TrueConst):
-            return True
-        if isinstance(f, FalseConst):
-            return False
-        if isinstance(f, Next):
-            if self.mode == BOUNDED and i >= self.bound:
-                return False
-            return self.value(t, f.child, i + 1)
-        if isinstance(f, Prev):
-            if i == 0:
-                return False
-            return self.value(t, f.child, i - 1)
-        # Rows fill in position order, so the value at i - 1 is known; where
-        # the expansion law (l U r = r | l & X(l U r)) equates it with the
-        # value at i, reuse it, so that filling a row up to i costs O(i).
-        if isinstance(f, Until):
-            if i and not self.value(t, f.right, i - 1) and self.value(t, f.left, i - 1):
-                return self.value(t, f, i - 1)
-            for k in range(i, self._horizon(t, i, f.left, f.right)):
-                if self.value(t, f.right, k):
-                    return True
-                if not self.value(t, f.left, k):
-                    return False
-            return False
-        if isinstance(f, (Eventually, Globally)):
-            stop = isinstance(f, Eventually)  # the child value that decides
-            if i and self.value(t, f.child, i - 1) != stop:
-                return self.value(t, f, i - 1)
-            for k in range(i, self._horizon(t, i, f.child)):
-                if self.value(t, f.child, k) == stop:
-                    return stop
-            return not stop
-        if isinstance(f, Since):
-            # exists k <= i with right at k and left throughout (k, i]
-            if self.value(t, f.right, i):
-                return True
-            if i == 0:
-                return False
-            return self.value(t, f.left, i) and self.value(t, f, i - 1)
-        if isinstance(f, Once):
-            if self.value(t, f.child, i):
-                return True
-            return i > 0 and self.value(t, f, i - 1)
-        if isinstance(f, Historically):
-            if not self.value(t, f.child, i):
-                return False
-            return i == 0 or self.value(t, f, i - 1)
-        if isinstance(f, Know):
-            for t2 in self.universe:
-                if self._obs_eq(f.agent, t, t2, i) and not self.value(t2, f.child, i):
-                    return False
-            return True
-        # (universal, dual): Might and EMight negate Would and UWould
-        universal, dual = _CF_NODES[type(f)]
-        return self._cf(t, f.agent, f.ante, f.cons, i, universal, dual) != dual
+    def _eval(self, f: Formula, st: tuple, i: int, m: int) -> int:
+        """Values of `f` at `i` on the traces of mask `m` of set `st`.
 
-    def _horizon(self, t: LassoTrace, i: int, *operands: Formula) -> int:
-        """Scan horizon for forward fixpoint operators: one joint period past
-        max(position, stabilization starts of the operands)."""
+        A node evaluation is a generator that fills its column and yields
+        (node, position, mask) requests for operand values; it waits on one
+        explicit stack while an operand's evaluation runs."""
+        n, cols, ops = st[1], st[4], self._OPS
+        stack, asks, g, j, x = [], 0, f, i, m
+        while True:
+            col = cols.get(g)
+            if col is None:  # entries are added on request
+                if st is not self._sets[-1] and (type(g) is Know or type(g) in _CF_NODES):
+                    raise ValueError(f"{to_source(g)!r} quantifies over the universe, "
+                                     f"which lacks the trace {format_trace(st[0][0])}")
+                a, b = self._bounds.get(g) or self._meet(g)
+                s, w = (None, None) if self.mode == BOUNDED else (  # no period
+                    st[2] + a * st[3], st[2] + (a + b) * st[3])
+                col = cols[g] = (bytearray() if n <= 4 else [], s, w)
+            e, s, w = col
+            if j >= len(e):
+                if s is not None and j >= w:  # fold into the period
+                    j = s + (j - s) % (w - s)
+                if j >= len(e):
+                    e.extend(bytes(j + 1 - len(e)))
+            if e[j] & x == x:
+                got = e[j] >> n & x
+            elif type(g) in _LEAVES:
+                e[j] = _leaf(g, st, j)
+                got = e[j] >> n & x
+            else:
+                stack.append((ops[type(g)](self, g, st, col, j, x & ~e[j]), e, j, x))
+                got = None
+            while stack:  # hand `got` to the innermost suspended evaluation
+                gen, e, j, x = stack[-1]
+                try:
+                    g, j, x = gen.send(got)
+                    asks += 1
+                    break
+                except StopIteration:
+                    stack.pop()
+                    got = e[j] >> n & x
+            else:
+                self._asks += asks
+                return got
+
+    def _horizon(self, t: LassoTrace, i: int, f: Formula) -> int:
+        """Scan horizon for the forward operator `f` from i: one period past
+        i and its periodic start, on the universe's shape joined with t's
+        own; N + 1 in bounded mode.  Raises when an operand's window spans
+        more loop unrollings past the prefix (its a + b) than the cap."""
         if self.mode == BOUNDED:
             return self.bound + 1
-        stabs = [self._ensure_stab(t, g) for g in operands]
-        return max(i, *(s for s, _ in stabs)) + lcm(*(p for _, p in stabs))
+        for g in children(f):
+            if sum(self._bounds[g]) > self.stabilization_cap:
+                raise StabilizationCapExceeded(t, g, sum(self._bounds[g]),
+                                               self.stabilization_cap)
+        (a, b), st = self._bounds[f], self._uset()
+        p, l = max(st[2], len(t.prefix)), lcm(st[3], len(t.loop))
+        return max(i, p + a * l) + b * l
 
-    def _cf(self, t: LassoTrace, agent: str, ante: Formula, cons: Formula, i: int,
-            universal: bool, negate_cons: bool) -> bool:
+    # -- node evaluations: generators over (node, set, column, j, needed mask)
+
+    def _local(self, f, st, col, j, need):
+        """Connectives, X and Y.  & and -> ask the right operand only where
+        the left holds, | only where it fails."""
+        if isinstance(f, Not):
+            v = need & ~(yield f.child, j, need)
+        elif isinstance(f, Prev):
+            v = (yield f.child, j - 1, need) if j else 0
+        elif isinstance(f, Next):
+            v = (yield f.child, j + 1, need) if self.bound is None or j < self.bound else 0
+        elif isinstance(f, Iff):
+            v = need & ~((yield f.left, j, need) ^ (yield f.right, j, need))
+        else:
+            lv = yield f.left, j, need
+            rest = need & ~lv if isinstance(f, Or) else lv
+            rv = (yield f.right, j, rest) if rest else 0
+            v = rv if isinstance(f, And) else need & ~rest | rv
+        col[0][j] |= need | v << st[1]
+
+    def _temporal(self, f, st, col, j, need):
+        """U, F, G pass backward down to j, and S, O, H forward up to j, from
+        the nearest position whose value is known on `need`; else from the
+        boundary: N + 1 (bounded), the period (exact) or position -1."""
+        (e, s, w), (l, r), n = col, _operands(f), st[1]
+        nxt = need if r is None else 0  # G, H: greatest fixpoint; the rest least
+        d = 1 if isinstance(f, _TEMPORAL[:3]) else -1
+        end = -1 if d < 0 else self.bound + 1 if s is None else w
+        if d > 0:
+            if j >= end:  # bounded, past N: no witness left
+                e[j] |= need | nxt << n
+                return
+            if s is not None:  # checks the stabilization cap
+                self._horizon(st[0][(need & -need).bit_length() - 1], j, f)
+            e.extend(bytes(max(0, end - len(e))))
+        k = j + d
+        while k != end and e[k] & need != need:
+            k += d
+        if k != end:
+            nxt = e[k] >> n & need
+        elif d > 0 and s is not None:  # the value at w is the one at s
+            u = need & ~e[s]  # settled by a pass from the fixpoint seed
+            if u:
+                nxt &= u
+                for k in range(w - 1, s - 1, -1):
+                    v = e[k] >> n & u
+                    if u & ~e[k]:
+                        v |= yield from _step(l, r, k, u & ~e[k], nxt)
+                    nxt = v
+                e[s] |= u | nxt << n
+            nxt, k = e[s] >> n & need, w
+        for k in range(k - d, j - d, -d):
+            x = need & ~e[k]
+            if x:
+                e[k] |= x | (yield from _step(l, r, k, x, nxt)) << n
+            nxt = e[k] >> n & need
+
+    def _know(self, f, st, col, j, need):
+        """K[a]: a class of the agent's observation partition is in the column
+        iff the child holds on all of it, asked member by member in universe
+        order up to the first failure."""
+        for cls in self._partition(f.agent, j):
+            if cls & need:
+                for k in _members(cls):
+                    if not (yield f.child, j, 1 << k):
+                        break
+                else:
+                    col[0][j] |= cls << st[1]
+                col[0][j] |= cls
+
+    def _counterfactual(self, f, st, col, j, need):
+        universal, dual = _CF_NODES[type(f)]  # Might, EMight negate Would, UWould
+        n, sim, viol = st[1], self.similarity_holds, None
+        for k in _members(need):
+            t = st[0][k]
+            acc = sum(1 << x for x, u in enumerate(st[0]) if sim(f.agent, t, t, u, j))
+            cands = (yield f.ante, j, acc) if acc else 0
+            if cands and viol is None:
+                ante = yield f.ante, j, (1 << n) - 1
+                cons = yield f.cons, j, ante
+                viol = cons if dual else ante & ~cons
+            # vacuity: no accessible antecedent trace
+            holds = not cands or self._cf(f.agent, t, j, cands, ante, viol, universal)
+            col[0][j] |= 1 << k | (holds != dual) << k << n
+
+    _OPS = {Know: _know, **dict.fromkeys((Not, Next, Prev, And, Or, Implies, Iff), _local),
+            **dict.fromkeys(_TEMPORAL, _temporal),
+            **dict.fromkeys(_CF_NODES, _counterfactual)}
+
+    def _cf(self, agent: str, t: LassoTrace, i: int, cands: int, ante: int,
+            viol: int, universal: bool) -> bool:
         """Truth of the Would (universal=False) or UWould (universal=True)
-        conditional; with negate_cons the consequent is read negated, which
-        yields the duals Might = !(ante Would !cons) and EMight = !(ante
-        UWould !cons) without building new formula objects."""
+        conditional from `t` at `i`, given the universe masks of the
+        accessible antecedent traces, of all antecedent traces and of the
+        violators (antecedent traces on which the consequent fails)."""
         traces = self.universe.traces
         sim = self.similarity_holds
-        val = self.value
-        candidates = [x for x in traces if sim(agent, t, t, x, i) and val(x, ante, i)]
-        if not candidates:
-            return True  # vacuity: no accessible antecedent trace
-        violators = [y for y in traces
-                     if val(y, ante, i) and val(y, cons, i) == negate_cons]
+        violators = [traces[y] for y in _members(viol)]
+        candidates = [traces[x] for x in _members(cands)]
         if not universal:
             # some accessible antecedent threshold below which ante forces cons
             return any(not any(sim(agent, t, y, x, i) for y in violators)
                        for x in candidates)
         # universal form: every accessible antecedent trace must see a
         # threshold at least as similar; thresholds need not be accessible
-        thresholds = [e for e in traces if val(e, ante, i)
-                      and not any(sim(agent, t, y, e, i) for y in violators)]
+        thresholds = [e for e in map(traces.__getitem__, _members(ante))
+                      if not any(sim(agent, t, y, e, i) for y in violators)]
         return all(any(sim(agent, t, e, x, i) for e in thresholds) for x in candidates)
 
     # ------------------------------------------------------------------
-    # observation equivalence and similarity
+    # observation partitions and similarity
     # ------------------------------------------------------------------
 
-    def _div_point(self, agent: str, t1: LassoTrace, t2: LassoTrace):
-        divs = self._divs.get(agent)
-        if divs is None:
-            divs = self._divs[agent] = {}
-        key = self._trace_id(t1) << _ID_BITS | self._trace_id(t2)
-        got = divs.get(key, _MISSING)
-        if got is _MISSING:
-            got = divs[key] = obs_divergence_point(self.system, agent, t1, t2)
-        return got
-
-    def _obs_eq(self, agent: str, t1: LassoTrace, t2: LassoTrace, i: int) -> bool:
-        d = self._div_point(agent, t1, t2)
-        return d is None or d > i
+    def _partition(self, agent: str, j: int) -> list[int]:
+        """Classes (universe masks) of the traces that the agent cannot tell
+        apart on positions 0..j, refined position by position (synchronous
+        perfect recall).  Observations that ever diverge do so below P + L,
+        so the partition is final from there."""
+        traces, n, p, l, _ = self._uset()
+        parts = self._parts.setdefault(agent, [])
+        obs = self.system.observation_of(agent)
+        while len(parts) <= min(j, p + l - 1):
+            i, split = len(parts), {}
+            for c, cls in enumerate(parts[-1] if parts else [(1 << n) - 1]):
+                for k in _members(cls):
+                    key = (c, traces[k].label_at(i) & obs)
+                    split[key] = split.get(key, 0) | 1 << k
+            parts.append(list(split.values()))
+        return parts[min(j, p + l - 1)]
 
     def similarity_holds(self, agent: str, t_ref: LassoTrace, t1: LassoTrace,
                          t2: LassoTrace, i: int) -> bool:
@@ -537,7 +611,7 @@ class EvalContext:
         if self.mode == BOUNDED:
             width = self.bound + 1
         else:
-            pmax, llcm = self._shape
+            pmax, llcm = self._uset()[2:4]
             width = max(pmax, *(len(t.prefix) for t in traces)) + lcm(
                 llcm, *(len(t.loop) for t in traces)
             )
@@ -563,42 +637,6 @@ class EvalContext:
         if z is None:
             z = self._zips[key] = zip3(t1, t2, t3, params)
         return z
-
-    # ------------------------------------------------------------------
-    # stabilization (exact mode)
-    # ------------------------------------------------------------------
-
-    def _ensure_stab(self, t: LassoTrace, f: Formula) -> tuple[int, int]:
-        """Proved-and-minimized (start, period) for the value sequence of
-        (t, f): for i >= start, value(i) == value(start + (i-start) % period)."""
-        k = self._trace_id(t)
-        got = self._stab.get((f, k))
-        if got is not None:
-            return got
-        a, b, glob = self._bounds[f]
-        pt, lt = len(t.prefix), len(t.loop)
-        if glob:
-            pmax, llcm = self._shape
-            p0, l0 = max(pt, pmax), lcm(lt, llcm)
-        else:
-            p0, l0 = pt, lt
-        s, p = p0 + a * l0, b * l0
-        needed = ceil(max(0, s + p - pt) / lt)
-        if needed > self.stabilization_cap:
-            raise StabilizationCapExceeded(t, f, needed, self.stabilization_cap)
-        # minimize within the proved window: the minimal eventual period of an
-        # eventually periodic sequence divides any valid one
-        for d in range(1, p + 1):
-            if p % d == 0 and all(
-                self.value(t, f, j + d) == self.value(t, f, j)
-                for j in range(s, s + p)
-            ):
-                p = d
-                break
-        while s > 0 and self.value(t, f, s - 1 + p) == self.value(t, f, s - 1):
-            s -= 1
-        got = self._stab[(f, k)] = (s, p)
-        return got
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +706,8 @@ def check_system(ctx: EvalContext, f: Formula) -> Verdict:
 
     Every trace is evaluated (no short-circuit), so the verdict lists all
     counterexamples; the reported one is the first in universe order."""
-    failing = [t for t in ctx.universe if not ctx.value(t, f, 0)]
+    holds = ctx._eval(f, ctx._uset(), 0, (1 << len(ctx.universe)) - 1)
+    failing = [t for k, t in enumerate(ctx.universe) if not holds >> k & 1]
     if not failing:
         return Verdict(True, None, (), None, ())
     first = failing[0]
@@ -690,65 +729,29 @@ def explain(ctx: EvalContext, t: LassoTrace, i: int, f: Formula,
         out.append(TrailEntry(to_source(g), format_trace(tr), j, v))
         if isinstance(g, Not):
             step = (g.child, tr, j)
-        elif isinstance(g, And):
-            if not v:
-                loser = g.left if not ctx.value(tr, g.left, j) else g.right
-                step = (loser, tr, j)
-        elif isinstance(g, Or):
-            if v:
-                winner = g.left if ctx.value(tr, g.left, j) else g.right
-                step = (winner, tr, j)
-        elif isinstance(g, Implies):
-            if not v:
-                step = (g.right, tr, j)
+        elif isinstance(g, (And, Or, Implies)) and v == isinstance(g, Or):
+            # the operand that decides: a false conjunct, a true disjunct, the
+            # consequent of a false implication
+            step = (g.left if ctx.value(tr, g.left, j) == v else g.right, tr, j)
         elif isinstance(g, Next):
             if not (ctx.mode == BOUNDED and j >= ctx.bound):
                 step = (g.child, tr, j + 1)
         elif isinstance(g, Prev):
             if j > 0:
                 step = (g.child, tr, j - 1)
-        elif isinstance(g, (Until, Eventually)):
-            right = g.right if isinstance(g, Until) else g.child
-            left = g.left if isinstance(g, Until) else None
-            hor = ctx._horizon(tr, j, *children(g))
-            if v:
-                for k in range(j, hor):
-                    if ctx.value(tr, right, k):
-                        step = (right, tr, k)
-                        break
-            elif left is not None:
-                for k in range(j, hor):
-                    if not ctx.value(tr, left, k):
-                        step = (left, tr, k)
-                        break
-                else:
-                    step = (right, tr, j)
-        elif isinstance(g, Globally):
-            if not v:
-                for k in range(j, ctx._horizon(tr, j, g.child)):
-                    if not ctx.value(tr, g.child, k):
-                        step = (g.child, tr, k)
-                        break
-        elif isinstance(g, (Since, Once)):
-            right = g.right if isinstance(g, Since) else g.child
-            if v:
-                for k in range(j, -1, -1):
-                    if ctx.value(tr, right, k):
-                        step = (right, tr, k)
-                        break
-        elif isinstance(g, Historically):
-            if not v:
-                for k in range(j, -1, -1):
-                    if not ctx.value(tr, g.child, k):
-                        step = (g.child, tr, k)
-                        break
-        elif isinstance(g, Know):
-            if not v:
-                for t2 in ctx.universe:
-                    seen_alike = ctx._obs_eq(g.agent, tr, t2, j)
-                    if seen_alike and not ctx.value(t2, g.child, j):
-                        step = (g.child, t2, j)
-                        break
+        elif isinstance(g, _TEMPORAL):
+            l, r = _operands(g)  # the first position that decides, from j on
+            future = isinstance(g, _TEMPORAL[:3])
+            ks = range(j, ctx._horizon(tr, j, g)) if future else range(j, -1, -1)
+            if v and r is not None:
+                step = next((r, tr, k) for k in ks if ctx.value(tr, r, k))
+            elif not v and l is not None and (future or r is None):
+                step = next(((l, tr, k) for k in ks if not ctx.value(tr, l, k)), (r, tr, j))
+        elif isinstance(g, Know) and not v:  # the first alike trace that defeats it
+            k, traces = ctx.universe.index(tr), ctx.universe.traces
+            alike = next(c for c in ctx._partition(g.agent, j) if c >> k & 1)
+            step = next((g.child, traces[x], j) for x in _members(alike)
+                        if not ctx.value(traces[x], g.child, j))
         # atoms, constants, Iff, counterfactuals: stop here
     return out
 
@@ -778,15 +781,10 @@ def stabilize(ctx: EvalContext, t: LassoTrace, f: Formula) -> SatisfactionTable:
         return tuple(ctx.value(t, g, p + k * l + j) for g in subs for j in range(l))
 
     cap = ctx.stabilization_cap
-    prev = block(0)
-    c = None
-    for k in range(1, cap + 1):
-        cur = block(k)
-        if cur == prev:
-            c = k
-            break
-        prev = cur
-    if c is None:
+    c = 1  # block(c - 1) is read back from the memo, not evaluated again
+    while c <= cap and block(c) != block(c - 1):
+        c += 1
+    if c > cap:
         raise StabilizationCapExceeded(t, f, cap + 1, cap)
     positions = p + c * l
     order = tuple(to_source(g) for g in subs)

@@ -181,6 +181,20 @@ def test_deep_formula_never_reads_as_not_satisfied(model, capsys, tmp_path):
         assert "result: satisfied" in out
 
 
+def test_wide_formula_gets_a_verdict(model, capsys, tmp_path):
+    # a 10,000-term disjunction evaluates on the evaluator's explicit stack,
+    # so it gets a verdict rather than an internal error
+    src = tmp_path / "wide.ck"
+    src.write_text(" | ".join(["p"] * 9999 + ["q"]))
+    code, out, err = run(
+        capsys,
+        ["check", "--model", model, "--formula-file", str(src), *TRACES],
+    )
+    assert code in (0, 1), (code, err)
+    assert err == ""
+    assert "result: not satisfied" in out and "failing: 1 of 4" in out
+
+
 def test_readme_commands_parse():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = [x for x in readme.read_text().splitlines() if x.startswith("ckltl ")]

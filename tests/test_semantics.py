@@ -8,6 +8,8 @@ is a bug in one of them.
 
 import gc
 import random
+import sys
+from math import lcm
 
 import pytest
 
@@ -22,10 +24,13 @@ from ckltl import (
     Know,
     LassoTrace,
     Might,
+    Next,
     Not,
+    Once,
     Prev,
     StabilizationCapExceeded,
     System,
+    Until,
     UWould,
     Would,
     build_gce,
@@ -34,6 +39,7 @@ from ckltl import (
     desugar,
     eval_at,
     explain,
+    obs_divergence_point,
     parse,
     parse_trace_literal,
     stabilize,
@@ -411,8 +417,8 @@ def test_stabilization_cap_trips_on_deep_past_nesting():
 
 def test_wide_bounded_window_past_operators_reach_position_0():
     # the only attribute sits at position 0, so each past operator at N
-    # depends on the whole window; rows fill in position order, so this
-    # needs no recursion proportional to N
+    # depends on the whole window; a past operator fills its column in one
+    # forward pass, so this needs no recursion proportional to N
     s, _ = cf_fixture()
     n = 1000
     for first, truths in (
@@ -428,18 +434,10 @@ def test_wide_bounded_window_past_operators_reach_position_0():
         assert got == truths, first
 
 
-def test_forward_operator_rows_fill_in_linear_time(monkeypatch):
-    # a row fills in position order; each position of F, G or U reuses the
-    # previous one where the expansion law allows, so reaching position n
-    # takes O(n) evaluator calls, not a fresh O(n) scan per position
-    calls = []
-    real = EvalContext.value
-
-    def counting(ctx, t, f, i):
-        calls.append(i)
-        return real(ctx, t, f, i)
-
-    monkeypatch.setattr(EvalContext, "value", counting)
+def test_forward_operator_rows_fill_in_linear_time():
+    # F, G and U fill their column in one backward pass that reuses the value
+    # one position later, so querying every position of an n-position window
+    # costs O(n) operand asks in all, not a fresh O(n) scan per position
     s, _ = cf_fixture()
     n = 1000
     u = universe_of([tr(" ; ".join(["{q}"] * (n + 1)) + " | {p}")])
@@ -449,25 +447,49 @@ def test_forward_operator_rows_fill_in_linear_time(monkeypatch):
                                 ("q U p", True, False)):
         for ctx, want in ((EvalContext.exact(s, u), exact),
                           (EvalContext.bounded(s, u, n), bounded)):
-            calls.clear()
-            assert eval_at(ctx, t, n, parse(src)) == want, (src, ctx.mode)
-            assert len(calls) < 10 * n, (src, ctx.mode, len(calls))
+            for i in range(n, -1, -1):  # each query needs one new position
+                assert eval_at(ctx, t, i, parse(src)) == want, (src, ctx.mode, i)
+            asks = ctx.stats()["asks"]
+            assert asks < 10 * n, (src, ctx.mode, asks)
 
 
 def test_deep_formula_evaluates_within_the_recursion_limit():
-    # evaluation recurses once per formula level through `value` and
-    # `_compute` only, so a 350-deep chain fits the default limit of 1000
+    # node evaluations wait on one explicit stack instead of recursing, so
+    # 2,000-deep chains and a 5,000-term disjunction evaluate under the
+    # default recursion limit of 1000, in both modes
     s, u = cf_fixture()
-    f = parse(" | ".join(["p"] * 350 + ["q"]))
+    u = universe_of(list(u.traces) + [tr("{p} ; {} | {q}")])
+    n, p, q = 2000, Atom("p"), Atom("q")
+
+    def chain(op, f):
+        for _ in range(n):
+            f = op(f)
+        return f
+
+    def has(x, t, j):
+        return x in t.label_at(j)
+
+    cases = (  # formula, position, closed form given the window end (None: exact)
+        (chain(Next, p), 0, lambda t, N: N is None and has("p", t, n)),
+        (chain(Not, p), 1, lambda t, N: has("p", t, 1)),
+        (chain(Once, p), 1, lambda t, N: has("p", t, 0) or has("p", t, 1)),
+        # p U (p U (... U q)) is p U q; no universe trace has p then q
+        (chain(lambda f: Until(p, f), q), 0, lambda t, N: has("q", t, 0)),
+        (parse(" | ".join(["p"] * 4999 + ["q"])), 0,
+         lambda t, N: has("p", t, 0) or has("q", t, 0)),
+    )
+    assert sys.getrecursionlimit() == 1000
     for ctx in (EvalContext.exact(s, u), EvalContext.bounded(s, u, 2)):
-        assert [eval_at(ctx, t, 0, f) for t in u] == [False, True, True, True]
+        for f, i, closed in cases:
+            assert [eval_at(ctx, t, i, f) for t in u] == [closed(t, ctx.bound) for t in u]
 
 
 def test_stats_count_hash_consed_nodes_and_rows():
     s = build_explainable()
     ctx = EvalContext.exact(s, single_round_universe(s))
     assert ctx.stats() == {
-        "nodes": 0, "rows": 0, "values": 0, "similarity": 0, "divergence": 0,
+        "nodes": 0, "columns": 0, "values": 0, "asks": 0, "similarity": 0,
+        "partitions": 0,
     }
     gce = build_gce(hiring_vocabulary(), "a", "a")
     check_system(ctx, gce)
@@ -475,8 +497,8 @@ def test_stats_count_hash_consed_nodes_and_rows():
     got = ctx.stats()
     # structurally equal subformulas share one node, the relation's included
     assert got["nodes"] == len(set(subformulas(gce)) | set(subformulas(rel))) == 835
-    assert got["values"] >= got["rows"] > 0
-    assert got["similarity"] > 0 and got["divergence"] > 0
+    assert got["values"] >= got["columns"] > 0 and got["asks"] > 0
+    assert got["similarity"] > 0 and got["partitions"] > 0
     # an equal formula built separately is the same object: no new work
     again = build_gce(hiring_vocabulary(), "a", "a")
     assert again is gce
@@ -490,10 +512,47 @@ def test_copies_of_universe_traces_share_their_rows():
     f = parse("((p | q) MIGHT[a] p) & F q")
     truths = [eval_at(ctx, t, 1, f) for t in u]
     before = ctx.stats()
-    # the same words in another presentation: no new rows or memo entries
+    # the same words in another presentation: no new columns or memo entries
     copies = [LassoTrace(t.prefix + t.loop, t.loop) for t in u]
     assert [eval_at(ctx, t, 1, f) for t in copies] == truths
     assert ctx.stats() == before
+
+
+def test_observation_classes_follow_divergence_points():
+    # two universe traces share an agent's observation class at j iff their
+    # observations have not diverged by j
+    r = random.Random(107)
+    for _ in range(60):
+        s = gen_system(r)
+        u = gen_universe(r)
+        ctx = EvalContext.exact(s, u)
+        horizon = max(len(t.prefix) for t in u) + lcm(*(len(t.loop) for t in u))
+        for a in s.agents:
+            for j in range(horizon + 2):
+                classes, covered = ctx._partition(a, j), 0
+                for c in classes:  # nonempty, disjoint, covering the universe
+                    assert c and not c & covered
+                    covered |= c
+                assert covered == (1 << len(u)) - 1
+                cls = [next(c for c in classes if c >> k & 1) for k in range(len(u))]
+                for x, t1 in enumerate(u):
+                    for y, t2 in enumerate(u):
+                        d = obs_divergence_point(s, a, t1, t2)
+                        assert (cls[x] == cls[y]) == (d is None or d > j), (a, j, t1, t2)
+
+
+def test_quantifiers_reject_traces_outside_the_universe():
+    s, u = cf_fixture()
+    foreign = tr("{q} | {p} ; {}")
+    for ctx in (EvalContext.exact(s, u), EvalContext.bounded(s, u, 3)):
+        for src, node in (("K[a] p", "K[a] p"), ("p MIGHT[a] q", "p MIGHT[a] q"),
+                          ("F (p & K[a] p)", "K[a] p")):
+            with pytest.raises(ValueError) as e:
+                ctx.value(foreign, parse(src), 0)
+            assert repr(node) in str(e.value), src
+            assert "{q} | {p} ; {}" in str(e.value), src
+        # formulas without quantifiers still evaluate on the trace
+        assert ctx.value(foreign, parse("q & X F p"), 0)
 
 
 def test_position_and_mode_validation():
