@@ -34,12 +34,16 @@ All trace quantifiers (knowledge, counterfactuals, system-level checks) range
 over one finite TraceUniverse.  Verdicts are therefore exact only relative to
 the chosen universe.
 
-Similarity relations of the all-positions shape -- a conjunction of `G B_k`
-and `H B_k` whose G-bodies and H-bodies form the same set, every body
-pointwise (traced atoms, boolean connectives, constants) -- are answered from
-per-trace proposition bitmasks over the whole position window, with no zipped
-trace; `subset_similarity` and the gender-frozen hiring relation have this
-shape.  Every other relation is evaluated on the zipped trace triple.
+Similarity is answered in rows.  A row is, for one agent, a reference trace
+t, a nearer trace y, a trace set and a position i: the mask of the set's
+traces x for which the relation accepts (t, y, x) at i.  A relation of the
+all-positions shape -- a conjunction of `G B_k` and `H B_k` whose G-bodies
+and H-bodies form the same set, every body pointwise (traced atoms, boolean
+connectives, constants) -- does not depend on i: its row is the AND, over
+the positions of a window, of a compiled block run on the set's proposition
+masks, with no zipped trace; `subset_similarity` and the gender-frozen hiring
+relation have this shape.  Every other relation is evaluated once per row on
+the set of zipped triples (t, y, x).  Counterfactuals are unions of rows.
 """
 
 from __future__ import annotations
@@ -100,12 +104,9 @@ class StabilizationCapExceeded(RuntimeError):
         self.cap = cap
 
 
-_MISSING = object()
-_ID_BITS = 32  # trace ids are packed into int memo keys at this width
-
-# Opcodes of a compiled pointwise block.  Registers hold ints read as bit
-# vectors over positions (bit j = value at position j); negative ints stand
-# for vectors with every high bit set, so negation is `~`.
+# Opcodes of a compiled pointwise block.  Registers hold ints read as trace
+# masks at one position (bit k = value on the set's trace k); negative ints
+# stand for masks with every high bit set, so negation is `~`.
 _LOAD, _CONST, _NOT, _AND, _OR, _IMPLIES, _IFF = range(7)
 _BINARY = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
 
@@ -170,9 +171,10 @@ def _all_positions_block(params: tuple[str, str, str], rel: Formula):
     return tuple(ops)
 
 
-def _run_block(ops: tuple, masks: list[dict[str, int]]) -> int:
-    """Bit vector of a compiled block over the traces whose per-proposition
-    bitmasks are `masks` (one per trace variable); the root is the last op."""
+def _run_block(ops: tuple, masks: tuple[dict[str, int], ...]) -> int:
+    """Trace mask of a compiled block at one position, given the
+    proposition -> trace-mask dicts `masks` (one per trace variable); the
+    root is the last op."""
     r: list[int] = []
     push = r.append
     for code, a, b in ops:
@@ -191,6 +193,13 @@ def _run_block(ops: tuple, masks: list[dict[str, int]]) -> int:
         else:
             push(a)
     return r[-1]
+
+
+def _trace_set(traces: tuple) -> tuple:
+    """A trace set (see `EvalContext._sets`), with no columns yet."""
+    return (traces, len(traces), max((len(u.prefix) for u in traces), default=0),
+            lcm(*(len(u.loop) for u in traces)), {}, [])
+
 
 def _members(m: int):
     """Indices of the set bits of m, ascending."""
@@ -242,7 +251,7 @@ class EvalContext:
 
     __slots__ = ("system", "universe", "mode", "bound", "stabilization_cap",
                  "_pins", "_bounds", "_sets", "_parts", "_asks",
-                 "_tid", "_rels", "_masks", "_zips")
+                 "_tid", "_rels")
 
     def __init__(self, system: System, universe: TraceUniverse, mode: str = EXACT_LASSO,
                  bound: int | None = None, stabilization_cap: int = 64):
@@ -261,16 +270,15 @@ class EvalContext:
         self.bound = bound
         self.stabilization_cap = stabilization_cap
         self._bounds: dict[Formula, tuple[int, int]] = {}  # met node -> (a, b)
-        # -1: the universe, k: the foreign trace of id k; each set is (traces,
-        # size, longest prefix, loop lcm, node -> column)
-        self._sets: dict[int, tuple] = {}
+        # -1: the universe, k: the foreign trace of id k, (agent, t, y, set):
+        # the zipped triples of a row; each set is (traces, size, longest
+        # prefix, loop lcm, node -> column, position -> proposition -> mask)
+        self._sets: dict[int | tuple, tuple] = {}
         self._parts: dict[str, list[list[int]]] = {}  # agent -> position -> classes
         self._asks = 0
         self._tid: dict[int, int] = {}  # id(trace) -> id; the universe and sets pin them
         self._pins: list[LassoTrace] = []  # traces that share a universe trace's id
         self._rels: dict[str, tuple] = {}
-        self._masks: dict[tuple[int, int], dict[str, int]] = {}
-        self._zips: dict[tuple, LassoTrace] = {}
 
     @classmethod
     def exact(cls, system, universe, stabilization_cap: int = 64) -> "EvalContext":
@@ -282,7 +290,7 @@ class EvalContext:
 
     def stats(self) -> dict[str, int]:
         """Deterministic work counters: nodes met, (node, trace set) columns,
-        operand asks, known values, similarity answers, partitions built."""
+        operand asks, known values, similarity rows, partitions built."""
         cols = [(col[0], (1 << st[1]) - 1)
                 for st in self._sets.values() for col in st[4].values()]
         return {
@@ -338,10 +346,7 @@ class EvalContext:
         if st is None:
             traces = self.universe.traces
             self._tid.update((id(u), k) for k, u in enumerate(traces))
-            st = self._sets[-1] = (
-                traces, len(traces), max((len(u.prefix) for u in traces), default=0),
-                lcm(*(len(u.loop) for u in traces)), {},
-            )
+            st = self._sets[-1] = _trace_set(traces)
         return st
 
     def _trace_id(self, t: LassoTrace) -> int:
@@ -356,13 +361,13 @@ class EvalContext:
             self._pins.append(t)
         else:  # a trace outside the universe: a set of its own
             k = len(self.universe) + len(self._sets) - 1
-            self._sets[k] = ((t,), 1, len(t.prefix), len(t.loop), {})
+            self._sets[k] = _trace_set((t,))
         self._tid[id(t)] = k
         return k
 
     def _rel(self, agent: str) -> tuple[tuple, Formula, tuple | None, dict]:
-        """(params, formula, compiled block or None, memo of similarity
-        answers) of the agent's relation, whose nodes are met on first use."""
+        """(params, formula, compiled block or None, memo of rows) of the
+        agent's relation, whose nodes are met on first use."""
         got = self._rels.get(agent)
         if got is None:
             rf = self.system.similarity_of(agent)
@@ -514,10 +519,10 @@ class EvalContext:
 
     def _counterfactual(self, f, st, col, j, need):
         universal, dual = _CF_NODES[type(f)]  # Might, EMight negate Would, UWould
-        n, sim, viol = st[1], self.similarity_holds, None
+        n, viol = st[1], None
         for k in _members(need):
             t = st[0][k]
-            acc = sum(1 << x for x, u in enumerate(st[0]) if sim(f.agent, t, t, u, j))
+            acc = self._row(f.agent, t, t, j)
             cands = (yield f.ante, j, acc) if acc else 0
             if cands and viol is None:
                 ante = yield f.ante, j, (1 << n) - 1
@@ -536,20 +541,25 @@ class EvalContext:
         """Truth of the Would (universal=False) or UWould (universal=True)
         conditional from `t` at `i`, given the universe masks of the
         accessible antecedent traces, of all antecedent traces and of the
-        violators (antecedent traces on which the consequent fails)."""
-        traces = self.universe.traces
-        sim = self.similarity_holds
-        violators = [traces[y] for y in _members(viol)]
-        candidates = [traces[x] for x in _members(cands)]
+        violators (antecedent traces on which the consequent fails).  The
+        union of the violators' rows, `closer`, holds the traces that some
+        violator is at least as similar to `t` as: Would holds iff some
+        candidate lies outside it.  UWould takes the antecedent traces
+        outside it as thresholds, which need not be accessible, and holds iff
+        each candidate lies in some threshold's row."""
+        traces, closer = self.universe.traces, 0
+        for y in _members(viol):
+            closer |= self._row(agent, t, traces[y], i)
+            if not universal and not cands & ~closer:
+                return False
         if not universal:
-            # some accessible antecedent threshold below which ante forces cons
-            return any(not any(sim(agent, t, y, x, i) for y in violators)
-                       for x in candidates)
-        # universal form: every accessible antecedent trace must see a
-        # threshold at least as similar; thresholds need not be accessible
-        thresholds = [e for e in map(traces.__getitem__, _members(ante))
-                      if not any(sim(agent, t, y, e, i) for y in violators)]
-        return all(any(sim(agent, t, e, x, i) for e in thresholds) for x in candidates)
+            return True
+        covered = 0
+        for e in _members(ante & ~closer):
+            covered |= self._row(agent, t, traces[e], i)
+            if not cands & ~covered:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # observation partitions and similarity
@@ -560,7 +570,7 @@ class EvalContext:
         apart on positions 0..j, refined position by position (synchronous
         perfect recall).  Observations that ever diverge do so below P + L,
         so the partition is final from there."""
-        traces, n, p, l, _ = self._uset()
+        traces, n, p, l = self._uset()[:4]
         parts = self._parts.setdefault(agent, [])
         obs = self.system.observation_of(agent)
         while len(parts) <= min(j, p + l - 1):
@@ -577,66 +587,59 @@ class EvalContext:
         """Does the agent's similarity formula accept (t_ref, t1, t2) at i?
 
         Reads "t1 is at least as similar to t_ref as t2, judged at position
-        i", in the context's own mode.  A relation of the all-positions shape
-        does not depend on i and is decided from per-trace bitmasks over the
-        whole window; any other is evaluated on the zipped trace."""
-        params, rel, block, memo = self._rel(agent)
-        tid = self._tid
-        try:
-            key = (tid[id(t_ref)] << _ID_BITS | tid[id(t1)]) << _ID_BITS | tid[id(t2)]
-        except KeyError:
-            key = (
-                self._trace_id(t_ref) << _ID_BITS | self._trace_id(t1)
-            ) << _ID_BITS | self._trace_id(t2)
+        i", in the context's own mode: bit k of the universe row of (t_ref,
+        t1) when t2 is universe trace k, else the row over t2's own set."""
+        k = self._trace_id(t2)
+        if k < len(self.universe):
+            return self._row(agent, t_ref, t1, i) >> k & 1 == 1
+        return self._row(agent, t_ref, t1, i, k) == 1
+
+    def _row(self, agent: str, t: LassoTrace, y: LassoTrace, i: int, sk: int = -1) -> int:
+        """Mask of the traces x of the set `sk` (the universe by default) for
+        which the agent's relation accepts (t, y, x) at i.
+
+        A relation of the all-positions shape does not depend on i (exact
+        mode, and i <= N in bounded mode): its row is the compiled block ANDed
+        over the window, where t and y load their own labels and x the set's
+        proposition masks.  Bounded mode: [0, N].  Exact mode: [0, P + L) with
+        P the set's longest prefix joined with t's and y's, and L the lcm of
+        all their loops; every later position of a zipped triple repeats one
+        inside.  Any other relation is evaluated once on the set of zipped
+        triples (t, y, x), which is kept per agent: zip3 tags labels with the
+        agent's own parameter names."""
+        params, rel, block, rows = self._rel(agent)
+        st = self._uset() if sk == -1 else self._sets[sk]
         bitwise = block is not None and (self.mode == EXACT_LASSO or i <= self.bound)
+        key = (self._trace_id(t), self._trace_id(y), sk, None if bitwise else i)
+        row = rows.get(key)
+        if row is not None:
+            return row
+        full = (1 << st[1]) - 1
         if not bitwise:
-            key = (key, i)
-        got = memo.get(key, _MISSING)
-        if got is _MISSING:
-            if bitwise:
-                got = self._block_holds(block, (t_ref, t1, t2))
-            else:
-                z = self._zip(agent, params, t_ref, t1, t2)
-                got = self.value(z, rel, i)
-            memo[key] = got
-        return got
-
-    def _block_holds(self, block: tuple, traces: tuple) -> bool:
-        """Does a compiled all-positions block hold at every position of the
-        window?  Bounded mode: [0, N].  Exact mode: [0, P + L) with P the
-        largest prefix and L the lcm of the loops over the universe and the
-        three traces.  Every later position of the zipped triple repeats one
-        inside; taking the universe's shape too gives all universe traces one
-        window, so each trace's bitmasks are built once."""
+            zk = (agent, *key[:3])
+            zs = self._sets.get(zk)
+            if zs is None:
+                zs = self._sets[zk] = _trace_set(tuple(zip3(t, y, u, params) for u in st[0]))
+            row = rows[key] = self._eval(rel, zs, i, full)
+            return row
         if self.mode == BOUNDED:
-            width = self.bound + 1
+            w = self.bound + 1
         else:
-            pmax, llcm = self._uset()[2:4]
-            width = max(pmax, *(len(t.prefix) for t in traces)) + lcm(
-                llcm, *(len(t.loop) for t in traces)
-            )
-        full = (1 << width) - 1
-        masks = [self._trace_masks(t, width) for t in traces]
-        return _run_block(block, masks) & full == full
-
-    def _trace_masks(self, t: LassoTrace, width: int) -> dict[str, int]:
-        """Proposition -> bitmask of the positions in [0, width) where it holds."""
-        key = (self._trace_id(t), width)
-        got = self._masks.get(key)
-        if got is None:
-            got = {}
-            for j in range(width):
-                for p in t.label_at(j):
-                    got[p] = got.get(p, 0) | 1 << j
-            self._masks[key] = got
-        return got
-
-    def _zip(self, agent, params, t1, t2, t3) -> LassoTrace:
-        key = (agent, self._trace_id(t1), self._trace_id(t2), self._trace_id(t3))
-        z = self._zips.get(key)
-        if z is None:
-            z = self._zips[key] = zip3(t1, t2, t3, params)
-        return z
+            w = max(st[2], len(t.prefix), len(y.prefix)) + lcm(
+                st[3], len(t.loop), len(y.loop))
+        tab, row, j = st[5], full, 0
+        while row and j < w:
+            if j == len(tab):
+                cell: dict[str, int] = {}
+                for k, u in enumerate(st[0]):
+                    for p in u.label_at(j):
+                        cell[p] = cell.get(p, 0) | 1 << k
+                tab.append(cell)
+            row &= _run_block(block, (dict.fromkeys(t.label_at(j), -1),
+                                      dict.fromkeys(y.label_at(j), -1), tab[j]))
+            j += 1
+        rows[key] = row
+        return row
 
 
 # ---------------------------------------------------------------------------
@@ -823,23 +826,19 @@ def validate_similarity(ctx: EvalContext, agent: str, t_ref: LassoTrace,
     reflexive on accessible traces, transitive, and no trace counts as at
     least as similar as the reference unless it is itself accessible."""
     traces = ctx.universe.traces
-    sim = ctx.similarity_holds
-    rel = {(u, v): sim(agent, t_ref, u, v, i) for u in traces for v in traces}
-    accessible = {v: ctx.similarity_holds(agent, t_ref, t_ref, v, i) for v in traces}
+    rows = [ctx._row(agent, t_ref, u, i) for u in traces]  # rows[u]: u at least as close
+    accessible = ctx._row(agent, t_ref, t_ref, i)
     violations: list[SimilarityViolation] = []
-    for v in traces:
-        if accessible[v] and not rel[(v, v)]:
+    for k, v in enumerate(traces):
+        if accessible >> k & 1 and not rows[k] >> k & 1:
             violations.append(SimilarityViolation("irreflexive", (format_trace(v),)))
-    for u in traces:
-        for v in traces:
-            if not rel[(u, v)]:
-                continue
-            for w in traces:
-                if rel[(v, w)] and not rel[(u, w)]:
-                    trio = (format_trace(u), format_trace(v), format_trace(w))
-                    violations.append(SimilarityViolation("intransitive", trio))
-    for v in traces:
-        if not accessible[v] and ctx.similarity_holds(agent, t_ref, v, t_ref, i):
+    for k, u in enumerate(traces):
+        for x in _members(rows[k]):
+            for y in _members(rows[x] & ~rows[k]):
+                trio = (format_trace(u), format_trace(traces[x]), format_trace(traces[y]))
+                violations.append(SimilarityViolation("intransitive", trio))
+    for k, v in enumerate(traces):
+        if not accessible >> k & 1 and ctx.similarity_holds(agent, t_ref, v, t_ref, i):
             violations.append(SimilarityViolation("minimum", (format_trace(v),)))
     return SimilarityReport(agent, format_trace(t_ref), i, tuple(violations))
 

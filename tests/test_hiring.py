@@ -1,19 +1,27 @@
 """The hiring case study: structures, universes, observation, similarity."""
 
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
 from ckltl import (
     EvalContext,
+    build_gce,
+    build_ice,
+    build_wce,
+    check_system,
     eval_at,
+    generate_universe,
     parse,
+    position_variant,
     system_to_dict,
     validate_similarity,
 )
 from ckltl.hiring import (
     AGENTS,
     APS,
+    START,
     VARIANTS,
     build_explainable,
     build_gender_frozen,
@@ -158,6 +166,27 @@ def test_gender_freeze_blocks_gender_flips():
     s2 = build_explainable()
     ctx2 = EvalContext.exact(s2, single_round_universe(s2))
     assert ctx2.similarity_holds("a", t, t, flipped, 1)
+
+
+def test_two_round_verdicts_are_pinned():
+    # the full two-round restricted universe: every lasso of at most three
+    # prefix letters that then idles in the start state; the idle trace
+    # defeats all three checks, and WCE and GCE fail on every trace
+    s = build_restricted()
+    u = generate_universe(s, max_prefix=3, max_loop=1, loop_states=(START,))
+    assert len(u) == 625
+    vocab = hiring_vocabulary()
+    every = "e1921ab4b478924bcd7fef05276a141aa08e96f6b81d2adab935980dde6ff048"
+    for name, f, count, digest in (
+        ("ICE@1", position_variant(build_ice(vocab, "a"), 1), 225,
+         "f9d90c1f1af4ca90afa0af98ff2face48f019327766053401493112538d692d2"),
+        ("WCE", build_wce(vocab, "a"), 625, every),
+        ("GCE", build_gce(vocab, "a", "a"), 625, every),
+    ):
+        v = check_system(EvalContext.exact(s, u), f)
+        assert (v.result, len(v.counterexamples), v.counterexample) == (
+            False, count, "| {}"), name
+        assert sha256("\n".join(v.counterexamples).encode()).hexdigest() == digest, name
 
 
 def test_vocabulary_matches_every_variant():

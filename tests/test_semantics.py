@@ -68,6 +68,16 @@ def tr(text):
     return parse_trace_literal(text)
 
 
+# similarity relations that are not of the all-positions shape, so the engine
+# evaluates them on zipped triples
+OTHER_SHAPES = [
+    "p@pi2 & !p@pi1",  # position-local
+    "G (p@pi1 -> p@pi2)",  # G without H
+    "G (p@pi1 -> p@pi2) & H (q@pi1 -> q@pi2)",  # different bodies
+    "G (X p@pi1 -> p@pi2) & H (X p@pi1 -> p@pi2)",  # temporal body
+]
+
+
 # ---------------------------------------------------------------------------
 # dual routes
 
@@ -76,6 +86,14 @@ def test_bounded_engine_matches_naive_oracle():
     r = random.Random(100)
     for _ in range(250):
         s = gen_system(r)
+        # each agent's relation: its subset similarity or one of the zipped
+        # shapes, the second agent's over other parameter names
+        similarity = {}
+        for a, v in zip(s.agents, ("pi", "rho")):
+            src = r.choice([None, *OTHER_SHAPES])
+            similarity[a] = s.similarity_of(a) if src is None else validate_relational(
+                parse(src.replace("pi", v)), (v, v + "1", v + "2"))
+        s = System(s.kripke, s.agents, s.observation, similarity)
         u = gen_universe(r)
         f = gen_formula(r, depth=r.randint(1, 4))
         n = r.randint(0, 6)
@@ -686,22 +704,17 @@ def test_similarity_kernel_on_the_gender_frozen_relation(zip_calls):
     assert zip_calls == []
 
 
-@pytest.mark.parametrize(
-    "src",
-    [
-        "p@pi2 & !p@pi1",  # position-local
-        "G (p@pi1 -> p@pi2)",  # G without H
-        "G (p@pi1 -> p@pi2) & H (q@pi1 -> q@pi2)",  # different bodies
-        "G (X p@pi1 -> p@pi2) & H (X p@pi1 -> p@pi2)",  # temporal body
-    ],
-)
+@pytest.mark.parametrize("src", OTHER_SHAPES)
 def test_other_similarity_shapes_take_the_zipped_route(src, zip_calls):
     s, u = cf_fixture()
-    rel = validate_relational(parse(src), ("pi", "pi1", "pi2"))
-    system = System(s.kripke, ("a",), s.observation, {"a": rel})
+    # a second agent holds the same relation over other parameter names, so
+    # the zipped triples of one agent's rows cannot serve the other's
+    rels = {a: validate_relational(parse(src.replace("pi", v)), (v, v + "1", v + "2"))
+            for a, v in (("a", "pi"), ("b", "rho"))}
+    system = System(s.kripke, ("a", "b"), dict.fromkeys(rels, s.observation["a"]), rels)
     traces = list(u.traces) + [tr("{p} | {q} ; {}")]
-    assert_routes_agree(EvalContext.exact(system, u), "a", traces, (0, 2))
-    assert_routes_agree(
-        EvalContext.bounded(system, u, 3), "a", traces, (0, 2, 3), u
-    )
+    exact, bounded = EvalContext.exact(system, u), EvalContext.bounded(system, u, 3)
+    for a in rels:
+        assert_routes_agree(exact, a, traces, (0, 2))
+        assert_routes_agree(bounded, a, traces, (0, 2, 3), u)
     assert zip_calls
