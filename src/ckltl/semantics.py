@@ -42,8 +42,8 @@ and H-bodies form the same set, every body pointwise (traced atoms, boolean
 connectives, constants) -- does not depend on i: its row is the AND, over
 the positions of a window, of a compiled block run on the set's proposition
 masks, with no zipped trace; `subset_similarity` and the gender-frozen hiring
-relation have this shape.  Every other relation is evaluated once per row on
-the set of zipped triples (t, y, x).  Counterfactuals are unions of rows.
+relation have this shape.  Every other relation is evaluated on the set of
+zipped triples (t, y, x).  Counterfactuals are read off rows.
 """
 
 from __future__ import annotations
@@ -195,10 +195,12 @@ def _run_block(ops: tuple, masks: tuple[dict[str, int], ...]) -> int:
     return r[-1]
 
 
-def _trace_set(traces: tuple) -> tuple:
-    """A trace set (see `EvalContext._sets`), with no columns yet."""
-    return (traces, len(traces), max((len(u.prefix) for u in traces), default=0),
-            lcm(*(len(u.loop) for u in traces)), {}, [])
+def _trace_set(traces, shape: tuple[int, int] | None = None) -> tuple:
+    """A trace set (see `EvalContext._sets`), with no columns yet; `shape`
+    (longest prefix, loop lcm) stands in for traces made on demand."""
+    p, l = shape or (max((len(u.prefix) for u in traces), default=0),
+                     lcm(*(len(u.loop) for u in traces)))
+    return traces, len(traces), p, l, {}, []
 
 
 def _members(m: int):
@@ -220,13 +222,12 @@ def _operands(f: Formula) -> tuple:
     return f.child, None
 
 
-def _leaf(f: Formula, st: tuple, j: int) -> int:
-    """Entry of an atom or constant at j: known on every trace."""
-    full = (1 << st[1]) - 1
+def _leaf(f: Formula, st: tuple, j: int, x: int) -> int:
+    """Entry of an atom or constant at j: known on the traces of x."""
     if isinstance(f, (TrueConst, FalseConst)):
-        return full | (full if isinstance(f, TrueConst) else 0) << st[1]
-    key = f.name if isinstance(f, Atom) else (f.name, f.trace_var)
-    return full | sum(1 << k for k, t in enumerate(st[0]) if key in t.label_at(j)) << st[1]
+        return x | (x if isinstance(f, TrueConst) else 0) << st[1]
+    key, traces = f.name if isinstance(f, Atom) else (f.name, f.trace_var), st[0]
+    return x | sum(1 << k for k in _members(x) if key in traces[k].label_at(j)) << st[1]
 
 
 def _step(l, r, k, x, other):
@@ -296,7 +297,8 @@ class EvalContext:
         return {
             "nodes": len(self._bounds), "columns": len(cols), "asks": self._asks,
             "values": sum((x & full).bit_count() for e, full in cols for x in e),
-            "similarity": sum(len(r[3]) for r in self._rels.values()),
+            "similarity": sum(len(r[3]) for r in self._rels.values())
+            + sum(isinstance(k, tuple) for k in self._sets),
             "partitions": sum(map(len, self._parts.values())),
         }
 
@@ -350,10 +352,8 @@ class EvalContext:
         return st
 
     def _trace_id(self, t: LassoTrace) -> int:
+        self._uset()  # gives the universe traces their ids
         k = self._tid.get(id(t))
-        if k is None:
-            self._uset()
-            k = self._tid.get(id(t))
         if k is not None:
             return k
         if t in self.universe:  # another object for a universe word: share its bit
@@ -366,7 +366,7 @@ class EvalContext:
         return k
 
     def _rel(self, agent: str) -> tuple[tuple, Formula, tuple | None, dict]:
-        """(params, formula, compiled block or None, memo of rows) of the
+        """(params, formula, compiled block or None, memo of block rows) of the
         agent's relation, whose nodes are met on first use."""
         got = self._rels.get(agent)
         if got is None:
@@ -414,7 +414,7 @@ class EvalContext:
             if e[j] & x == x:
                 got = e[j] >> n & x
             elif type(g) in _LEAVES:
-                e[j] = _leaf(g, st, j)
+                e[j] |= _leaf(g, st, j, x & ~e[j])
                 got = e[j] >> n & x
             else:
                 stack.append((ops[type(g)](self, g, st, col, j, x & ~e[j]), e, j, x))
@@ -518,48 +518,48 @@ class EvalContext:
                 col[0][j] |= cls
 
     def _counterfactual(self, f, st, col, j, need):
+        """Would and UWould from t.  A violator (antecedent trace on which
+        the consequent fails) is at least as similar to t as the traces of
+        its row.  Would holds iff some candidate (accessible antecedent
+        trace) is in no violator's row; UWould iff each candidate is in the
+        row of a threshold: an antecedent trace, accessible or not, in no
+        violator's row."""
         universal, dual = _CF_NODES[type(f)]  # Might, EMight negate Would, UWould
-        n, viol = st[1], None
+        n, outside, viol = st[1], self._outside, None
         for k in _members(need):
             t = st[0][k]
-            acc = self._row(f.agent, t, t, j)
+            acc = self._row(f.agent, t, t, j, (1 << n) - 1)
             cands = (yield f.ante, j, acc) if acc else 0
             if cands and viol is None:
                 ante = yield f.ante, j, (1 << n) - 1
                 cons = yield f.cons, j, ante
                 viol = cons if dual else ante & ~cons
-            # vacuity: no accessible antecedent trace
-            holds = not cands or self._cf(f.agent, t, j, cands, ante, viol, universal)
+            # vacuity: no accessible antecedent trace; else Would iff some
+            # candidate escapes the violators, UWould iff none the thresholds
+            ys = outside(f.agent, t, j, ante, viol) if cands and universal else viol
+            holds = not cands or (outside(f.agent, t, j, cands, ys, True) == 0) == universal
             col[0][j] |= 1 << k | (holds != dual) << k << n
 
     _OPS = {Know: _know, **dict.fromkeys((Not, Next, Prev, And, Or, Implies, Iff), _local),
             **dict.fromkeys(_TEMPORAL, _temporal),
             **dict.fromkeys(_CF_NODES, _counterfactual)}
 
-    def _cf(self, agent: str, t: LassoTrace, i: int, cands: int, ante: int,
-            viol: int, universal: bool) -> bool:
-        """Truth of the Would (universal=False) or UWould (universal=True)
-        conditional from `t` at `i`, given the universe masks of the
-        accessible antecedent traces, of all antecedent traces and of the
-        violators (antecedent traces on which the consequent fails).  The
-        union of the violators' rows, `closer`, holds the traces that some
-        violator is at least as similar to `t` as: Would holds iff some
-        candidate lies outside it.  UWould takes the antecedent traces
-        outside it as thresholds, which need not be accessible, and holds iff
-        each candidate lies in some threshold's row."""
-        traces, closer = self.universe.traces, 0
-        for y in _members(viol):
-            closer |= self._row(agent, t, traces[y], i)
-            if not universal and not cands & ~closer:
-                return False
-        if not universal:
-            return True
-        covered = 0
-        for e in _members(ante & ~closer):
-            covered |= self._row(agent, t, traces[e], i)
-            if not cands & ~covered:
-                return True
-        return False
+    def _outside(self, agent: str, t: LassoTrace, i: int, xs: int, ys: int,
+                 first: bool = False) -> int:
+        """Traces of mask xs in none of the rows of (t, y), y in mask ys, at
+        i; with `first`, those of the first block of xs that has one.  Blocks
+        double in index span and are asked of each row in turn until covered,
+        so a trace outside is found without asking every row on all of xs."""
+        traces, span, out = self.universe.traces, (xs & -xs).bit_length(), 0
+        while xs and not (first and out):
+            part, xs = xs & (1 << span) - 1, xs & -(1 << span)
+            for y in _members(ys):
+                if not part:
+                    break
+                part &= ~self._row(agent, t, traces[y], i, part)
+            out |= part
+            span *= 2
+        return out
 
     # ------------------------------------------------------------------
     # observation partitions and similarity
@@ -591,55 +591,56 @@ class EvalContext:
         t1) when t2 is universe trace k, else the row over t2's own set."""
         k = self._trace_id(t2)
         if k < len(self.universe):
-            return self._row(agent, t_ref, t1, i) >> k & 1 == 1
-        return self._row(agent, t_ref, t1, i, k) == 1
+            return self._row(agent, t_ref, t1, i, 1 << k) != 0
+        return self._row(agent, t_ref, t1, i, 1, k) != 0
 
-    def _row(self, agent: str, t: LassoTrace, y: LassoTrace, i: int, sk: int = -1) -> int:
-        """Mask of the traces x of the set `sk` (the universe by default) for
-        which the agent's relation accepts (t, y, x) at i.
+    def _row(self, agent: str, t: LassoTrace, y: LassoTrace, i: int, need: int,
+             sk: int = -1) -> int:
+        """Mask of the traces x of mask `need` in the set `sk` (the universe
+        by default) for which the agent's relation accepts (t, y, x) at i.
 
         A relation of the all-positions shape does not depend on i (exact
-        mode, and i <= N in bounded mode): its row is the compiled block ANDed
-        over the window, where t and y load their own labels and x the set's
-        proposition masks.  Bounded mode: [0, N].  Exact mode: [0, P + L) with
-        P the set's longest prefix joined with t's and y's, and L the lcm of
-        all their loops; every later position of a zipped triple repeats one
-        inside.  Any other relation is evaluated once on the set of zipped
-        triples (t, y, x), which is kept per agent: zip3 tags labels with the
-        agent's own parameter names."""
+        mode, and i <= N in bounded mode): its whole row, kept per agent, is
+        the compiled block ANDed over the window, where t and y load their
+        own labels and x the set's proposition masks.  Bounded mode: [0, N].
+        Exact mode: [0, P + L) with P the set's longest prefix joined with
+        t's and y's, and L the lcm of all their loops; every later position
+        of a zipped triple repeats one inside.  Any other relation is
+        evaluated on `need` in the agent's set of zipped triples (t, y, x):
+        zip3 tags labels with the agent's own parameter names."""
         params, rel, block, rows = self._rel(agent)
-        st = self._uset() if sk == -1 else self._sets[sk]
-        bitwise = block is not None and (self.mode == EXACT_LASSO or i <= self.bound)
-        key = (self._trace_id(t), self._trace_id(y), sk, None if bitwise else i)
+        key = (self._trace_id(t), self._trace_id(y), sk)
+        st = self._sets[sk]
+        if block is None or self.mode == BOUNDED and i > self.bound:
+            zs = self._sets.get((agent, *key))
+            if zs is None:  # zipped as asked for; its shape joins t's and y's
+                zs = self._sets[(agent, *key)] = _trace_set([None] * st[1], (
+                    max(st[2], len(t.prefix), len(y.prefix)),
+                    lcm(st[3], len(t.loop), len(y.loop))))
+            for k in _members(need):
+                if zs[0][k] is None:
+                    zs[0][k] = zip3(t, y, st[0][k], params)
+            return self._eval(rel, zs, i, need)
         row = rows.get(key)
-        if row is not None:
-            return row
-        full = (1 << st[1]) - 1
-        if not bitwise:
-            zk = (agent, *key[:3])
-            zs = self._sets.get(zk)
-            if zs is None:
-                zs = self._sets[zk] = _trace_set(tuple(zip3(t, y, u, params) for u in st[0]))
-            row = rows[key] = self._eval(rel, zs, i, full)
-            return row
-        if self.mode == BOUNDED:
-            w = self.bound + 1
-        else:
-            w = max(st[2], len(t.prefix), len(y.prefix)) + lcm(
-                st[3], len(t.loop), len(y.loop))
-        tab, row, j = st[5], full, 0
-        while row and j < w:
-            if j == len(tab):
-                cell: dict[str, int] = {}
-                for k, u in enumerate(st[0]):
-                    for p in u.label_at(j):
-                        cell[p] = cell.get(p, 0) | 1 << k
-                tab.append(cell)
-            row &= _run_block(block, (dict.fromkeys(t.label_at(j), -1),
-                                      dict.fromkeys(y.label_at(j), -1), tab[j]))
-            j += 1
-        rows[key] = row
-        return row
+        if row is None:
+            if self.mode == BOUNDED:
+                w = self.bound + 1
+            else:
+                w = max(st[2], len(t.prefix), len(y.prefix)) + lcm(
+                    st[3], len(t.loop), len(y.loop))
+            tab, row, j = st[5], (1 << st[1]) - 1, 0
+            while row and j < w:
+                if j == len(tab):
+                    cell: dict[str, int] = {}
+                    for k, u in enumerate(st[0]):
+                        for p in u.label_at(j):
+                            cell[p] = cell.get(p, 0) | 1 << k
+                    tab.append(cell)
+                row &= _run_block(block, (dict.fromkeys(t.label_at(j), -1),
+                                          dict.fromkeys(y.label_at(j), -1), tab[j]))
+                j += 1
+            rows[key] = row
+        return row & need
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +714,7 @@ def check_system(ctx: EvalContext, f: Formula) -> Verdict:
     failing = [t for k, t in enumerate(ctx.universe) if not holds >> k & 1]
     if not failing:
         return Verdict(True, None, (), None, ())
-    first = failing[0]
-    trail = tuple(explain(ctx, first, 0, f))
+    trail = tuple(explain(ctx, failing[0], 0, f))
     failing = tuple(map(format_trace, failing))
     return Verdict(False, failing[0], failing, 0, trail)
 
@@ -825,9 +825,9 @@ def validate_similarity(ctx: EvalContext, agent: str, t_ref: LassoTrace,
     position `i`, is a preorder on the universe with the reference as minimum:
     reflexive on accessible traces, transitive, and no trace counts as at
     least as similar as the reference unless it is itself accessible."""
-    traces = ctx.universe.traces
-    rows = [ctx._row(agent, t_ref, u, i) for u in traces]  # rows[u]: u at least as close
-    accessible = ctx._row(agent, t_ref, t_ref, i)
+    traces, full = ctx.universe.traces, (1 << len(ctx.universe)) - 1
+    rows = [ctx._row(agent, t_ref, u, i, full) for u in traces]  # rows[u]: u at least as close
+    accessible = ctx._row(agent, t_ref, t_ref, i, full)
     violations: list[SimilarityViolation] = []
     for k, v in enumerate(traces):
         if accessible >> k & 1 and not rows[k] >> k & 1:
@@ -847,8 +847,8 @@ def closest_antecedents(ctx: EvalContext, agent: str, t: LassoTrace, i: int,
                         ante: Formula) -> tuple[LassoTrace, ...]:
     """Minimal elements (under the agent's similarity preorder seen from `t`
     at `i`) of the accessible traces satisfying `ante` at `i`."""
-    sim = ctx.similarity_holds
-    cands = [x for x in ctx.universe
-             if sim(agent, t, t, x, i) and ctx.value(x, ante, i)]
-    return tuple(x for x in cands if not any(  # nothing strictly closer
-        sim(agent, t, y, x, i) and not sim(agent, t, x, y, i) for y in cands))
+    st = ctx._uset()
+    cands = ctx._eval(ante, st, i, ctx._row(agent, t, t, i, (1 << st[1]) - 1))
+    rows = {y: ctx._row(agent, t, st[0][y], i, cands) for y in _members(cands)}
+    return tuple(st[0][x] for x in rows if not any(  # nothing strictly closer
+        rows[y] >> x & 1 and not rows[x] >> y & 1 for y in rows))
