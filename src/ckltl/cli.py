@@ -93,10 +93,18 @@ def _build_universe(args, system) -> TraceUniverse:
         raise InputError(str(e))
 
 
+def _cap(args) -> int:
+    if args.stabilization_cap < 1:
+        raise InputError("--stabilization-cap must be at least 1")
+    return args.stabilization_cap
+
+
 def _context(args, system, universe) -> EvalContext:
     if args.bounded is not None:
+        if args.bounded < 0:
+            raise InputError("--bounded must be at least 0")
         return EvalContext.bounded(system, universe, args.bounded)
-    return EvalContext.exact(system, universe, args.stabilization_cap)
+    return EvalContext.exact(system, universe, _cap(args))
 
 
 def _emit(args, text: str) -> None:
@@ -148,6 +156,11 @@ def _cmd_validate(args) -> int:
     system = _load_model(args)
     universe = _build_universe(args, system)
     ctx = _context(args, system, universe)
+    if args.position < 0:
+        raise InputError("--position must be at least 0")
+    if args.bounded is not None and args.position > args.bounded:
+        raise InputError(f"--position {args.position} is past the --bounded window "
+                         f"[0, {args.bounded}]")
     reports = [
         validate_similarity(ctx, agent, t, args.position)
         for agent in system.agents
@@ -217,7 +230,7 @@ def _cmd_demo(args) -> int:
         )
     system = build()
     universe = hiring.single_round_universe(system)
-    ctx = EvalContext.exact(system, universe, args.stabilization_cap)
+    ctx = EvalContext.exact(system, universe, _cap(args))
     results = []
     for name, f in _demo_requirements(args.variant):
         results.append((name, check_system(ctx, f)))

@@ -269,8 +269,9 @@ def subset_similarity(
         differs_far = Not(Iff(on_ref, TracedAtom(p, far)))
         parts.append(Implies(differs_near, differs_far))
     # G and H over the same pointwise block: the evaluator recognises this
-    # all-positions shape and answers it from per-trace bitmasks without
-    # zipping; other relations are evaluated on zipped trace triples
+    # all-positions shape and runs the block per position on the universe's
+    # proposition masks, without zipping; other relations are evaluated on
+    # zipped trace triples
     block = conjoin(parts)
     # only traced atoms over `params` under boolean and temporal connectives:
     # valid by construction, so `validate_relational` would find nothing

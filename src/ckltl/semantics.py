@@ -21,9 +21,9 @@ Memo layout.  Formula nodes are hash-consed where they are built (see
 `formula`), so a structurally equal subformula is the same node wherever it
 comes from (ICE, WCE, GCE and the similarity relations too), and a context
 keys its tables by the node itself.  The universe is one trace set, in
-universe order; a trace outside it (a zipped triple, say) is a set of its
-own.  A node's values on a set form one column, whose entry j packs a known
-mask and, above it, a value mask: bit k stands for the set's trace k.
+universe order; so is each row's set of zipped triples (below).  A node's
+values on a set form one column, whose entry j packs a known mask and,
+above it, a value mask: bit k stands for the set's trace k.
 Exact-mode columns span [0, P + (a+b)*L), and later positions fold back
 into the period; bounded columns span [0, N].  Each request carries the
 mask of traces it needs, so `&`, `|`, `->`, K and counterfactuals skip
@@ -32,11 +32,14 @@ explicit stack: nothing recurses per formula level or position.
 
 All trace quantifiers (knowledge, counterfactuals, system-level checks) range
 over one finite TraceUniverse.  Verdicts are therefore exact only relative to
-the chosen universe.
+the chosen universe, and a trace outside it has no meaning for them: every
+public entry point takes universe traces only (any presentation of a
+universe word), names a trace by its universe index, and refuses a position
+below 0 or past the bounded window.
 
 Similarity is answered in rows.  A row is, for one agent, a reference trace
-t, a nearer trace y, a trace set and a position i: the mask of the set's
-traces x for which the relation accepts (t, y, x) at i.  A relation of the
+t, a nearer trace y and a position i: the mask of the universe traces x for
+which the relation accepts (t, y, x) at i.  A relation of the
 all-positions shape -- a conjunction of `G B_k` and `H B_k` whose G-bodies
 and H-bodies form the same set, every body pointwise (traced atoms, boolean
 connectives, constants) -- does not depend on i: its row is the AND, over
@@ -195,14 +198,6 @@ def _run_block(ops: tuple, masks: tuple[dict[str, int], ...]) -> int:
     return r[-1]
 
 
-def _trace_set(traces, shape: tuple[int, int] | None = None) -> tuple:
-    """A trace set (see `EvalContext._sets`), with no columns yet; `shape`
-    (longest prefix, loop lcm) stands in for traces made on demand."""
-    p, l = shape or (max((len(u.prefix) for u in traces), default=0),
-                     lcm(*(len(u.loop) for u in traces)))
-    return traces, len(traces), p, l, {}, []
-
-
 def _members(m: int):
     """Indices of the set bits of m, ascending."""
     while m:
@@ -251,8 +246,7 @@ class EvalContext:
     """
 
     __slots__ = ("system", "universe", "mode", "bound", "stabilization_cap",
-                 "_pins", "_bounds", "_sets", "_parts", "_asks",
-                 "_tid", "_rels")
+                 "_bounds", "_sets", "_parts", "_asks", "_rels")
 
     def __init__(self, system: System, universe: TraceUniverse, mode: str = EXACT_LASSO,
                  bound: int | None = None, stabilization_cap: int = 64):
@@ -271,14 +265,12 @@ class EvalContext:
         self.bound = bound
         self.stabilization_cap = stabilization_cap
         self._bounds: dict[Formula, tuple[int, int]] = {}  # met node -> (a, b)
-        # -1: the universe, k: the foreign trace of id k, (agent, t, y, set):
-        # the zipped triples of a row; each set is (traces, size, longest
-        # prefix, loop lcm, node -> column, position -> proposition -> mask)
+        # -1: the universe, (agent, t, y): the zipped triples of a row; each
+        # set is (traces, size, longest prefix, loop lcm, node -> column,
+        # position -> proposition -> mask)
         self._sets: dict[int | tuple, tuple] = {}
         self._parts: dict[str, list[list[int]]] = {}  # agent -> position -> classes
         self._asks = 0
-        self._tid: dict[int, int] = {}  # id(trace) -> id; the universe and sets pin them
-        self._pins: list[LassoTrace] = []  # traces that share a universe trace's id
         self._rels: dict[str, tuple] = {}
 
     @classmethod
@@ -342,28 +334,27 @@ class EvalContext:
         return bounds[f]
 
     def _uset(self) -> tuple:
-        """The universe's trace set, made on first use: universe traces take
-        their universe order as ids."""
+        """The universe's trace set, made on first use."""
         st = self._sets.get(-1)
         if st is None:
             traces = self.universe.traces
-            self._tid.update((id(u), k) for k, u in enumerate(traces))
-            st = self._sets[-1] = _trace_set(traces)
+            st = self._sets[-1] = (traces, len(traces), max(
+                (len(u.prefix) for u in traces), default=0),
+                lcm(*(len(u.loop) for u in traces)), {}, [])
         return st
 
-    def _trace_id(self, t: LassoTrace) -> int:
-        self._uset()  # gives the universe traces their ids
-        k = self._tid.get(id(t))
-        if k is not None:
-            return k
-        if t in self.universe:  # another object for a universe word: share its bit
-            k = self.universe.index(t)
-            self._pins.append(t)
-        else:  # a trace outside the universe: a set of its own
-            k = len(self.universe) + len(self._sets) - 1
-            self._sets[k] = _trace_set((t,))
-        self._tid[id(t)] = k
-        return k
+    def _indices(self, i: int, *traces: LassoTrace) -> list[int]:
+        """Universe indices of `traces`, any presentation of a universe word;
+        every public entry point asks here, so a position below 0 or past
+        the bounded window and a trace outside the universe are refused."""
+        if i < 0:
+            raise ValueError("positions start at 0")
+        if self.mode == BOUNDED and i > self.bound:
+            raise ValueError(f"position {i} outside the bounded window [0, {self.bound}]")
+        for t in traces:
+            if t not in self.universe:
+                raise ValueError(f"trace not in the universe: {format_trace(t)}")
+        return [self.universe.index(t) for t in traces]
 
     def _rel(self, agent: str) -> tuple[tuple, Formula, tuple | None, dict]:
         """(params, formula, compiled block or None, memo of block rows) of the
@@ -381,11 +372,10 @@ class EvalContext:
     # ------------------------------------------------------------------
 
     def value(self, t: LassoTrace, f: Formula, i: int) -> bool:
-        """Truth of `f` on `t` at position `i` (mode aware)."""
-        k = self._trace_id(t)
-        if k < len(self.universe):
-            return self._eval(f, self._sets[-1], i, 1 << k) != 0
-        return self._eval(f, self._sets[k], i, 1) != 0  # a set of its own
+        """Truth of `f` on the universe trace `t` at position `i` (mode
+        aware)."""
+        (k,) = self._indices(i, t)
+        return self._eval(f, self._uset(), i, 1 << k) != 0
 
     def _eval(self, f: Formula, st: tuple, i: int, m: int) -> int:
         """Values of `f` at `i` on the traces of mask `m` of set `st`.
@@ -399,8 +389,8 @@ class EvalContext:
             col = cols.get(g)
             if col is None:  # entries are added on request
                 if st is not self._sets[-1] and (type(g) is Know or type(g) in _CF_NODES):
-                    raise ValueError(f"{to_source(g)!r} quantifies over the universe, "
-                                     f"which lacks the trace {format_trace(st[0][0])}")
+                    raise ValueError(f"{to_source(g)!r} quantifies over the universe, which "
+                                     f"lacks the trace {format_trace(st[0][next(_members(x))])}")
                 a, b = self._bounds.get(g) or self._meet(g)
                 s, w = (None, None) if self.mode == BOUNDED else (  # no period
                     st[2] + a * st[3], st[2] + (a + b) * st[3])
@@ -433,18 +423,18 @@ class EvalContext:
                 return got
 
     def _horizon(self, t: LassoTrace, i: int, f: Formula) -> int:
-        """Scan horizon for the forward operator `f` from i: one period past
-        i and its periodic start, on the universe's shape joined with t's
-        own; N + 1 in bounded mode.  Raises when an operand's window spans
-        more loop unrollings past the prefix (its a + b) than the cap."""
+        """Scan horizon for the forward operator `f` from i on `t`: one
+        period past i and its periodic start, on the universe's shape, which
+        every zipped triple shares; N + 1 in bounded mode.  Raises when an
+        operand's window spans more loop unrollings past the prefix (its
+        a + b) than the cap."""
         if self.mode == BOUNDED:
             return self.bound + 1
         for g in children(f):
             if sum(self._bounds[g]) > self.stabilization_cap:
                 raise StabilizationCapExceeded(t, g, sum(self._bounds[g]),
                                                self.stabilization_cap)
-        (a, b), st = self._bounds[f], self._uset()
-        p, l = max(st[2], len(t.prefix)), lcm(st[3], len(t.loop))
+        (a, b), (p, l) = self._bounds[f], self._uset()[2:4]
         return max(i, p + a * l) + b * l
 
     # -- node evaluations: generators over (node, set, column, j, needed mask)
@@ -476,11 +466,8 @@ class EvalContext:
         d = 1 if isinstance(f, _TEMPORAL[:3]) else -1
         end = -1 if d < 0 else self.bound + 1 if s is None else w
         if d > 0:
-            if j >= end:  # bounded, past N: no witness left
-                e[j] |= need | nxt << n
-                return
             if s is not None:  # checks the stabilization cap
-                self._horizon(st[0][(need & -need).bit_length() - 1], j, f)
+                self._horizon(st[0][next(_members(need))], j, f)
             e.extend(bytes(max(0, end - len(e))))
         k = j + d
         while k != end and e[k] & need != need:
@@ -527,8 +514,7 @@ class EvalContext:
         universal, dual = _CF_NODES[type(f)]  # Might, EMight negate Would, UWould
         n, outside, viol = st[1], self._outside, None
         for k in _members(need):
-            t = st[0][k]
-            acc = self._row(f.agent, t, t, j, (1 << n) - 1)
+            acc = self._row(f.agent, k, k, j, (1 << n) - 1)
             cands = (yield f.ante, j, acc) if acc else 0
             if cands and viol is None:
                 ante = yield f.ante, j, (1 << n) - 1
@@ -536,27 +522,27 @@ class EvalContext:
                 viol = cons if dual else ante & ~cons
             # vacuity: no accessible antecedent trace; else Would iff some
             # candidate escapes the violators, UWould iff none the thresholds
-            ys = outside(f.agent, t, j, ante, viol) if cands and universal else viol
-            holds = not cands or (outside(f.agent, t, j, cands, ys, True) == 0) == universal
+            ys = outside(f.agent, k, j, ante, viol) if cands and universal else viol
+            holds = not cands or (outside(f.agent, k, j, cands, ys, True) == 0) == universal
             col[0][j] |= 1 << k | (holds != dual) << k << n
 
     _OPS = {Know: _know, **dict.fromkeys((Not, Next, Prev, And, Or, Implies, Iff), _local),
             **dict.fromkeys(_TEMPORAL, _temporal),
             **dict.fromkeys(_CF_NODES, _counterfactual)}
 
-    def _outside(self, agent: str, t: LassoTrace, i: int, xs: int, ys: int,
+    def _outside(self, agent: str, t: int, i: int, xs: int, ys: int,
                  first: bool = False) -> int:
         """Traces of mask xs in none of the rows of (t, y), y in mask ys, at
         i; with `first`, those of the first block of xs that has one.  Blocks
         double in index span and are asked of each row in turn until covered,
         so a trace outside is found without asking every row on all of xs."""
-        traces, span, out = self.universe.traces, (xs & -xs).bit_length(), 0
+        span, out = (xs & -xs).bit_length(), 0
         while xs and not (first and out):
             part, xs = xs & (1 << span) - 1, xs & -(1 << span)
             for y in _members(ys):
                 if not part:
                     break
-                part &= ~self._row(agent, t, traces[y], i, part)
+                part &= ~self._row(agent, t, y, i, part)
             out |= part
             span *= 2
         return out
@@ -587,59 +573,50 @@ class EvalContext:
         """Does the agent's similarity formula accept (t_ref, t1, t2) at i?
 
         Reads "t1 is at least as similar to t_ref as t2, judged at position
-        i", in the context's own mode: bit k of the universe row of (t_ref,
-        t1) when t2 is universe trace k, else the row over t2's own set."""
-        k = self._trace_id(t2)
-        if k < len(self.universe):
-            return self._row(agent, t_ref, t1, i, 1 << k) != 0
-        return self._row(agent, t_ref, t1, i, 1, k) != 0
+        i", in the context's own mode: bit k of the row of (t_ref, t1) when
+        t2 is universe trace k."""
+        t, y, x = self._indices(i, t_ref, t1, t2)
+        return self._row(agent, t, y, i, 1 << x) != 0
 
-    def _row(self, agent: str, t: LassoTrace, y: LassoTrace, i: int, need: int,
-             sk: int = -1) -> int:
-        """Mask of the traces x of mask `need` in the set `sk` (the universe
-        by default) for which the agent's relation accepts (t, y, x) at i.
+    def _row(self, agent: str, t: int, y: int, i: int, need: int) -> int:
+        """Mask of the universe traces x of mask `need` for which the agent's
+        relation accepts (t, y, x) at i; t, y and x are universe indices.
 
-        A relation of the all-positions shape does not depend on i (exact
-        mode, and i <= N in bounded mode): its whole row, kept per agent, is
-        the compiled block ANDed over the window, where t and y load their
-        own labels and x the set's proposition masks.  Bounded mode: [0, N].
-        Exact mode: [0, P + L) with P the set's longest prefix joined with
-        t's and y's, and L the lcm of all their loops; every later position
-        of a zipped triple repeats one inside.  Any other relation is
-        evaluated on `need` in the agent's set of zipped triples (t, y, x):
-        zip3 tags labels with the agent's own parameter names."""
+        A relation of the all-positions shape does not depend on i: its
+        whole row, kept per agent, is the compiled block ANDed over the
+        window, where t and y load their own labels and x the universe's
+        proposition masks.  Bounded mode: [0, N].  Exact mode: [0, P + L),
+        the universe's longest prefix and loop lcm; every later position of
+        a zipped triple repeats one inside.  Any other relation is evaluated
+        on `need` in the agent's set of zipped triples (t, y, x), which has
+        the universe's shape: zip3 tags labels with the agent's own
+        parameter names."""
         params, rel, block, rows = self._rel(agent)
-        key = (self._trace_id(t), self._trace_id(y), sk)
-        st = self._sets[sk]
-        if block is None or self.mode == BOUNDED and i > self.bound:
-            zs = self._sets.get((agent, *key))
-            if zs is None:  # zipped as asked for; its shape joins t's and y's
-                zs = self._sets[(agent, *key)] = _trace_set([None] * st[1], (
-                    max(st[2], len(t.prefix), len(y.prefix)),
-                    lcm(st[3], len(t.loop), len(y.loop))))
+        st = self._uset()
+        traces, n = st[0], st[1]
+        if block is None:
+            zs = self._sets.get((agent, t, y))
+            if zs is None:  # zipped as asked for
+                zs = self._sets[(agent, t, y)] = ([None] * n, *st[1:4], {}, [])
             for k in _members(need):
                 if zs[0][k] is None:
-                    zs[0][k] = zip3(t, y, st[0][k], params)
+                    zs[0][k] = zip3(traces[t], traces[y], traces[k], params)
             return self._eval(rel, zs, i, need)
-        row = rows.get(key)
+        row = rows.get((t, y))
         if row is None:
-            if self.mode == BOUNDED:
-                w = self.bound + 1
-            else:
-                w = max(st[2], len(t.prefix), len(y.prefix)) + lcm(
-                    st[3], len(t.loop), len(y.loop))
-            tab, row, j = st[5], (1 << st[1]) - 1, 0
+            w = self.bound + 1 if self.mode == BOUNDED else st[2] + st[3]
+            tab, row, j = st[5], (1 << n) - 1, 0
             while row and j < w:
                 if j == len(tab):
                     cell: dict[str, int] = {}
-                    for k, u in enumerate(st[0]):
+                    for k, u in enumerate(traces):
                         for p in u.label_at(j):
                             cell[p] = cell.get(p, 0) | 1 << k
                     tab.append(cell)
-                row &= _run_block(block, (dict.fromkeys(t.label_at(j), -1),
-                                          dict.fromkeys(y.label_at(j), -1), tab[j]))
+                row &= _run_block(block, (dict.fromkeys(traces[t].label_at(j), -1),
+                                          dict.fromkeys(traces[y].label_at(j), -1), tab[j]))
                 j += 1
-            rows[key] = row
+            rows[(t, y)] = row
         return row & need
 
 
@@ -653,13 +630,7 @@ def eval_at(ctx: EvalContext, t: LassoTrace, i: int, f: Formula) -> bool:
 
     The trace must belong to the context's universe: knowledge and
     counterfactual operators quantify over it, so a foreign trace would get
-    meaningless epistemic verdicts."""
-    if i < 0:
-        raise ValueError("positions start at 0")
-    if ctx.mode == BOUNDED and i > ctx.bound:
-        raise ValueError(f"position {i} outside the bounded window [0, {ctx.bound}]")
-    if t not in ctx.universe:
-        raise ValueError(f"trace not in the universe: {format_trace(t)}")
+    meaningless epistemic verdicts; `EvalContext.value` refuses it."""
     return ctx.value(t, f, i)
 
 
@@ -825,9 +796,10 @@ def validate_similarity(ctx: EvalContext, agent: str, t_ref: LassoTrace,
     position `i`, is a preorder on the universe with the reference as minimum:
     reflexive on accessible traces, transitive, and no trace counts as at
     least as similar as the reference unless it is itself accessible."""
-    traces, full = ctx.universe.traces, (1 << len(ctx.universe)) - 1
-    rows = [ctx._row(agent, t_ref, u, i, full) for u in traces]  # rows[u]: u at least as close
-    accessible = ctx._row(agent, t_ref, t_ref, i, full)
+    (r,), traces = ctx._indices(i, t_ref), ctx.universe.traces
+    full = (1 << len(traces)) - 1
+    rows = [ctx._row(agent, r, k, i, full) for k in range(len(traces))]  # k at least as close
+    accessible = rows[r]
     violations: list[SimilarityViolation] = []
     for k, v in enumerate(traces):
         if accessible >> k & 1 and not rows[k] >> k & 1:
@@ -838,7 +810,7 @@ def validate_similarity(ctx: EvalContext, agent: str, t_ref: LassoTrace,
                 trio = (format_trace(u), format_trace(traces[x]), format_trace(traces[y]))
                 violations.append(SimilarityViolation("intransitive", trio))
     for k, v in enumerate(traces):
-        if not accessible >> k & 1 and ctx.similarity_holds(agent, t_ref, v, t_ref, i):
+        if not accessible >> k & 1 and rows[k] >> r & 1:
             violations.append(SimilarityViolation("minimum", (format_trace(v),)))
     return SimilarityReport(agent, format_trace(t_ref), i, tuple(violations))
 
@@ -847,8 +819,8 @@ def closest_antecedents(ctx: EvalContext, agent: str, t: LassoTrace, i: int,
                         ante: Formula) -> tuple[LassoTrace, ...]:
     """Minimal elements (under the agent's similarity preorder seen from `t`
     at `i`) of the accessible traces satisfying `ante` at `i`."""
-    st = ctx._uset()
-    cands = ctx._eval(ante, st, i, ctx._row(agent, t, t, i, (1 << st[1]) - 1))
-    rows = {y: ctx._row(agent, t, st[0][y], i, cands) for y in _members(cands)}
+    (k,), st = ctx._indices(i, t), ctx._uset()
+    cands = ctx._eval(ante, st, i, ctx._row(agent, k, k, i, (1 << st[1]) - 1))
+    rows = {y: ctx._row(agent, k, y, i, cands) for y in _members(cands)}
     return tuple(st[0][x] for x in rows if not any(  # nothing strictly closer
         rows[y] >> x & 1 and not rows[x] >> y & 1 for y in rows))

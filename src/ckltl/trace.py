@@ -105,10 +105,11 @@ def _parse_cells(text: str) -> list[frozenset]:
 
 
 def format_trace(trace: LassoTrace) -> str:
-    """Canonical literal for a trace (propositions sorted inside each cell)."""
+    """Canonical literal for a trace (propositions sorted inside each cell);
+    a zipped trace's `(p, var)` label reads `p@var`."""
 
     def cell(s: frozenset) -> str:
-        return "{" + ",".join(sorted(s)) + "}"
+        return "{" + ",".join(sorted(p if isinstance(p, str) else "@".join(p) for p in s)) + "}"
 
     pre = " ; ".join(cell(c) for c in trace.prefix)
     loop = " ; ".join(cell(c) for c in trace.loop)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ckltl import cli, desugar, parse, save_system
+from ckltl import System, cli, desugar, parse, save_system, validate_relational
 from ckltl.cli import build_parser, main
 from ckltl.foe import print_fo, translate
 
@@ -149,6 +149,36 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+    # numeric flags out of range: the message names the flag
+    check = ["check", "--model", model, "--formula", "p", *TRACES]
+    validate = ["validate", "--model", model, *TRACES]
+    for flag, argv in (
+        ("--bounded", [*check, "--bounded", "-1"]),
+        ("--stabilization-cap", [*check, "--stabilization-cap", "0"]),
+        ("--stabilization-cap", ["demo", "explainable", "--stabilization-cap", "0"]),
+        ("--position", [*validate, "--position", "-1"]),
+        ("--position", [*validate, "--bounded", "1", "--position", "5"]),
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {flag} "), (argv, err)
+    assert run(capsys, [*validate, "--bounded", "1", "--position", "1"])[0] == 0
+
+
+def test_stabilization_cap_in_a_zipped_relation_is_an_input_error(capsys, tmp_path):
+    # the relation is off the all-positions shape, so the cap trips on a
+    # zipped triple, which the message names
+    s, _ = cf_fixture()
+    rel = validate_relational(
+        parse("G (p@pi1 S (q@pi2 S (p@pi1 S (q@pi2 S p@pi))))"), ("pi", "pi1", "pi2"))
+    path = tmp_path / "deep.json"
+    save_system(System(s.kripke, ("a",), s.observation, {"a": rel}), path)
+    code, out, err = run(capsys, [
+        "check", "--model", str(path), "--formula", "p MIGHT[a] true",
+        "--trace", "| {p}", "--trace", "{p} ; {} | {p}", "--stabilization-cap", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: stabilization cap exceeded: stabilizing ")
+    assert "@pi" in err and err.count("\n") == 1
 
 
 def test_internal_error_exits_3_with_one_line(model, capsys, monkeypatch):

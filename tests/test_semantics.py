@@ -28,6 +28,7 @@ from ckltl import (
     Not,
     Once,
     Prev,
+    RelationalFormula,
     StabilizationCapExceeded,
     System,
     Until,
@@ -560,26 +561,53 @@ def test_observation_classes_follow_divergence_points():
 
 def test_quantifiers_reject_traces_outside_the_universe():
     s, u = cf_fixture()
-    foreign = tr("{q} | {p} ; {}")
+    foreign, t = tr("{q} | {p} ; {}"), u.traces[0]
     for ctx in (EvalContext.exact(s, u), EvalContext.bounded(s, u, 3)):
-        for src, node in (("K[a] p", "K[a] p"), ("p MIGHT[a] q", "p MIGHT[a] q"),
-                          ("F (p & K[a] p)", "K[a] p")):
+        # every entry point names the trace, whether or not the formula
+        # quantifies over the universe
+        calls = [(ctx.value, (foreign, parse(src), 0))
+                 for src in ("K[a] p", "p MIGHT[a] q", "F (p & K[a] p)", "q & X F p")]
+        calls += [(ctx.similarity_holds, ("a", *trio, 0))
+                  for trio in ((foreign, t, t), (t, foreign, t), (t, t, foreign))]
+        calls += [(validate_similarity, (ctx, "a", foreign, 0)),
+                  (closest_antecedents, (ctx, "a", foreign, 0, parse("p")))]
+        for call, args in calls:
             with pytest.raises(ValueError) as e:
-                ctx.value(foreign, parse(src), 0)
-            assert repr(node) in str(e.value), src
-            assert "{q} | {p} ; {}" in str(e.value), src
-        # formulas without quantifiers still evaluate on the trace
-        assert ctx.value(foreign, parse("q & X F p"), 0)
+                call(*args)
+            assert str(e.value) == "trace not in the universe: {q} | {p} ; {}", args
+
+
+def test_knowledge_inside_a_relation_names_the_zipped_triple():
+    # RelationalFormula built directly skips the check that keeps K out of
+    # relations; K then meets a zipped triple, which is not in the universe
+    s, u = cf_fixture()
+    rel = RelationalFormula(("pi", "pi1", "pi2"), parse("G (K[a] p@pi1 -> p@pi2)"))
+    system = System(s.kripke, ("a",), s.observation, {"a": rel})
+    t = u.traces[3]
+    for ctx in (EvalContext.exact(system, u), EvalContext.bounded(system, u, 2)):
+        with pytest.raises(ValueError) as e:
+            ctx.similarity_holds("a", t, t, t, 0)
+        assert str(e.value) == (
+            "'K[a] p@pi1' quantifies over the universe, which lacks the trace "
+            "| {p@pi,p@pi1,p@pi2,q@pi,q@pi1,q@pi2}")
 
 
 def test_position_and_mode_validation():
     s, u = cf_fixture()
-    exact = EvalContext.exact(s, u)
-    with pytest.raises(ValueError):
-        eval_at(exact, u.traces[0], -1, parse("p"))
-    bounded = EvalContext.bounded(s, u, 3)
-    with pytest.raises(ValueError):
-        eval_at(bounded, u.traces[0], 4, parse("p"))  # beyond the bound
+    t, p = u.traces[0], parse("p")
+    exact, bounded = EvalContext.exact(s, u), EvalContext.bounded(s, u, 3)
+    # one check for every entry point: no position below 0 or past N
+    for ctx, i, msg in ((exact, -1, "positions start at 0"),
+                        (bounded, -1, "positions start at 0"),
+                        (bounded, 4, "position 4 outside the bounded window [0, 3]")):
+        for call, args in ((eval_at, (ctx, t, i, p)), (ctx.value, (t, p, i)),
+                           (ctx.similarity_holds, ("a", t, t, t, i)),
+                           (validate_similarity, (ctx, "a", t, i)),
+                           (closest_antecedents, (ctx, "a", t, i, p))):
+            with pytest.raises(ValueError) as e:
+                call(*args)
+            assert str(e.value) == msg, (call, i)
+    assert eval_at(bounded, u.traces[1], 3, p) and validate_similarity(bounded, "a", t, 3).ok
     with pytest.raises(ValueError):
         EvalContext.bounded(s, u, -1)
     with pytest.raises(ValueError):
@@ -640,22 +668,23 @@ def zip_calls(monkeypatch):
 
 def assert_routes_agree(ctx, agent, traces, positions, oracle_universe=None):
     """`similarity_holds` equals the relation evaluated on the zipped triple,
-    for every triple of `traces`; in bounded mode, when a universe is given,
-    also the naive oracle's environment-based reading."""
+    for every triple of the universe traces `traces`, in a context of the
+    same mode whose universe is those zipped triples; in bounded mode, when
+    a universe is given, also the naive oracle's environment-based reading."""
     rf = ctx.system.similarity_of(agent)
-    for x in traces:
-        for y in traces:
-            for z in traces:
-                zipped = zip3(x, y, z, rf.params)
-                for i in positions:
-                    got = ctx.similarity_holds(agent, x, y, z, i)
-                    assert got == ctx.value(zipped, rf.formula, i), (x, y, z, i)
-                    if oracle_universe is not None:
-                        env = dict(zip(rf.params, (x, y, z)))
-                        assert got == naive(
-                            ctx.system, oracle_universe, ctx.bound, x,
-                            rf.formula, i, env,
-                        ), (x, y, z, i)
+    trios = [(x, y, z) for x in traces for y in traces for z in traces]
+    zipped = universe_of(zip3(*trio, rf.params) for trio in trios)
+    zctx = EvalContext(ctx.system, zipped, ctx.mode, ctx.bound)
+    for x, y, z in trios:
+        for i in positions:
+            got = ctx.similarity_holds(agent, x, y, z, i)
+            assert got == zctx.value(zip3(x, y, z, rf.params), rf.formula, i), (x, y, z, i)
+            if oracle_universe is not None:
+                env = dict(zip(rf.params, (x, y, z)))
+                assert got == naive(
+                    ctx.system, oracle_universe, ctx.bound, x,
+                    rf.formula, i, env,
+                ), (x, y, z, i)
 
 
 def test_similarity_kernel_matches_zipped_route(zip_calls):
@@ -663,20 +692,20 @@ def test_similarity_kernel_matches_zipped_route(zip_calls):
     for _ in range(12):
         s = gen_system(r)
         u = gen_universe(r, max_traces=4)
-        # traces outside the universe, with longer prefixes and loops
-        outside = [gen_trace(r, max_prefix=5, max_loop=4) for _ in range(2)]
-        traces = list(u.traces) + outside
+        # two more traces, with longer prefixes and loops than the others
+        more = [gen_trace(r, max_prefix=5, max_loop=4) for _ in range(2)]
+        u = universe_of(list(u.traces) + more)
         contexts = [(EvalContext.exact(s, u), (0, 1, 4))]
         contexts += [(EvalContext.bounded(s, u, n), range(n + 1)) for n in (0, 2, 5)]
         for ctx, positions in contexts:
             for a in s.agents:
-                assert_routes_agree(ctx, a, traces, positions)
-        assert zip_calls == []
-        # one past a bounded window H reads beyond N; the zipped route answers
+                assert_routes_agree(ctx, a, u.traces, positions)
+        # one past a bounded window is refused, not answered
         for ctx, _ in contexts[1:]:
-            for a in s.agents:
-                assert_routes_agree(ctx, a, traces, (ctx.bound + 1,))
-        zip_calls.clear()
+            t = u.traces[0]
+            with pytest.raises(ValueError):
+                ctx.similarity_holds(s.agents[0], t, t, t, ctx.bound + 1)
+        assert zip_calls == []
 
 
 def test_similarity_kernel_on_the_gender_frozen_relation(zip_calls):
@@ -688,12 +717,13 @@ def test_similarity_kernel_on_the_gender_frozen_relation(zip_calls):
         decision_trace("sales", "m", "sales", "f"),
         decision_trace("it", "f", "sales", "f"),
         decision_trace("it", "m", "it", "m"),
-        # outside the universe: a longer prefix and a two-letter loop
+        # added to the universe: a longer prefix and a two-letter loop
         LassoTrace(
             (frozenset(), frozenset({"a_f", "a_it"}), frozenset({"a_m"})),
             (frozenset({"a_f"}), frozenset()),
         ),
     ]
+    u = universe_of(list(u.traces) + traces[-1:])
     for ctx, positions in (
         (EvalContext.exact(s, u), (0, 1, 3)),
         (EvalContext.bounded(s, u, 2), (0, 1, 2)),
@@ -711,9 +741,9 @@ def test_other_similarity_shapes_take_the_zipped_route(src, zip_calls):
     rels = {a: validate_relational(parse(src.replace("pi", v)), (v, v + "1", v + "2"))
             for a, v in (("a", "pi"), ("b", "rho"))}
     system = System(s.kripke, ("a", "b"), dict.fromkeys(rels, s.observation["a"]), rels)
-    traces = list(u.traces) + [tr("{p} | {q} ; {}")]
+    u = universe_of(list(u.traces) + [tr("{p} | {q} ; {}")])
     exact, bounded = EvalContext.exact(system, u), EvalContext.bounded(system, u, 3)
     for a in rels:
-        assert_routes_agree(exact, a, traces, (0, 2))
-        assert_routes_agree(bounded, a, traces, (0, 2, 3), u)
+        assert_routes_agree(exact, a, u.traces, (0, 2))
+        assert_routes_agree(bounded, a, u.traces, (0, 2, 3), u)
     assert zip_calls

@@ -106,6 +106,13 @@ def test_zip3_positional_oracle():
             assert z.label_at(i) == want
 
 
+def test_format_trace_renders_zipped_labels():
+    z = zip3(tr("{p} | {}"), tr("| {q}"), tr("{} ; {p,q} | {p}"), ("pi", "pi1", "pi2"))
+    assert format_trace(z) == (
+        "{p@pi,q@pi1} ; {p@pi2,q@pi1,q@pi2} | {p@pi2,q@pi1}"
+    )
+
+
 def test_universe_rejects_duplicates_and_preserves_order():
     t1, t2 = tr("| {p}"), tr("| {q}")
     with pytest.raises(ValueError):
