@@ -410,18 +410,13 @@ def eval_fo(
 
 
 class _FoEvaluator:
-    """State of one `eval_fo` call: trace indices, free-variable sets and the
-    quantifier memo."""
+    """State of one `eval_fo` call: free-variable sets and the quantifier
+    memo."""
 
     def __init__(self, dom: FoDomain):
         self.dom = dom
-        self.tindex = {id(t): k for k, t in enumerate(dom.universe)}
         self.fv_cache: dict[FoFormula, frozenset[str]] = {}
         self.memo: dict[tuple, bool] = {}
-
-    def tix(self, t: LassoTrace) -> int:
-        k = self.tindex.get(id(t))
-        return self.dom.universe.index(t) if k is None else k
 
     def fv(self, node: FoFormula) -> frozenset[str]:
         """Free variables of `node`; one postorder walk finds them for every
@@ -450,9 +445,10 @@ class _FoEvaluator:
     def ev(self, node: FoFormula, env: dict) -> bool:
         ev = self.ev
         if isinstance(node, (FoExists, FoForall)):
+            tix = self.dom.universe.index
             key = (
                 node,
-                tuple(sorted((v, self.tix(env[v][0]), env[v][1]) for v in self.fv(node))),
+                tuple(sorted((v, tix(env[v][0]), env[v][1]) for v in self.fv(node))),
             )
             got = self.memo.get(key)
             if got is None:

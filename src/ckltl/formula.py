@@ -41,12 +41,13 @@ else is surface sugar preserved by the parser for round-trip printing and
 removed by :func:`desugar`.
 
 Formula nodes are hash-consed (Filliatre and Conchon, "Type-Safe Modular
-Hash-Consing", 2006): every constructor, inherited from the base class
-`HashConsed`, looks its node up in one module-level unique table keyed by
-(type, scalar fields, child nodes), so a formula is a DAG in which
-structurally equal subformulas are one object.  Equality and hashing are
-identity, nodes are immutable, and `parse(to_source(f)) is f`.  The table
-holds its nodes weakly, so formulas that nobody refers to any more leave it.
+Hash-Consing", 2006): every constructor, which the base class `HashConsed`
+makes for each node class from its number of fields, looks its node up in one
+module-level unique table keyed by (type, scalar fields, child nodes), so a
+formula is a DAG in which structurally equal subformulas are one object.
+Equality and hashing are identity, nodes are immutable, and
+`parse(to_source(f)) is f`.  The table holds its nodes weakly, so formulas
+that nobody refers to any more leave it.
 The first-order nodes of `foe` subclass `HashConsed` too and share the table,
 but they are not `Formula`s: `desugar` and `to_source` reject them.
 Printing, desugaring, counting and traversal are iterative postorders over
@@ -84,7 +85,6 @@ def _forget(entry: _Entry) -> None:
 
 _TABLE: dict[tuple, _Entry] = {}  # (type, *fields) -> entry of the live node
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _add(key: tuple, node: HashConsed) -> HashConsed:
@@ -99,6 +99,67 @@ def _add(key: tuple, node: HashConsed) -> HashConsed:
         _remove_dead_weakref(_TABLE, key)
 
 
+# One constructor maker per number of fields.  Each takes the setters of a
+# class's slots (the slot descriptors' `__set__`, which bypass the class's
+# raising `__setattr__`) and returns that class's `__new__`: look the key up,
+# and on a miss build the node and add it to the table.  A call with the
+# wrong number of fields raises `TypeError` like any Python call.
+
+
+def _new0():
+    def __new__(cls):
+        key = (cls,)
+        entry = _TABLE.get(key)
+        node = entry() if entry is not None else None
+        return node if node is not None else _add(key, _new(cls))
+    return __new__
+
+
+def _new1(set_a):
+    def __new__(cls, a):
+        key = (cls, a)
+        entry = _TABLE.get(key)
+        node = entry() if entry is not None else None
+        if node is None:
+            node = _new(cls)
+            set_a(node, a)
+            node = _add(key, node)
+        return node
+    return __new__
+
+
+def _new2(set_a, set_b):
+    def __new__(cls, a, b):
+        key = (cls, a, b)
+        entry = _TABLE.get(key)
+        node = entry() if entry is not None else None
+        if node is None:
+            node = _new(cls)
+            set_a(node, a)
+            set_b(node, b)
+            node = _add(key, node)
+        return node
+    return __new__
+
+
+def _new3(set_a, set_b, set_c):
+    def __new__(cls, a, b, c):
+        key = (cls, a, b, c)
+        entry = _TABLE.get(key)
+        node = entry() if entry is not None else None
+        if node is None:
+            node = _new(cls)
+            set_a(node, a)
+            set_b(node, b)
+            set_c(node, c)
+            node = _add(key, node)
+        return node
+    return __new__
+
+
+_CONSTRUCTORS = (_new0, _new1, _new2, _new3)
+
+
 class HashConsed:
     """Base class of hash-consed nodes: formulas here and the first-order
     nodes of `foe`.
@@ -109,23 +170,17 @@ class HashConsed:
     equality and hashing are identity, and setting a field raises.  The table
     refers to its nodes weakly, so a node lives exactly as long as some
     caller or parent node holds it.  A subclass declares its fields, in
-    constructor order, as its `__slots__`."""
+    constructor order, as its `__slots__` (at most three), and gets the
+    constructor for that many fields when the class is made."""
 
     __slots__ = ("__weakref__",)
 
-    def __new__(cls, *fields):
-        key = (cls, *fields)
-        entry = _TABLE.get(key)
-        node = entry() if entry is not None else None
-        if node is None:
-            names = cls.__slots__
-            if len(fields) != len(names):
-                raise TypeError(f"{cls.__name__} takes the fields {names}, got {fields!r}")
-            node = _new(cls)
-            for name, value in zip(names, fields):
-                _set(node, name, value)
-            node = _add(key, node)
-        return node
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        setters = [getattr(cls, name).__set__ for name in cls.__slots__]
+        new = _CONSTRUCTORS[len(setters)](*setters)
+        new.__qualname__ = f"{cls.__qualname__}.__new__"  # named in a TypeError
+        cls.__new__ = staticmethod(new)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"formula nodes are immutable: cannot change {name!r}")

@@ -67,6 +67,10 @@ class KripkeStructure:
     aps: tuple[str, ...]
     labels: Mapping[str, frozenset]
 
+    def __post_init__(self):
+        object.__setattr__(self, "transitions", dict(self.transitions))
+        object.__setattr__(self, "labels", dict(self.labels))
+
     def validate(self) -> list[str]:
         problems = []
         state_set = set(self.states)

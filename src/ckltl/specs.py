@@ -125,12 +125,6 @@ def satisfiable_pairs(
     return tuple(out)
 
 
-def _pair_formula(a: AttrLiteral, b: AttrLiteral) -> Formula:
-    if a == b:
-        return a.as_formula()
-    return And(a.as_formula(), b.as_formula())
-
-
 def _pairs_for(vocab: AttributeVocabulary, agents: Iterable[str]):
     lits = list(dict.fromkeys(lit for agent in agents for lit in vocab.literals_of(agent)))
     if not lits:
@@ -142,16 +136,17 @@ def _requirement(
     pairs, knower: str, cf_agent: str, outcome: str, joint_antecedent: bool
 ) -> Formula:
     offer = Atom(outcome)
+    lit: dict[AttrLiteral, Formula] = {}  # each literal's formula, built once
+    antes = []
+    for a, b in pairs:
+        fa = lit.get(a) or lit.setdefault(a, a.as_formula())
+        fb = lit.get(b) or lit.setdefault(b, b.as_formula())
+        # equal literals have one formula node: a self-pair is the bare literal
+        antes.append(fa if fa is fb else And(fa, fb))
     if joint_antecedent:
-        ante = disjoin([_pair_formula(a, b) for a, b in pairs])
-        body = Know(knower, Might(cf_agent, ante, offer))
+        body = Know(knower, Might(cf_agent, disjoin(antes), offer))
     else:
-        body = disjoin(
-            [
-                Know(knower, Might(cf_agent, _pair_formula(a, b), offer))
-                for a, b in pairs
-            ]
-        )
+        body = disjoin([Know(knower, Might(cf_agent, ante, offer)) for ante in antes])
     return Globally(Implies(Not(offer), body))
 
 

@@ -23,20 +23,50 @@ class NotAPathOfModel(ValueError):
     """A user-supplied trace is not realizable as an initial path."""
 
 
-@dataclass(frozen=True)
 class LassoTrace:
     """Ultimately periodic trace: `prefix` then `loop` forever (loop nonempty).
 
     Labels are frozensets; ordinary traces carry proposition names, zipped
     traces carry `(proposition, trace_var)` pairs.
+
+    A trace is an immutable value: equality and hashing go by presentation
+    (`prefix`, `loop`), the hash is computed once, at construction, and the
+    canonical form once, at the first `canonical()` call.  A canonical trace
+    records that with a flag rather than a reference to itself, so a trace
+    never refers back to itself.
     """
 
-    prefix: tuple[frozenset, ...]
-    loop: tuple[frozenset, ...]
+    __slots__ = ("prefix", "loop", "_hash", "_canon")
 
-    def __post_init__(self):
-        if not self.loop:
+    def __init__(self, prefix: tuple[frozenset, ...], loop: tuple[frozenset, ...]):
+        if not loop:
             raise ValueError("lasso loop must be nonempty")
+        _set_prefix(self, prefix)
+        _set_loop(self, loop)
+        _set_hash(self, hash((prefix, loop)))
+        _set_canon(self, None)  # None: not known yet; True: canonical
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"lasso traces are immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return LassoTrace, (self.prefix, self.loop)
+
+    def __repr__(self) -> str:
+        return f"LassoTrace(prefix={self.prefix!r}, loop={self.loop!r})"
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not LassoTrace:
+            return NotImplemented
+        return (self._hash == other._hash and self.prefix == other.prefix
+                and self.loop == other.loop)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def label_at(self, i: int) -> frozenset:
         if i < 0:
@@ -49,22 +79,33 @@ class LassoTrace:
         """Unique minimal representation of the denoted word: smallest loop
         period, then every prefix cell that merely repeats the loop absorbed
         into it."""
-        loop = _minimal_period(self.loop)
-        prefix = list(self.prefix)
-        while prefix and prefix[-1] == loop[-1]:
-            loop = (loop[-1],) + loop[:-1]
-            prefix.pop()
-        if len(loop) == len(self.loop) and len(prefix) == len(self.prefix):
-            return self  # already canonical
-        return LassoTrace(tuple(prefix), loop)
+        c = self._canon
+        if c is None:
+            loop = _minimal_period(self.loop)
+            prefix = list(self.prefix)
+            while prefix and prefix[-1] == loop[-1]:
+                loop = (loop[-1],) + loop[:-1]
+                prefix.pop()
+            if len(loop) == len(self.loop) and len(prefix) == len(self.prefix):
+                c = True
+            else:
+                c = LassoTrace(tuple(prefix), loop)
+                _set_canon(c, True)
+            _set_canon(self, c)
+        return self if c is True else c
 
     def same_word(self, other: "LassoTrace") -> bool:
         return self.canonical() == other.canonical()
 
 
+# the slot descriptors' setters, which bypass the raising `__setattr__`
+_set_prefix, _set_loop, _set_hash, _set_canon = (
+    getattr(LassoTrace, name).__set__ for name in LassoTrace.__slots__)
+
+
 def _minimal_period(loop: tuple[frozenset, ...]) -> tuple[frozenset, ...]:
     n = len(loop)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and loop == loop[:d] * (n // d):
             return loop[:d]
     return loop
@@ -189,12 +230,10 @@ class TraceUniverse:
             object.__setattr__(self, "origins", tuple("user" for _ in self.traces))
         if len(self.origins) != len(self.traces):
             raise ValueError("origins must align with traces")
-        index = {}
+        index: dict[LassoTrace, int] = {}
         for k, t in enumerate(self.traces):
-            c = t.canonical()
-            if c in index:
+            if index.setdefault(t.canonical(), k) != k:
                 raise ValueError(f"duplicate trace in universe: {format_trace(t)}")
-            index[c] = k
         object.__setattr__(self, "_index", index)
 
     def __iter__(self) -> Iterator[LassoTrace]:
@@ -215,14 +254,8 @@ class TraceUniverse:
 
 def universe_of(traces: Iterable[LassoTrace], provenance: str = "user") -> TraceUniverse:
     """Universe from explicit traces (canonicalized, order-preserving dedup)."""
-    out: list[LassoTrace] = []
-    seen = set()
-    for t in traces:
-        c = t.canonical()
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return TraceUniverse(tuple(out), tuple("user" for _ in out), provenance)
+    out = tuple(dict.fromkeys(t.canonical() for t in traces))
+    return TraceUniverse(out, ("user",) * len(out), provenance)
 
 
 def generate_universe(
@@ -251,17 +284,18 @@ def generate_universe(
         if unknown:
             raise ValueError(f"loop_states not in the model: {sorted(unknown)}")
 
-    found: dict[LassoTrace, None] = {}
+    found: dict[LassoTrace, int] = {}  # canonical trace -> universe position
     trans, labels = k.transitions, k.labels
     # Depth-first over prefix paths, each before its extensions, the empty
     # prefix first.  The lassos of a prefix loop back into a successor of its
     # last state (the initial state for the empty prefix): by loop length,
-    # then by first loop state, then depth-first over the loop paths.
-    prefixes: list[tuple[str, ...]] = [()]
+    # then by first loop state, then depth-first over the loop paths.  A path
+    # is kept as its last state and its label tuple, which each extension
+    # extends by one cell.
+    prefixes: list[tuple[str | None, tuple[frozenset, ...]]] = [(None, ())]
     while prefixes:
-        path = prefixes.pop()
-        succ = trans[path[-1]] if path else (k.initial,)
-        prefix = tuple(labels[s] for s in path)
+        last, prefix = prefixes.pop()
+        succ = trans[last] if prefix else (k.initial,)
         for length in range(1, max_loop + 1):
             loops = [(s,) for s in reversed(succ) if allowed is None or s in allowed]
             while loops:
@@ -273,15 +307,14 @@ def generate_universe(
                     )
                 elif loop[0] in trans[loop[-1]]:
                     t = LassoTrace(prefix, tuple(labels[s] for s in loop)).canonical()
-                    if t not in found:
-                        if len(found) >= max_traces:
-                            raise SizeLimitExceeded(
-                                f"universe exceeds {max_traces} traces; raise the "
-                                f"cap or tighten the bounds"
-                            )
-                        found[t] = None
-        if len(path) < max_prefix:
-            prefixes += (path + (s,) for s in reversed(succ))
+                    n = len(found)
+                    if found.setdefault(t, n) == n and n >= max_traces:
+                        raise SizeLimitExceeded(
+                            f"universe exceeds {max_traces} traces; raise the "
+                            f"cap or tighten the bounds"
+                        )
+        if len(prefix) < max_prefix:
+            prefixes += ((s, prefix + (labels[s],)) for s in reversed(succ))
 
     if not found:
         warnings.warn(
@@ -293,7 +326,7 @@ def generate_universe(
         + ")"
     )
     traces = tuple(found)
-    return TraceUniverse(traces, tuple("model" for _ in traces), note)
+    return TraceUniverse(traces, ("model",) * len(traces), note)
 
 
 def is_model_trace(kripke, trace: LassoTrace) -> bool:

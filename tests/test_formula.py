@@ -45,7 +45,8 @@ from ckltl import (
     to_source,
     validate_relational,
 )
-from ckltl.formula import _TABLE, is_core, node_count
+from ckltl import foe, formula
+from ckltl.formula import _TABLE, HashConsed, is_core, node_count
 from ckltl.hiring import hiring_vocabulary
 from ckltl.specs import AttributeVocabulary
 
@@ -399,3 +400,28 @@ def test_unique_table_is_weak():
     del f
     gc.collect()
     assert peak > start + 10 and len(_TABLE) == start
+
+
+def _hash_consed_classes():
+    out, stack = [], [HashConsed]
+    while stack:
+        cls = stack.pop()
+        for sub in cls.__subclasses__():
+            stack.append(sub)
+            if sub.__module__ in (formula.__name__, foe.__name__):
+                out.append(sub)
+    return sorted(out, key=lambda c: c.__qualname__)
+
+
+@pytest.mark.parametrize("cls", _hash_consed_classes(), ids=lambda c: c.__qualname__)
+def test_constructors_reject_a_wrong_field_count(cls):
+    n = len(cls.__slots__)
+    assert n <= 3
+    with pytest.raises(TypeError):
+        cls(*["x"] * (n + 1))
+    if n:
+        with pytest.raises(TypeError):
+            cls(*["x"] * (n - 1))
+    node = cls(*["x"] * n)
+    assert cls(*["x"] * n) is node
+    assert tuple(getattr(node, name) for name in cls.__slots__) == ("x",) * n

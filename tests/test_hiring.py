@@ -12,6 +12,7 @@ from ckltl import (
     build_wce,
     check_system,
     eval_at,
+    format_trace,
     generate_universe,
     parse,
     position_variant,
@@ -187,6 +188,21 @@ def test_two_round_verdicts_are_pinned():
         assert (v.result, len(v.counterexamples), v.counterexample) == (
             False, count, "| {}"), name
         assert sha256("\n".join(v.counterexamples).encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("max_prefix, size, digest", [
+    (3, 625, "e1921ab4b478924bcd7fef05276a141aa08e96f6b81d2adab935980dde6ff048"),
+    (4, 15_625, "6cc436a9d863436c6401cc9250ce2c7db8ecf9cbe59de9553839ab8e8c3a9a85"),
+])
+def test_restricted_universe_order_is_pinned(max_prefix, size, digest):
+    # the two- and three-round restricted universes, trace by trace in
+    # enumeration order: a change of order would reorder every verdict's
+    # counterexample list
+    u = generate_universe(build_restricted(), max_prefix=max_prefix, max_loop=1,
+                          loop_states=(START,))
+    assert len(u) == size
+    assert sha256("\n".join(map(format_trace, u)).encode()).hexdigest() == digest
+    assert all(t.canonical() is t for t in u)
 
 
 def test_vocabulary_matches_every_variant():

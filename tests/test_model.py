@@ -52,6 +52,19 @@ def test_valid_structures_have_no_problems():
     assert tiny_system().validate() == []
 
 
+def test_kripke_keeps_private_copies_of_its_mappings():
+    transitions = {"s0": ("s1",), "s1": ("s0", "s1")}
+    labels = {"s0": frozenset(), "s1": frozenset({"p"})}
+    k = KripkeStructure(("s0", "s1"), "s0", transitions, ("p", "q"), labels)
+    transitions["s0"] = ()
+    labels["s1"] = frozenset({"zz"})
+    del labels["s0"]
+    assert k.validate() == []
+    assert k.transitions == {"s0": ("s1",), "s1": ("s0", "s1")}
+    assert k.labels == {"s0": frozenset(), "s1": frozenset({"p"})}
+    assert k == tiny_kripke()
+
+
 def test_kripke_validation_catches_each_defect():
     k = tiny_kripke()
     bad = KripkeStructure(k.states, "nope", k.transitions, k.aps, k.labels)

@@ -1,5 +1,7 @@
 """Lasso traces: canonical forms, literals, universes, zipping."""
 
+import copy
+import pickle
 import random
 from math import lcm
 
@@ -35,6 +37,32 @@ def tr(text):
 def test_loop_must_be_nonempty():
     with pytest.raises(ValueError):
         LassoTrace((P,), ())
+
+
+def test_trace_is_an_immutable_value():
+    t = LassoTrace((P, Q), (P, Q))
+    # equality and hashing go by presentation, not by denoted word
+    assert t == LassoTrace((P, Q), (P, Q)) and hash(t) == hash(LassoTrace((P, Q), (P, Q)))
+    assert t != LassoTrace((), (P, Q)) and t.same_word(LassoTrace((), (P, Q)))
+    assert t != (t.prefix, t.loop)
+    for field in ("prefix", "loop"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, ())
+        with pytest.raises(AttributeError):
+            delattr(t, field)
+    assert repr(LassoTrace((P,), (E,))) == (
+        "LassoTrace(prefix=(frozenset({'p'}),), loop=(frozenset(),))")
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin == t and hash(twin) == hash(t)
+        assert twin.canonical() == t.canonical() == LassoTrace((), (P, Q))
+
+
+def test_canonical_form_is_computed_once():
+    t = LassoTrace((P, Q), (P, Q))
+    c = t.canonical()
+    assert t.canonical() is c and c.canonical() is c
+    already = LassoTrace((E,), (P,))
+    assert already.canonical() is already and already.canonical() is already
 
 
 def test_label_at():
