@@ -136,10 +136,7 @@ def _cmd_check(args) -> int:
     f = _load_formula(args)
     universe = _build_universe(args, system)
     ctx = _context(args, system, universe)
-    try:
-        v = check_system(ctx, f)
-    except StabilizationCapExceeded as e:
-        raise InputError(f"stabilization cap exceeded: {e}")
+    v = check_system(ctx, f)
     _emit(args, v.to_json() if args.json else _verdict_text(v, universe))
     return 0 if v.result else 1
 
@@ -327,7 +324,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, UnknownAgentError) as e:
+    except (InputError, UnknownAgentError, StabilizationCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -33,7 +33,7 @@ Python frames, so about 240 levels parse within the default recursion limit.
 Counterfactual operators do not associate: nesting one under another requires
 parentheses.  A traced atom ``p@pi`` reads proposition ``p`` on the trace bound
 to the variable ``pi``; traced atoms only make sense inside relational
-(similarity) formulas, which are evaluated over zipped traces.
+(similarity) formulas, which are evaluated over triples of traces.
 
 The core fragment (what the evaluators consume) is: constants, atoms, traced
 atoms, Not, And, Next, Until, Prev, Since, Know, Would, UWould.  Everything
@@ -709,8 +709,8 @@ class RelationalFormulaError(ValueError):
 
 @dataclass(frozen=True)
 class RelationalFormula:
-    """A formula over a fixed tuple of trace variables, evaluated on zipped
-    traces.  Restricted to traced atoms, boolean connectives, and temporal
+    """A formula over a fixed tuple of trace variables, evaluated on triples
+    of traces.  Restricted to traced atoms, boolean connectives, and temporal
     operators: no Know, no counterfactuals, no plain atoms."""
 
     params: tuple[str, str, str]

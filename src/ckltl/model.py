@@ -102,12 +102,16 @@ class KripkeStructure:
 
 @dataclass(frozen=True)
 class System:
-    """A structure together with per-agent observations and similarity."""
+    """A structure with per-agent observations and similarity (private copies)."""
 
     kripke: KripkeStructure
     agents: tuple[str, ...]
     observation: Mapping[str, frozenset]
     similarity: Mapping[str, RelationalFormula]
+
+    def __post_init__(self):
+        object.__setattr__(self, "observation", dict(self.observation))
+        object.__setattr__(self, "similarity", dict(self.similarity))
 
     def observation_of(self, agent: str) -> frozenset:
         try:
@@ -274,8 +278,8 @@ def subset_similarity(
         parts.append(Implies(differs_near, differs_far))
     # G and H over the same pointwise block: the evaluator recognises this
     # all-positions shape and runs the block per position on the universe's
-    # proposition masks, without zipping; other relations are evaluated on
-    # zipped trace triples
+    # proposition masks; other relations are evaluated on views of the
+    # universe that bind the reference and nearer traces
     block = conjoin(parts)
     # only traced atoms over `params` under boolean and temporal connectives:
     # valid by construction, so `validate_relational` would find nothing

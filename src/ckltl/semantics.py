@@ -20,10 +20,10 @@ reference core form and the test suite holds both routes to the same values.
 Memo layout.  Formula nodes are hash-consed where they are built (see
 `formula`), so a structurally equal subformula is the same node wherever it
 comes from (ICE, WCE, GCE and the similarity relations too), and a context
-keys its tables by the node itself.  The universe is one trace set, in
-universe order; so is each row's set of zipped triples (below).  A node's
-values on a set form one column, whose entry j packs a known mask and,
-above it, a value mask: bit k stands for the set's trace k.
+keys its tables by the node itself.  A trace set is the universe or a view
+of it (below): every set has the universe's traces, in universe order, and
+its shape.  A node's values on a set form one column, whose entry j packs a
+known mask and, above it, a value mask: bit k stands for universe trace k.
 Exact-mode columns span [0, P + (a+b)*L), and later positions fold back
 into the period; bounded columns span [0, N].  Each request carries the
 mask of traces it needs, so `&`, `|`, `->`, K and counterfactuals skip
@@ -43,10 +43,10 @@ which the relation accepts (t, y, x) at i.  A relation of the
 all-positions shape -- a conjunction of `G B_k` and `H B_k` whose G-bodies
 and H-bodies form the same set, every body pointwise (traced atoms, boolean
 connectives, constants) -- does not depend on i: its row is the AND, over
-the positions of a window, of a compiled block run on the set's proposition
-masks, with no zipped trace; `subset_similarity` and the gender-frozen hiring
-relation have this shape.  Every other relation is evaluated on the set of
-zipped triples (t, y, x).  Counterfactuals are read off rows.
+the positions of a window, of a compiled block run on the universe's
+proposition masks; `subset_similarity` and the gender-frozen hiring
+relation have this shape.  Every other relation is evaluated on the row's
+view (t, y) of the universe.  Counterfactuals are read off rows.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from .formula import (
     to_source,
 )
 from .model import System
-from .trace import LassoTrace, TraceUniverse, format_trace, zip3
+from .trace import LassoTrace, TraceUniverse, format_trace
 
 EXACT_LASSO = "exact-lasso"
 BOUNDED = "bounded"
@@ -100,8 +100,8 @@ class StabilizationCapExceeded(RuntimeError):
 
     def __init__(self, trace: LassoTrace, formula: Formula, needed: int, cap: int):
         super().__init__(
-            f"stabilizing {to_source(formula)!r} on {format_trace(trace)} needs "
-            f"{needed} loop unrollings, cap is {cap}"
+            f"stabilization cap exceeded: stabilizing {to_source(formula)!r} on "
+            f"{format_trace(trace)} needs {needed} loop unrollings, cap is {cap}"
         )
         self.needed = needed
         self.cap = cap
@@ -217,14 +217,6 @@ def _operands(f: Formula) -> tuple:
     return f.child, None
 
 
-def _leaf(f: Formula, st: tuple, j: int, x: int) -> int:
-    """Entry of an atom or constant at j: known on the traces of x."""
-    if isinstance(f, (TrueConst, FalseConst)):
-        return x | (x if isinstance(f, TrueConst) else 0) << st[1]
-    key, traces = f.name if isinstance(f, Atom) else (f.name, f.trace_var), st[0]
-    return x | sum(1 << k for k in _members(x) if key in traces[k].label_at(j)) << st[1]
-
-
 def _step(l, r, k, x, other):
     """r | l & other at k on the traces x: l is asked only where `other`
     holds, and r only where that has not decided the value."""
@@ -246,7 +238,7 @@ class EvalContext:
     """
 
     __slots__ = ("system", "universe", "mode", "bound", "stabilization_cap",
-                 "_bounds", "_sets", "_parts", "_asks", "_rels")
+                 "_bounds", "_shape", "_sets", "_parts", "_asks", "_rels")
 
     def __init__(self, system: System, universe: TraceUniverse, mode: str = EXACT_LASSO,
                  bound: int | None = None, stabilization_cap: int = 64):
@@ -265,10 +257,9 @@ class EvalContext:
         self.bound = bound
         self.stabilization_cap = stabilization_cap
         self._bounds: dict[Formula, tuple[int, int]] = {}  # met node -> (a, b)
-        # -1: the universe, (agent, t, y): the zipped triples of a row; each
-        # set is (traces, size, longest prefix, loop lcm, node -> column,
-        # position -> proposition -> mask)
-        self._sets: dict[int | tuple, tuple] = {}
+        self._shape: tuple | None = None  # see `_uni`
+        # None: the universe, (agent, t, y): a row's view -> node -> column
+        self._sets: dict[tuple | None, dict] = {}
         self._parts: dict[str, list[list[int]]] = {}  # agent -> position -> classes
         self._asks = 0
         self._rels: dict[str, tuple] = {}
@@ -284,11 +275,11 @@ class EvalContext:
     def stats(self) -> dict[str, int]:
         """Deterministic work counters: nodes met, (node, trace set) columns,
         operand asks, known values, similarity rows, partitions built."""
-        cols = [(col[0], (1 << st[1]) - 1)
-                for st in self._sets.values() for col in st[4].values()]
+        full = (1 << len(self.universe)) - 1
+        cols = [col[0] for st in self._sets.values() for col in st.values()]
         return {
             "nodes": len(self._bounds), "columns": len(cols), "asks": self._asks,
-            "values": sum((x & full).bit_count() for e, full in cols for x in e),
+            "values": sum((x & full).bit_count() for e in cols for x in e),
             "similarity": sum(len(r[3]) for r in self._rels.values())
             + sum(isinstance(k, tuple) for k in self._sets),
             "partitions": sum(map(len, self._parts.values())),
@@ -297,13 +288,11 @@ class EvalContext:
     # -- nodes, traces and sets --
 
     def _meet(self, f: Formula) -> tuple[int, int]:
-        """Structural stabilization bound (a, b) of `f`: on any trace set, its
-        values repeat from P + a*L with period b*L, where P is the set's
-        longest prefix and L the lcm of its loops.  The nodes of `f` that the
-        context has not met yet get theirs, children first, in an iterative
-        walk that stops at nodes met before.  Knowledge and counterfactuals
-        range over the universe, whose shape dominates the zipped triples
-        that similarity is evaluated on."""
+        """Structural stabilization bound (a, b) of `f`: on the universe and
+        its views, values repeat from P + a*L with period b*L, where P is the
+        universe's longest prefix and L the lcm of its loops.  The nodes of
+        `f` that the context has not met yet get theirs, children first, in
+        an iterative walk that stops at nodes met before."""
         bounds, stack = self._bounds, [f]
         while stack:
             g = stack[-1]
@@ -333,15 +322,27 @@ class EvalContext:
             bounds[g] = (a, b)
         return bounds[f]
 
-    def _uset(self) -> tuple:
-        """The universe's trace set, made on first use."""
-        st = self._sets.get(-1)
-        if st is None:
+    def _uni(self) -> tuple:
+        """Universe traces, size, longest prefix P, loop lcm L and mask table, made lazily."""
+        if self._shape is None:
             traces = self.universe.traces
-            st = self._sets[-1] = (traces, len(traces), max(
-                (len(u.prefix) for u in traces), default=0),
-                lcm(*(len(u.loop) for u in traces)), {}, [])
-        return st
+            self._shape = (traces, len(traces), max((len(u.prefix) for u in traces), default=0),
+                           lcm(*(len(u.loop) for u in traces)), [])
+        return self._shape
+
+    def _loads(self, j: int, t: int, y: int) -> tuple:
+        """Proposition -> trace-mask dicts that traced atoms read at j in the
+        row of (t, y): t's and y's letters (-1: on every trace), then the
+        universe's masks, kept per position of [0, P + L), where j folds."""
+        traces, _, p, l, tab = self._uni()
+        j = j if j < p + l else p + (j - p) % l
+        while len(tab) <= j:
+            tab.append({})
+            for k, u in enumerate(traces):
+                for q in u.label_at(len(tab) - 1):
+                    tab[-1][q] = tab[-1].get(q, 0) | 1 << k
+        return (dict.fromkeys(traces[t].label_at(j), -1),
+                dict.fromkeys(traces[y].label_at(j), -1), tab[j])
 
     def _indices(self, i: int, *traces: LassoTrace) -> list[int]:
         """Universe indices of `traces`, any presentation of a universe word;
@@ -375,25 +376,25 @@ class EvalContext:
         """Truth of `f` on the universe trace `t` at position `i` (mode
         aware)."""
         (k,) = self._indices(i, t)
-        return self._eval(f, self._uset(), i, 1 << k) != 0
+        return self._eval(f, None, i, 1 << k) != 0
 
-    def _eval(self, f: Formula, st: tuple, i: int, m: int) -> int:
-        """Values of `f` at `i` on the traces of mask `m` of set `st`.
+    def _eval(self, f: Formula, view: tuple | None, i: int, m: int) -> int:
+        """Values of `f` at `i` on the traces of mask `m` of the universe
+        (`view` None) or of the view (agent, t, y) of a row.
 
         A node evaluation is a generator that fills its column and yields
         (node, position, mask) requests for operand values; it waits on one
         explicit stack while an operand's evaluation runs."""
-        n, cols, ops = st[1], st[4], self._OPS
+        cols, (_, n, p, l, _), ops = self._sets.setdefault(view, {}), self._uni(), self._OPS
         stack, asks, g, j, x = [], 0, f, i, m
         while True:
             col = cols.get(g)
             if col is None:  # entries are added on request
-                if st is not self._sets[-1] and (type(g) is Know or type(g) in _CF_NODES):
-                    raise ValueError(f"{to_source(g)!r} quantifies over the universe, which "
-                                     f"lacks the trace {format_trace(st[0][next(_members(x))])}")
+                if view is not None and (type(g) is Know or type(g) in _CF_NODES):
+                    raise ValueError(f"{to_source(g)!r} cannot appear in a similarity relation")
                 a, b = self._bounds.get(g) or self._meet(g)
                 s, w = (None, None) if self.mode == BOUNDED else (  # no period
-                    st[2] + a * st[3], st[2] + (a + b) * st[3])
+                    p + a * l, p + (a + b) * l)
                 col = cols[g] = (bytearray() if n <= 4 else [], s, w)
             e, s, w = col
             if j >= len(e):
@@ -404,10 +405,10 @@ class EvalContext:
             if e[j] & x == x:
                 got = e[j] >> n & x
             elif type(g) in _LEAVES:
-                e[j] |= _leaf(g, st, j, x & ~e[j])
+                e[j] |= x | self._leaf(g, view, j, x & ~e[j]) << n
                 got = e[j] >> n & x
             else:
-                stack.append((ops[type(g)](self, g, st, col, j, x & ~e[j]), e, j, x))
+                stack.append((ops[type(g)](self, g, n, col, j, x & ~e[j]), e, j, x))
                 got = None
             while stack:  # hand `got` to the innermost suspended evaluation
                 gen, e, j, x = stack[-1]
@@ -422,24 +423,39 @@ class EvalContext:
                 self._asks += asks
                 return got
 
+    def _leaf(self, f: Formula, view: tuple | None, j: int, x: int) -> int:
+        """Value mask of an atom or constant at j on the traces of x.  In a
+        view, a traced atom reads the loads of the agent's parameter it
+        names, as in the compiled block, and a plain atom is false."""
+        if isinstance(f, (TrueConst, FalseConst)):
+            return x if isinstance(f, TrueConst) else 0
+        if view is None:
+            key = f.name if isinstance(f, Atom) else (f.name, f.trace_var)
+            traces = self.universe.traces
+            return sum(1 << k for k in _members(x) if key in traces[k].label_at(j))
+        v = 0
+        for var, m in zip(self._rel(view[0])[0], self._loads(j, *view[1:])):
+            if isinstance(f, TracedAtom) and var == f.trace_var:
+                v |= x & m.get(f.name, 0)
+        return v
+
     def _horizon(self, t: LassoTrace, i: int, f: Formula) -> int:
         """Scan horizon for the forward operator `f` from i on `t`: one
-        period past i and its periodic start, on the universe's shape, which
-        every zipped triple shares; N + 1 in bounded mode.  Raises when an
-        operand's window spans more loop unrollings past the prefix (its
-        a + b) than the cap."""
+        period past i and its periodic start, on the universe's shape; N + 1
+        in bounded mode.  Raises when an operand's window spans more loop
+        unrollings past the prefix (its a + b) than the cap."""
         if self.mode == BOUNDED:
             return self.bound + 1
         for g in children(f):
             if sum(self._bounds[g]) > self.stabilization_cap:
                 raise StabilizationCapExceeded(t, g, sum(self._bounds[g]),
                                                self.stabilization_cap)
-        (a, b), (p, l) = self._bounds[f], self._uset()[2:4]
+        (a, b), (p, l) = self._bounds[f], self._uni()[2:4]
         return max(i, p + a * l) + b * l
 
-    # -- node evaluations: generators over (node, set, column, j, needed mask)
+    # -- node evaluations: generators over (node, set size, column, j, needed mask)
 
-    def _local(self, f, st, col, j, need):
+    def _local(self, f, n, col, j, need):
         """Connectives, X and Y.  & and -> ask the right operand only where
         the left holds, | only where it fails."""
         if isinstance(f, Not):
@@ -455,19 +471,19 @@ class EvalContext:
             rest = need & ~lv if isinstance(f, Or) else lv
             rv = (yield f.right, j, rest) if rest else 0
             v = rv if isinstance(f, And) else need & ~rest | rv
-        col[0][j] |= need | v << st[1]
+        col[0][j] |= need | v << n
 
-    def _temporal(self, f, st, col, j, need):
+    def _temporal(self, f, n, col, j, need):
         """U, F, G pass backward down to j, and S, O, H forward up to j, from
         the nearest position whose value is known on `need`; else from the
         boundary: N + 1 (bounded), the period (exact) or position -1."""
-        (e, s, w), (l, r), n = col, _operands(f), st[1]
+        (e, s, w), (l, r) = col, _operands(f)
         nxt = need if r is None else 0  # G, H: greatest fixpoint; the rest least
         d = 1 if isinstance(f, _TEMPORAL[:3]) else -1
         end = -1 if d < 0 else self.bound + 1 if s is None else w
         if d > 0:
             if s is not None:  # checks the stabilization cap
-                self._horizon(st[0][next(_members(need))], j, f)
+                self._horizon(self.universe.traces[next(_members(need))], j, f)
             e.extend(bytes(max(0, end - len(e))))
         k = j + d
         while k != end and e[k] & need != need:
@@ -491,7 +507,7 @@ class EvalContext:
                 e[k] |= x | (yield from _step(l, r, k, x, nxt)) << n
             nxt = e[k] >> n & need
 
-    def _know(self, f, st, col, j, need):
+    def _know(self, f, n, col, j, need):
         """K[a]: a class of the agent's observation partition is in the column
         iff the child holds on all of it, asked member by member in universe
         order up to the first failure."""
@@ -501,10 +517,10 @@ class EvalContext:
                     if not (yield f.child, j, 1 << k):
                         break
                 else:
-                    col[0][j] |= cls << st[1]
+                    col[0][j] |= cls << n
                 col[0][j] |= cls
 
-    def _counterfactual(self, f, st, col, j, need):
+    def _counterfactual(self, f, n, col, j, need):
         """Would and UWould from t.  A violator (antecedent trace on which
         the consequent fails) is at least as similar to t as the traces of
         its row.  Would holds iff some candidate (accessible antecedent
@@ -512,7 +528,7 @@ class EvalContext:
         row of a threshold: an antecedent trace, accessible or not, in no
         violator's row."""
         universal, dual = _CF_NODES[type(f)]  # Might, EMight negate Would, UWould
-        n, outside, viol = st[1], self._outside, None
+        outside, viol = self._outside, None
         for k in _members(need):
             acc = self._row(f.agent, k, k, j, (1 << n) - 1)
             cands = (yield f.ante, j, acc) if acc else 0
@@ -556,7 +572,7 @@ class EvalContext:
         apart on positions 0..j, refined position by position (synchronous
         perfect recall).  Observations that ever diverge do so below P + L,
         so the partition is final from there."""
-        traces, n, p, l = self._uset()[:4]
+        traces, n, p, l = self._uni()[:4]
         parts = self._parts.setdefault(agent, [])
         obs = self.system.observation_of(agent)
         while len(parts) <= min(j, p + l - 1):
@@ -586,35 +602,18 @@ class EvalContext:
         whole row, kept per agent, is the compiled block ANDed over the
         window, where t and y load their own labels and x the universe's
         proposition masks.  Bounded mode: [0, N].  Exact mode: [0, P + L),
-        the universe's longest prefix and loop lcm; every later position of
-        a zipped triple repeats one inside.  Any other relation is evaluated
-        on `need` in the agent's set of zipped triples (t, y, x), which has
-        the universe's shape: zip3 tags labels with the agent's own
-        parameter names."""
-        params, rel, block, rows = self._rel(agent)
-        st = self._uset()
-        traces, n = st[0], st[1]
+        where every later position repeats one inside.  Any other relation
+        is evaluated on `need` in the view of (t, y), which binds the
+        agent's reference and nearer parameters to t and y."""
+        _, rel, block, rows = self._rel(agent)
         if block is None:
-            zs = self._sets.get((agent, t, y))
-            if zs is None:  # zipped as asked for
-                zs = self._sets[(agent, t, y)] = ([None] * n, *st[1:4], {}, [])
-            for k in _members(need):
-                if zs[0][k] is None:
-                    zs[0][k] = zip3(traces[t], traces[y], traces[k], params)
-            return self._eval(rel, zs, i, need)
+            return self._eval(rel, (agent, t, y), i, need)
         row = rows.get((t, y))
         if row is None:
-            w = self.bound + 1 if self.mode == BOUNDED else st[2] + st[3]
-            tab, row, j = st[5], (1 << n) - 1, 0
+            w = self.bound + 1 if self.mode == BOUNDED else sum(self._uni()[2:4])
+            row, j = (1 << len(self.universe)) - 1, 0
             while row and j < w:
-                if j == len(tab):
-                    cell: dict[str, int] = {}
-                    for k, u in enumerate(traces):
-                        for p in u.label_at(j):
-                            cell[p] = cell.get(p, 0) | 1 << k
-                    tab.append(cell)
-                row &= _run_block(block, (dict.fromkeys(traces[t].label_at(j), -1),
-                                          dict.fromkeys(traces[y].label_at(j), -1), tab[j]))
+                row &= _run_block(block, self._loads(j, t, y))
                 j += 1
             rows[(t, y)] = row
         return row & need
@@ -681,7 +680,7 @@ def check_system(ctx: EvalContext, f: Formula) -> Verdict:
 
     Every trace is evaluated (no short-circuit), so the verdict lists all
     counterexamples; the reported one is the first in universe order."""
-    holds = ctx._eval(f, ctx._uset(), 0, (1 << len(ctx.universe)) - 1)
+    holds = ctx._eval(f, None, 0, (1 << len(ctx.universe)) - 1)
     failing = [t for k, t in enumerate(ctx.universe) if not holds >> k & 1]
     if not failing:
         return Verdict(True, None, (), None, ())
@@ -819,8 +818,8 @@ def closest_antecedents(ctx: EvalContext, agent: str, t: LassoTrace, i: int,
                         ante: Formula) -> tuple[LassoTrace, ...]:
     """Minimal elements (under the agent's similarity preorder seen from `t`
     at `i`) of the accessible traces satisfying `ante` at `i`."""
-    (k,), st = ctx._indices(i, t), ctx._uset()
-    cands = ctx._eval(ante, st, i, ctx._row(agent, k, k, i, (1 << st[1]) - 1))
+    (k,), traces = ctx._indices(i, t), ctx.universe.traces
+    cands = ctx._eval(ante, None, i, ctx._row(agent, k, k, i, (1 << len(traces)) - 1))
     rows = {y: ctx._row(agent, k, y, i, cands) for y in _members(cands)}
-    return tuple(st[0][x] for x in rows if not any(  # nothing strictly closer
+    return tuple(traces[x] for x in rows if not any(  # nothing strictly closer
         rows[y] >> x & 1 and not rows[x] >> y & 1 for y in rows))

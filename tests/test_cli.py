@@ -166,19 +166,23 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
 
 
 def test_stabilization_cap_in_a_zipped_relation_is_an_input_error(capsys, tmp_path):
-    # the relation is off the all-positions shape, so the cap trips on a
-    # zipped triple, which the message names
+    # the relation is off the all-positions shape, so the cap trips while a
+    # row's view is evaluated; check and validate both report it as bad
+    # input, and the message names the universe trace it tripped on
     s, _ = cf_fixture()
     rel = validate_relational(
         parse("G (p@pi1 S (q@pi2 S (p@pi1 S (q@pi2 S p@pi))))"), ("pi", "pi1", "pi2"))
     path = tmp_path / "deep.json"
     save_system(System(s.kripke, ("a",), s.observation, {"a": rel}), path)
-    code, out, err = run(capsys, [
-        "check", "--model", str(path), "--formula", "p MIGHT[a] true",
-        "--trace", "| {p}", "--trace", "{p} ; {} | {p}", "--stabilization-cap", "2"])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: stabilization cap exceeded: stabilizing ")
-    assert "@pi" in err and err.count("\n") == 1
+    universe = ["--trace", "| {p}", "--trace", "{p} ; {} | {p}", "--stabilization-cap", "2"]
+    for argv in (["check", "--model", str(path), "--formula", "p MIGHT[a] true", *universe],
+                 ["validate", "--model", str(path), *universe]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: stabilization cap exceeded: stabilizing "), argv
+        assert err.count("\n") == 1, argv
+        named = err.split("' on ", 1)[1].split(" needs ", 1)[0]
+        assert named in ("| {p}", "{p} ; {} | {p}"), err
 
 
 def test_internal_error_exits_3_with_one_line(model, capsys, monkeypatch):

@@ -7,6 +7,8 @@ import pytest
 
 from ckltl import (
     EvalContext,
+    Globally,
+    System,
     build_gce,
     build_ice,
     build_wce,
@@ -17,6 +19,8 @@ from ckltl import (
     parse,
     position_variant,
     system_to_dict,
+    universe_of,
+    validate_relational,
     validate_similarity,
 )
 from ckltl.hiring import (
@@ -35,6 +39,8 @@ from ckltl.hiring import (
     idle_trace,
     single_round_universe,
 )
+
+from test_semantics import views
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -188,6 +194,26 @@ def test_two_round_verdicts_are_pinned():
         assert (v.result, len(v.counterexamples), v.counterexample) == (
             False, count, "| {}"), name
         assert sha256("\n".join(v.counterexamples).encode()).hexdigest() == digest, name
+
+
+def test_g_only_similarity_matches_the_compiled_route_at_scale():
+    # every fifth trace of the two-round restricted universe, 125 traces:
+    # with `G B` in place of each agent's `G B & H B`, the relation is off
+    # the all-positions shape and every row is a view of the universe; the
+    # verdicts are those of the compiled block
+    s = build_restricted()
+    full = generate_universe(s, max_prefix=3, max_loop=1, loop_states=(START,))
+    u = universe_of(full.traces[::5])
+    g_only = {a: validate_relational(s.similarity_of(a).formula.left, s.similarity_of(a).params)
+              for a in s.agents}
+    assert all(isinstance(rf.formula, Globally) for rf in g_only.values())
+    s_g = System(s.kripke, s.agents, s.observation, g_only)
+    vocab = hiring_vocabulary()
+    for f in (position_variant(build_ice(vocab, "a"), 1), build_wce(vocab, "a"),
+              build_gce(vocab, "a", "a")):
+        compiled, viewed = EvalContext.exact(s, u), EvalContext.exact(s_g, u)
+        assert check_system(viewed, f).to_dict() == check_system(compiled, f).to_dict()
+        assert views(viewed) and not views(compiled)
 
 
 @pytest.mark.parametrize("max_prefix, size, digest", [

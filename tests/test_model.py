@@ -65,6 +65,16 @@ def test_kripke_keeps_private_copies_of_its_mappings():
     assert k == tiny_kripke()
 
 
+def test_system_keeps_private_copies_of_its_mappings():
+    obs, sim = {"a": frozenset({"p"})}, {"a": subset_similarity(("p", "q"))}
+    s = System(tiny_kripke(), ("a",), obs, sim)
+    del sim["a"]
+    obs["a"] = frozenset({"zz"})
+    assert s.validate() == []
+    assert s.observation_of("a") == frozenset({"p"})
+    assert s.similarity_of("a") == subset_similarity(("p", "q"))
+
+
 def test_kripke_validation_catches_each_defect():
     k = tiny_kripke()
     bad = KripkeStructure(k.states, "nope", k.transitions, k.aps, k.labels)

@@ -51,7 +51,6 @@ from ckltl import (
     validate_similarity,
     zip3,
 )
-from ckltl import semantics
 from ckltl.hiring import (
     build_explainable,
     build_gender_frozen,
@@ -70,7 +69,7 @@ def tr(text):
 
 
 # similarity relations that are not of the all-positions shape, so the engine
-# evaluates them on zipped triples
+# evaluates them on row views
 OTHER_SHAPES = [
     "p@pi2 & !p@pi1",  # position-local
     "G (p@pi1 -> p@pi2)",  # G without H
@@ -85,7 +84,7 @@ OTHER_SHAPES = [
 
 def test_bounded_engine_matches_naive_oracle():
     r = random.Random(100)
-    # each instance again under zipped-route relations drawn from their own
+    # each instance again under view-route relations drawn from their own
     # stream, the second agent's over other parameter names
     shapes = random.Random(107)
     for _ in range(250):
@@ -577,9 +576,9 @@ def test_quantifiers_reject_traces_outside_the_universe():
             assert str(e.value) == "trace not in the universe: {q} | {p} ; {}", args
 
 
-def test_knowledge_inside_a_relation_names_the_zipped_triple():
+def test_knowledge_inside_a_relation_is_refused():
     # RelationalFormula built directly skips the check that keeps K out of
-    # relations; K then meets a zipped triple, which is not in the universe
+    # relations; K then meets a row's view, which is refused by name
     s, u = cf_fixture()
     rel = RelationalFormula(("pi", "pi1", "pi2"), parse("G (K[a] p@pi1 -> p@pi2)"))
     system = System(s.kripke, ("a",), s.observation, {"a": rel})
@@ -587,9 +586,7 @@ def test_knowledge_inside_a_relation_names_the_zipped_triple():
     for ctx in (EvalContext.exact(system, u), EvalContext.bounded(system, u, 2)):
         with pytest.raises(ValueError) as e:
             ctx.similarity_holds("a", t, t, t, 0)
-        assert str(e.value) == (
-            "'K[a] p@pi1' quantifies over the universe, which lacks the trace "
-            "| {p@pi,p@pi1,p@pi2,q@pi,q@pi1,q@pi2}")
+        assert str(e.value) == "'K[a] p@pi1' cannot appear in a similarity relation"
 
 
 def test_position_and_mode_validation():
@@ -652,18 +649,9 @@ def test_validate_similarity_flags_bad_relation():
 # similarity queries: bitmask kernel against the zipped route
 
 
-@pytest.fixture
-def zip_calls(monkeypatch):
-    """Triples the context zips to answer similarity queries."""
-    calls = []
-    real = semantics.zip3
-
-    def counting(*args):
-        calls.append(args[:3])
-        return real(*args)
-
-    monkeypatch.setattr(semantics, "zip3", counting)
-    return calls
+def views(ctx):
+    """Row views the context has made to answer similarity queries."""
+    return sum(isinstance(key, tuple) for key in ctx._sets)
 
 
 def assert_routes_agree(ctx, agent, traces, positions, oracle_universe=None):
@@ -687,7 +675,7 @@ def assert_routes_agree(ctx, agent, traces, positions, oracle_universe=None):
                 ), (x, y, z, i)
 
 
-def test_similarity_kernel_matches_zipped_route(zip_calls):
+def test_similarity_kernel_matches_zipped_route():
     r = random.Random(106)
     for _ in range(12):
         s = gen_system(r)
@@ -705,10 +693,10 @@ def test_similarity_kernel_matches_zipped_route(zip_calls):
             t = u.traces[0]
             with pytest.raises(ValueError):
                 ctx.similarity_holds(s.agents[0], t, t, t, ctx.bound + 1)
-        assert zip_calls == []
+        assert [views(ctx) for ctx, _ in contexts] == [0] * len(contexts)
 
 
-def test_similarity_kernel_on_the_gender_frozen_relation(zip_calls):
+def test_similarity_kernel_on_the_gender_frozen_relation():
     s = build_gender_frozen()
     u = single_round_universe(s)
     traces = [
@@ -730,14 +718,14 @@ def test_similarity_kernel_on_the_gender_frozen_relation(zip_calls):
     ):
         for a in s.agents:
             assert_routes_agree(ctx, a, traces, positions)
-    assert zip_calls == []
+        assert views(ctx) == 0
 
 
 @pytest.mark.parametrize("src", OTHER_SHAPES)
-def test_other_similarity_shapes_take_the_zipped_route(src, zip_calls):
+def test_other_similarity_shapes_take_the_zipped_route(src):
     s, u = cf_fixture()
     # a second agent holds the same relation over other parameter names, so
-    # the zipped triples of one agent's rows cannot serve the other's
+    # the views of one agent's rows cannot serve the other's
     rels = {a: validate_relational(parse(src.replace("pi", v)), (v, v + "1", v + "2"))
             for a, v in (("a", "pi"), ("b", "rho"))}
     system = System(s.kripke, ("a", "b"), dict.fromkeys(rels, s.observation["a"]), rels)
@@ -746,4 +734,4 @@ def test_other_similarity_shapes_take_the_zipped_route(src, zip_calls):
     for a in rels:
         assert_routes_agree(exact, a, u.traces, (0, 2))
         assert_routes_agree(bounded, a, u.traces, (0, 2, 3), u)
-    assert zip_calls
+    assert views(exact) and views(bounded)
