@@ -711,10 +711,15 @@ class RelationalFormulaError(ValueError):
 class RelationalFormula:
     """A formula over a fixed tuple of trace variables, evaluated on triples
     of traces.  Restricted to traced atoms, boolean connectives, and temporal
-    operators: no Know, no counterfactuals, no plain atoms."""
+    operators: no Know, no counterfactuals, no plain atoms.  The parameters
+    must be distinct."""
 
     params: tuple[str, str, str]
     formula: Formula
+
+    def __post_init__(self):
+        if len(set(self.params)) != len(self.params):
+            raise ValueError(f"duplicate trace parameters: {self.params!r}")
 
 
 def validate_relational(f: Formula, params: tuple[str, str, str]) -> RelationalFormula:
@@ -722,8 +727,7 @@ def validate_relational(f: Formula, params: tuple[str, str, str]) -> RelationalF
 
     Raises :class:`RelationalFormulaError` listing every offending node.
     """
-    if len(set(params)) != len(params):
-        raise ValueError(f"duplicate trace parameters: {params!r}")
+    rf = RelationalFormula(tuple(params), f)  # refuses repeated parameters
     violations: list[RelationalViolation] = []
     # preorder, left operand first; a path is "root" or (parent path, step),
     # rendered only for a violation
@@ -750,7 +754,7 @@ def validate_relational(f: Formula, params: tuple[str, str, str]) -> RelationalF
             stack.append((kids[0], (path, ".left")))
     if violations:
         raise RelationalFormulaError(violations)
-    return RelationalFormula(tuple(params), f)
+    return rf
 
 
 def _path_text(path) -> str:

@@ -267,9 +267,7 @@ def subset_similarity(
 
     The induced relation is a preorder with the reference itself as minimum.
     """
-    if len(set(params)) != len(params):
-        raise ValueError(f"duplicate trace parameters: {params!r}")
-    ref, near, far = params
+    ref, near, far = params  # `RelationalFormula` refuses repeated ones
     parts = []
     for p in props:
         on_ref = TracedAtom(p, ref)

@@ -109,8 +109,10 @@ class StabilizationCapExceeded(RuntimeError):
 
 # Opcodes of a compiled pointwise block.  Registers hold ints read as trace
 # masks at one position (bit k = value on the set's trace k); negative ints
-# stand for masks with every high bit set, so negation is `~`.
-_LOAD, _CONST, _NOT, _AND, _OR, _IMPLIES, _IFF = range(7)
+# stand for masks with every high bit set, so negation is `~`.  `_HAS` reads
+# a proposition of the reference's or nearer trace's letter, `_LOAD` of the
+# universe's masks.
+_LOAD, _HAS, _CONST, _NOT, _AND, _OR, _IMPLIES, _IFF = range(8)
 _BINARY = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
 
 
@@ -124,8 +126,6 @@ def _all_positions_block(params: tuple[str, str, str], rel: Formula):
     declared trace variables.  G from i and H up to i together cover every
     position, so the relation holds iff the conjunction of the bodies holds
     at every position, whatever i is."""
-    if len(set(params)) != len(params):
-        return None
     conjuncts, stack = [], [rel]
     while stack:
         g = stack.pop()
@@ -151,7 +151,8 @@ def _all_positions_block(params: tuple[str, str, str], rel: Formula):
             if isinstance(g, TracedAtom):
                 if g.trace_var not in params:
                     return None
-                op = (_LOAD, params.index(g.trace_var), g.name)
+                k = params.index(g.trace_var)
+                op = (_HAS if k < 2 else _LOAD, k, g.name)
             elif isinstance(g, (TrueConst, FalseConst)):
                 op = (_CONST, -1 if isinstance(g, TrueConst) else 0, None)
             elif not isinstance(g, (Not, *_BINARY)):
@@ -174,15 +175,16 @@ def _all_positions_block(params: tuple[str, str, str], rel: Formula):
     return tuple(ops)
 
 
-def _run_block(ops: tuple, masks: tuple[dict[str, int], ...]) -> int:
-    """Trace mask of a compiled block at one position, given the
-    proposition -> trace-mask dicts `masks` (one per trace variable); the
-    root is the last op."""
+def _run_block(ops: tuple, masks: tuple) -> int:
+    """Trace mask of a compiled block at one position, given the loads
+    `masks` (see `EvalContext._loads`); the root is the last op."""
     r: list[int] = []
     push = r.append
     for code, a, b in ops:
         if code == _LOAD:
             push(masks[a].get(b, 0))
+        elif code == _HAS:
+            push(-(b in masks[a]))
         elif code == _AND:
             push(r[a] & r[b])
         elif code == _IFF:
@@ -331,9 +333,10 @@ class EvalContext:
         return self._shape
 
     def _loads(self, j: int, t: int, y: int) -> tuple:
-        """Proposition -> trace-mask dicts that traced atoms read at j in the
-        row of (t, y): t's and y's letters (-1: on every trace), then the
-        universe's masks, kept per position of [0, P + L), where j folds."""
+        """What traced atoms read at j in the row of (t, y): t's and y's
+        letters, whose propositions hold on every trace, then the universe's
+        proposition -> trace-mask dict, kept per position of [0, P + L),
+        where j folds."""
         traces, _, p, l, tab = self._uni()
         j = j if j < p + l else p + (j - p) % l
         while len(tab) <= j:
@@ -341,8 +344,7 @@ class EvalContext:
             for k, u in enumerate(traces):
                 for q in u.label_at(len(tab) - 1):
                     tab[-1][q] = tab[-1].get(q, 0) | 1 << k
-        return (dict.fromkeys(traces[t].label_at(j), -1),
-                dict.fromkeys(traces[y].label_at(j), -1), tab[j])
+        return traces[t].label_at(j), traces[y].label_at(j), tab[j]
 
     def _indices(self, i: int, *traces: LassoTrace) -> list[int]:
         """Universe indices of `traces`, any presentation of a universe word;
@@ -433,11 +435,11 @@ class EvalContext:
             key = f.name if isinstance(f, Atom) else (f.name, f.trace_var)
             traces = self.universe.traces
             return sum(1 << k for k in _members(x) if key in traces[k].label_at(j))
-        v = 0
-        for var, m in zip(self._rel(view[0])[0], self._loads(j, *view[1:])):
-            if isinstance(f, TracedAtom) and var == f.trace_var:
-                v |= x & m.get(f.name, 0)
-        return v
+        params, loads = self._rel(view[0])[0], self._loads(j, *view[1:])
+        if not isinstance(f, TracedAtom) or f.trace_var not in params:
+            return 0
+        k = params.index(f.trace_var)
+        return x & (loads[k].get(f.name, 0) if k == 2 else -(f.name in loads[k]))
 
     def _horizon(self, t: LassoTrace, i: int, f: Formula) -> int:
         """Scan horizon for the forward operator `f` from i on `t`: one

@@ -114,35 +114,39 @@ def satisfiable_pairs(
     When no such pair exists (one literal, or only complementary ones), falls
     back to the degenerate self-pairs (a, a), which builders collapse to the
     bare literal."""
-    out = [
-        (literals[i], literals[j])
-        for i in range(len(literals))
-        for j in range(i + 1, len(literals))
-        if literals[i] != literals[j] and not literals[i].complements(literals[j])
-    ]
-    if not out:
-        out = [(lit, lit) for lit in literals]
-    return tuple(out)
+    return tuple((literals[i], literals[j]) for i, j in _pair_positions(literals))
 
 
-def _pairs_for(vocab: AttributeVocabulary, agents: Iterable[str]):
-    lits = list(dict.fromkeys(lit for agent in agents for lit in vocab.literals_of(agent)))
-    if not lits:
+def _pair_positions(literals: Sequence[AttrLiteral]) -> list[tuple[int, int]]:
+    """`satisfiable_pairs` as index pairs.  Two literals are equal or
+    complementary exactly when their names match, so only names are
+    compared."""
+    names = [lit.name for lit in literals]
+    n = len(names)
+    out = [(i, j) for i in range(n) for j in range(i + 1, n) if names[i] != names[j]]
+    return out or [(i, i) for i in range(n)]
+
+
+def _antecedents(vocab: AttributeVocabulary, agents: Iterable[str]) -> list[Formula]:
+    """`a & b` for each satisfiable pair of the agents' literals, duplicates
+    dropped (a self-pair is the bare literal).  Pairs are built over literal
+    positions and literals are keyed by (name, sign), so no literal is
+    hashed or compared as a dataclass."""
+    seen: dict[tuple, AttrLiteral] = {}  # (name, sign) -> first such literal
+    for agent in agents:
+        for lit in vocab.literals_of(agent):
+            seen.setdefault((lit.name, lit.positive), lit)
+    if not seen:
         raise ValueError("empty attribute set")
-    return satisfiable_pairs(lits)
+    lits = list(seen.values())
+    forms = [lit.as_formula() for lit in lits]
+    return [forms[i] if i == j else And(forms[i], forms[j]) for i, j in _pair_positions(lits)]
 
 
 def _requirement(
-    pairs, knower: str, cf_agent: str, outcome: str, joint_antecedent: bool
+    antes: list[Formula], knower: str, cf_agent: str, outcome: str, joint_antecedent: bool
 ) -> Formula:
     offer = Atom(outcome)
-    lit: dict[AttrLiteral, Formula] = {}  # each literal's formula, built once
-    antes = []
-    for a, b in pairs:
-        fa = lit.get(a) or lit.setdefault(a, a.as_formula())
-        fb = lit.get(b) or lit.setdefault(b, b.as_formula())
-        # equal literals have one formula node: a self-pair is the bare literal
-        antes.append(fa if fa is fb else And(fa, fb))
     if joint_antecedent:
         body = Know(knower, Might(cf_agent, disjoin(antes), offer))
     else:
@@ -155,7 +159,7 @@ def build_ice(vocab: AttributeVocabulary, agent: str) -> Formula:
     for some pair of its own attribute literals, that the pair might have
     produced the outcome."""
     return _requirement(
-        _pairs_for(vocab, [agent]), agent, agent, vocab.outcome, False
+        _antecedents(vocab, [agent]), agent, agent, vocab.outcome, False
     )
 
 
@@ -163,7 +167,7 @@ def build_wce(vocab: AttributeVocabulary, agent: str) -> Formula:
     """Weak variant: one knowledge operator around a single counterfactual
     whose antecedent disjoins all the pairs."""
     return _requirement(
-        _pairs_for(vocab, [agent]), agent, agent, vocab.outcome, True
+        _antecedents(vocab, [agent]), agent, agent, vocab.outcome, True
     )
 
 
@@ -171,7 +175,7 @@ def build_gce(vocab: AttributeVocabulary, knower: str, cf_agent: str) -> Formula
     """General variant: pairs drawn from every agent's literal closure in the
     vocabulary (insertion order, duplicates dropped)."""
     return _requirement(
-        _pairs_for(vocab, vocab.agents()), knower, cf_agent, vocab.outcome, False
+        _antecedents(vocab, vocab.agents()), knower, cf_agent, vocab.outcome, False
     )
 
 
@@ -179,7 +183,7 @@ def build_ece(vocab: AttributeVocabulary, attr_agent: str, agent: str) -> Formul
     """External variant: pairs over `attr_agent`'s literals, knowledge and
     counterfactual judged by `agent`."""
     return _requirement(
-        _pairs_for(vocab, [attr_agent]), agent, agent, vocab.outcome, False
+        _antecedents(vocab, [attr_agent]), agent, agent, vocab.outcome, False
     )
 
 

@@ -5,6 +5,13 @@ label sets: `prefix` cells first, then the nonempty `loop` repeated forever.
 Universes are finite ordered collections of lasso traces standing in for the
 (generally infinite) set of traces of a structure; all trace quantifiers in
 the semantics range over one universe.
+
+Letters are hash-consed: every cell of every trace is the one object that a
+process-wide letter table holds for its label set, so a trace keeps one
+pointer per position and equal letters are shared between traces.  The
+table is strong and never shrinks (frozensets cannot be weakly referenced);
+it holds one entry per distinct letter ever seen, which stays tiny next to
+the cells it replaces.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ class LassoTrace:
     """Ultimately periodic trace: `prefix` then `loop` forever (loop nonempty).
 
     Labels are frozensets; ordinary traces carry proposition names, zipped
-    traces carry `(proposition, trace_var)` pairs.
+    traces carry `(proposition, trace_var)` pairs.  The constructor replaces
+    each cell by the letter table's equal letter (see the module docstring),
+    so the caller's own label sets are not kept.
 
     A trace is an immutable value: equality and hashing go by presentation
     (`prefix`, `loop`), the hash is computed once, at construction, and the
@@ -38,13 +47,11 @@ class LassoTrace:
 
     __slots__ = ("prefix", "loop", "_hash", "_canon")
 
-    def __init__(self, prefix: tuple[frozenset, ...], loop: tuple[frozenset, ...]):
+    def __new__(cls, prefix: tuple[frozenset, ...], loop: tuple[frozenset, ...]):
         if not loop:
             raise ValueError("lasso loop must be nonempty")
-        _set_prefix(self, prefix)
-        _set_loop(self, loop)
-        _set_hash(self, hash((prefix, loop)))
-        _set_canon(self, None)  # None: not known yet; True: canonical
+        letter = _LETTERS.setdefault
+        return _lasso(tuple(map(letter, prefix, prefix)), tuple(map(letter, loop, loop)))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"lasso traces are immutable: cannot change {name!r}")
@@ -89,7 +96,7 @@ class LassoTrace:
             if len(loop) == len(self.loop) and len(prefix) == len(self.prefix):
                 c = True
             else:
-                c = LassoTrace(tuple(prefix), loop)
+                c = _lasso(tuple(prefix), loop)
                 _set_canon(c, True)
             _set_canon(self, c)
         return self if c is True else c
@@ -98,9 +105,24 @@ class LassoTrace:
         return self.canonical() == other.canonical()
 
 
+# label set -> its letter, the one object every trace cell with that label
+# set is; strong and never shrinking (see the module docstring)
+_LETTERS: dict[frozenset, frozenset] = {}
+
 # the slot descriptors' setters, which bypass the raising `__setattr__`
 _set_prefix, _set_loop, _set_hash, _set_canon = (
     getattr(LassoTrace, name).__set__ for name in LassoTrace.__slots__)
+
+
+def _lasso(prefix: tuple, loop: tuple) -> LassoTrace:
+    """Trace whose cells are letters already and whose loop is nonempty:
+    the constructor without its table lookups."""
+    t = object.__new__(LassoTrace)
+    _set_prefix(t, prefix)
+    _set_loop(t, loop)
+    _set_hash(t, hash((prefix, loop)))
+    _set_canon(t, None)  # None: not known yet; True: canonical
+    return t
 
 
 def _minimal_period(loop: tuple[frozenset, ...]) -> tuple[frozenset, ...]:
@@ -285,7 +307,8 @@ def generate_universe(
             raise ValueError(f"loop_states not in the model: {sorted(unknown)}")
 
     found: dict[LassoTrace, int] = {}  # canonical trace -> universe position
-    trans, labels = k.transitions, k.labels
+    trans = k.transitions
+    labels = {s: _LETTERS.setdefault(l, l) for s, l in k.labels.items()}
     # Depth-first over prefix paths, each before its extensions, the empty
     # prefix first.  The lassos of a prefix loop back into a successor of its
     # last state (the initial state for the empty prefix): by loop length,
@@ -306,7 +329,7 @@ def generate_universe(
                         if allowed is None or s in allowed
                     )
                 elif loop[0] in trans[loop[-1]]:
-                    t = LassoTrace(prefix, tuple(labels[s] for s in loop)).canonical()
+                    t = _lasso(prefix, tuple(labels[s] for s in loop)).canonical()
                     n = len(found)
                     if found.setdefault(t, n) == n and n >= max_traces:
                         raise SizeLimitExceeded(

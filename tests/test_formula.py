@@ -27,6 +27,7 @@ from ckltl import (
     Or,
     ParseError,
     Prev,
+    RelationalFormula,
     RelationalFormulaError,
     Since,
     TracedAtom,
@@ -274,6 +275,15 @@ def test_validate_relational_accepts_traced_temporal():
     body = Globally(Implies(TracedAtom("p", "pi1"), TracedAtom("p", "pi2")))
     rf = validate_relational(body, ("pi", "pi1", "pi2"))
     assert rf.params == ("pi", "pi1", "pi2")
+
+
+def test_relational_formula_refuses_repeated_parameters():
+    # a repeated parameter would bind two traces to one variable, which the
+    # engine and the reference oracle read differently
+    for build in (lambda: RelationalFormula(("pi", "pi", "pi2"), parse("p@pi -> p@pi2")),
+                  lambda: validate_relational(parse("p@pi -> p@pi2"), ("pi", "pi2", "pi2"))):
+        with pytest.raises(ValueError, match="duplicate trace parameters"):
+            build()
 
 
 def test_validate_relational_rejects_untraced_atom():

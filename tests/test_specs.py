@@ -63,6 +63,28 @@ def test_satisfiable_pairs_counts():
     assert satisfiable_pairs((z, nz)) == ((z, z), (nz, nz))
 
 
+def test_building_a_requirement_never_hashes_or_compares_literals(monkeypatch):
+    # pairs are built over literal positions and literal formulas keyed by
+    # (name, sign), so the dataclass's generated `__hash__`/`__eq__` stay idle
+    x, nx, y = AttrLiteral("x"), AttrLiteral("x", positive=False), AttrLiteral("y")
+    vocabs = (small_vocab(), AttributeVocabulary(
+        positives={"a": ("x",), "b": ("y",)}, outcome="win",
+        literals={"a": (x, nx, x), "b": (y, AttrLiteral("x"))}))
+    builds = [lambda v: build_ice(v, "a"), lambda v: build_wce(v, "b"),
+              lambda v: build_gce(v, "a", "b"), lambda v: build_ece(v, "a", "b")]
+    want = [to_source(build(v)) for v in vocabs for build in builds]
+
+    def refuse(*args):
+        raise AssertionError("a literal was hashed or compared")
+
+    monkeypatch.setattr(AttrLiteral, "__hash__", refuse)
+    monkeypatch.setattr(AttrLiteral, "__eq__", refuse)
+    assert [to_source(build(v)) for v in vocabs for build in builds] == want
+    # duplicates drop to their first occurrence, in insertion order
+    assert to_source(build_gce(vocabs[1], "a", "b")) == (
+        "G (!win -> K[a] ((x & y) MIGHT[b] win) | K[a] ((!x & y) MIGHT[b] win))")
+
+
 def test_ice_shape():
     v = small_vocab()
     f = build_ice(v, "a")

@@ -23,6 +23,8 @@ from ckltl import (
     zip3,
 )
 
+from ckltl.trace import _LETTERS
+
 from gen import gen_system, gen_trace, gen_universe
 
 P = frozenset({"p"})
@@ -63,6 +65,46 @@ def test_canonical_form_is_computed_once():
     assert t.canonical() is c and c.canonical() is c
     already = LassoTrace((E,), (P,))
     assert already.canonical() is already and already.canonical() is already
+
+
+def letters_of(t):
+    return t.prefix + t.loop
+
+
+def is_letter(cell):
+    return _LETTERS.get(cell) is cell
+
+
+def test_equal_cells_are_one_letter():
+    # traces built from equal but distinct label sets share the cell objects
+    a = LassoTrace((frozenset({"p"}), frozenset()), (frozenset({"p", "q"}),))
+    b = LassoTrace((frozenset(), frozenset(["p"])), (frozenset(["q", "p"]),))
+    assert a.prefix[0] is b.prefix[1] and a.prefix[1] is b.prefix[0]
+    assert a.loop[0] is b.loop[0] and all(map(is_letter, letters_of(a) + letters_of(b)))
+    r = random.Random(3)
+    cells = [frozenset({"p"}) if r.random() < 0.5 else frozenset() for _ in range(2000)]
+    long = LassoTrace(tuple(cells[:-1]), tuple(cells[-1:]))
+    assert long.prefix == tuple(cells[:-1])
+    assert len({id(c) for c in letters_of(long)}) <= 4
+
+
+def test_every_construction_route_gives_letters():
+    r = random.Random(11)
+    for _ in range(50):
+        t = gen_trace(r)
+        pickled = pickle.loads(pickle.dumps(t))
+        for u in (t, t.canonical(), pickled, pickled.canonical(), tr(format_trace(t)),
+                  zip3(t, gen_trace(r), t, ("pi", "pi1", "pi2"))):
+            assert all(map(is_letter, letters_of(u))), format_trace(u)
+    # fresh label sets, never interned before, through the literal parser
+    fresh = tr("{letter_test_x} | {letter_test_x,letter_test_y}")
+    assert all(map(is_letter, letters_of(fresh)))
+    # the universe generator builds from its structure's labels without the
+    # constructor's lookups, so those must be letters too
+    k = KripkeStructure(("s0", "s1"), "s0", {"s0": ("s0", "s1"), "s1": ("s0", "s1")},
+                        ("gen_x",), {"s0": frozenset(), "s1": frozenset({"gen_x"})})
+    for t in generate_universe(k, max_prefix=3, max_loop=2):
+        assert all(map(is_letter, letters_of(t))), format_trace(t)
 
 
 def test_label_at():
