@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import foe, hiring
@@ -78,19 +79,34 @@ def _build_universe(args, system) -> TraceUniverse:
         raise InputError(
             "need --trace literals or both --universe-prefix and --universe-loop"
         )
+    for flag, value, least in (("--universe-prefix", args.universe_prefix, 0),
+                               ("--universe-loop", args.universe_loop, 1),
+                               ("--max-traces", args.max_traces, 1)):
+        if value < least:
+            raise InputError(f"{flag} must be at least {least}")
     loop_states = None
     if args.loop_states:
         loop_states = [s.strip() for s in args.loop_states.split(",") if s.strip()]
     try:
-        return generate_universe(
-            system,
-            args.universe_prefix,
-            args.universe_loop,
-            loop_states=loop_states,
-            max_traces=args.max_traces,
-        )
+        with warnings.catch_warnings():
+            # an empty universe is reported below, as an input error
+            warnings.simplefilter("ignore", UserWarning)
+            universe = generate_universe(
+                system,
+                args.universe_prefix,
+                args.universe_loop,
+                loop_states=loop_states,
+                max_traces=args.max_traces,
+            )
     except (ValueError, SizeLimitExceeded) as e:
         raise InputError(str(e))
+    if not universe:
+        raise InputError(
+            f"the model has no trace within --universe-prefix {args.universe_prefix} "
+            f"--universe-loop {args.universe_loop}"
+            + (f" --loop-states {args.loop_states}" if loop_states is not None else "")
+        )
+    return universe
 
 
 def _cap(args) -> int:

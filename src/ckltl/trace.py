@@ -96,8 +96,7 @@ class LassoTrace:
             if len(loop) == len(self.loop) and len(prefix) == len(self.prefix):
                 c = True
             else:
-                c = _lasso(tuple(prefix), loop)
-                _set_canon(c, True)
+                c = _lasso(tuple(prefix), loop, True)
             _set_canon(self, c)
         return self if c is True else c
 
@@ -114,14 +113,15 @@ _set_prefix, _set_loop, _set_hash, _set_canon = (
     getattr(LassoTrace, name).__set__ for name in LassoTrace.__slots__)
 
 
-def _lasso(prefix: tuple, loop: tuple) -> LassoTrace:
+def _lasso(prefix: tuple, loop: tuple, canon: bool | None = None) -> LassoTrace:
     """Trace whose cells are letters already and whose loop is nonempty:
-    the constructor without its table lookups."""
+    the constructor without its table lookups.  `canon` is True when the
+    caller knows the presentation is canonical, None when not known yet."""
     t = object.__new__(LassoTrace)
     _set_prefix(t, prefix)
     _set_loop(t, loop)
     _set_hash(t, hash((prefix, loop)))
-    _set_canon(t, None)  # None: not known yet; True: canonical
+    _set_canon(t, canon)
     return t
 
 
@@ -274,10 +274,22 @@ class TraceUniverse:
         return trace.canonical() in self._index
 
 
+def _indexed(index: dict, origins: tuple[str, ...], provenance: str) -> TraceUniverse:
+    """Universe over the keys of `index`, distinct canonical traces each
+    mapped to its position, keeping `index` as its own: the constructor
+    without its second pass over the traces."""
+    u = object.__new__(TraceUniverse)
+    u.__dict__.update(traces=tuple(index), origins=origins, provenance=provenance,
+                      _index=index)
+    return u
+
+
 def universe_of(traces: Iterable[LassoTrace], provenance: str = "user") -> TraceUniverse:
     """Universe from explicit traces (canonicalized, order-preserving dedup)."""
-    out = tuple(dict.fromkeys(t.canonical() for t in traces))
-    return TraceUniverse(out, ("user",) * len(out), provenance)
+    index: dict[LassoTrace, int] = {}
+    for t in traces:
+        index.setdefault(t.canonical(), len(index))
+    return _indexed(index, ("user",) * len(index), provenance)
 
 
 def generate_universe(
@@ -306,50 +318,63 @@ def generate_universe(
         if unknown:
             raise ValueError(f"loop_states not in the model: {sorted(unknown)}")
 
-    found: dict[LassoTrace, int] = {}  # canonical trace -> universe position
     trans = k.transitions
     labels = {s: _LETTERS.setdefault(l, l) for s, l in k.labels.items()}
+    # Filled on first use: `cycles` maps (first state, length) to the closed
+    # loop paths from there, depth-first, as labels cut to their minimal
+    # period; `loops` maps a last prefix state (None: empty prefix) to the
+    # loops after it, by length, then first state, then depth-first.
+    cycles: dict[tuple[str, int], list[tuple[frozenset, ...]]] = {}
+    loops: dict[str | None, list[tuple[frozenset, ...]]] = {}
+
+    def closed_loops(first: str, length: int) -> list[tuple[frozenset, ...]]:
+        out = cycles.get((first, length))
+        if out is None:
+            out = cycles[first, length] = []
+            paths = [(first,)]
+            while paths:
+                path = paths.pop()
+                if len(path) < length:
+                    paths += (path + (s,) for s in reversed(trans[path[-1]])
+                              if allowed is None or s in allowed)
+                elif first in trans[path[-1]]:
+                    out.append(_minimal_period(tuple(labels[s] for s in path)))
+        return out
+
+    found: dict[LassoTrace, int] = {}  # canonical trace -> universe position
     # Depth-first over prefix paths, each before its extensions, the empty
-    # prefix first.  The lassos of a prefix loop back into a successor of its
-    # last state (the initial state for the empty prefix): by loop length,
-    # then by first loop state, then depth-first over the loop paths.  A path
-    # is kept as its last state and its label tuple, which each extension
-    # extends by one cell.
+    # prefix first; a path is kept as its last state and its label tuple.
     prefixes: list[tuple[str | None, tuple[frozenset, ...]]] = [(None, ())]
     while prefixes:
         last, prefix = prefixes.pop()
         succ = trans[last] if prefix else (k.initial,)
-        for length in range(1, max_loop + 1):
-            loops = [(s,) for s in reversed(succ) if allowed is None or s in allowed]
-            while loops:
-                loop = loops.pop()
-                if len(loop) < length:
-                    loops += (
-                        loop + (s,) for s in reversed(trans[loop[-1]])
-                        if allowed is None or s in allowed
-                    )
-                elif loop[0] in trans[loop[-1]]:
-                    t = _lasso(prefix, tuple(labels[s] for s in loop)).canonical()
-                    n = len(found)
-                    if found.setdefault(t, n) == n and n >= max_traces:
-                        raise SizeLimitExceeded(
-                            f"universe exceeds {max_traces} traces; raise the "
-                            f"cap or tighten the bounds"
-                        )
+        after = loops.get(last)
+        if after is None:
+            after = loops[last] = [
+                loop for length in range(1, max_loop + 1) for s in succ
+                if allowed is None or s in allowed for loop in closed_loops(s, length)]
+        for loop in after:
+            # born canonical: absorb prefix letters repeating the loop (shared letters: `is`)
+            n = len(prefix)
+            while n and prefix[n - 1] is loop[-1]:
+                loop = (loop[-1],) + loop[:-1]
+                n -= 1
+            t = _lasso(prefix[:n], loop, True)
+            size = len(found)
+            if found.setdefault(t, size) == size and size >= max_traces:
+                raise SizeLimitExceeded(f"universe exceeds {max_traces} traces; "
+                                        "raise the cap or tighten the bounds")
         if len(prefix) < max_prefix:
             prefixes += ((s, prefix + (labels[s],)) for s in reversed(succ))
 
     if not found:
-        warnings.warn(
-            "generated universe is empty under the given bounds", stacklevel=2
-        )
+        warnings.warn("generated universe is empty under the given bounds", stacklevel=2)
     note = (
         f"generated(max_prefix={max_prefix}, max_loop={max_loop}"
         + (f", loop_states={sorted(allowed)}" if allowed is not None else "")
         + ")"
     )
-    traces = tuple(found)
-    return TraceUniverse(traces, ("model",) * len(traces), note)
+    return _indexed(found, ("model",) * len(found), note)
 
 
 def is_model_trace(kripke, trace: LassoTrace) -> bool:
@@ -375,37 +400,35 @@ def is_model_trace(kripke, trace: LassoTrace) -> bool:
     start = (kripke.initial, 0)
     if kripke.labels[kripke.initial] != letter(0):
         return False
-    # forward reachability
-    reach = {start}
+    # forward reachability, recording each reachable node's number of
+    # successors and its predecessors
+    preds = {start: []}
+    succ_count = {}
     frontier = [start]
     while frontier:
-        s, pos = frontier.pop()
-        np = next_pos(pos)
-        want = letter(np)
-        for s2 in kripke.transitions[s]:
-            if kripke.labels[s2] == want and (s2, np) not in reach:
-                reach.add((s2, np))
-                frontier.append((s2, np))
-    # trim nodes without successors inside the reachable subgraph
-    def succs(node):
+        node = frontier.pop()
         s, pos = node
         np = next_pos(pos)
         want = letter(np)
-        return [
-            (s2, np)
-            for s2 in kripke.transitions[s]
-            if kripke.labels[s2] == want and (s2, np) in live
-        ]
-
-    live = set(reach)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(live):
-            if not succs(node):
-                live.discard(node)
-                changed = True
-    return start in live
+        succs = [(s2, np) for s2 in kripke.transitions[s] if kripke.labels[s2] == want]
+        succ_count[node] = len(succs)
+        for nxt in succs:
+            if nxt not in preds:
+                preds[nxt] = []
+                frontier.append(nxt)
+            preds[nxt].append(node)
+    # trim dead ends: a node dies once all its successors have died; each
+    # edge is looked at once, so the trimming is linear in the graph
+    dead = [node for node, n in succ_count.items() if n == 0]
+    while dead:
+        node = dead.pop()
+        if node == start:
+            return False
+        for pred in preds[node]:
+            succ_count[pred] -= 1
+            if succ_count[pred] == 0:
+                dead.append(pred)
+    return True
 
 
 def add_trace(universe: TraceUniverse, trace: LassoTrace, system=None) -> TraceUniverse:

@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -152,7 +153,12 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
     # numeric flags out of range: the message names the flag
     check = ["check", "--model", model, "--formula", "p", *TRACES]
     validate = ["validate", "--model", model, *TRACES]
+    generated = ["universe", "--model", model, "--universe-prefix", "1", "--universe-loop", "1"]
     for flag, argv in (
+        ("--universe-prefix", [*generated, "--universe-prefix", "-1"]),
+        ("--universe-loop", [*generated, "--universe-loop", "0"]),
+        ("--max-traces", [*generated, "--max-traces", "0"]),
+        ("--max-traces", [*generated, "--max-traces", "-1"]),
         ("--bounded", [*check, "--bounded", "-1"]),
         ("--stabilization-cap", [*check, "--stabilization-cap", "0"]),
         ("--stabilization-cap", ["demo", "explainable", "--stabilization-cap", "0"]),
@@ -163,6 +169,21 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: {flag} "), (argv, err)
     assert run(capsys, [*validate, "--bounded", "1", "--position", "1"])[0] == 0
+
+
+def test_empty_generated_universe_is_an_input_error(model, capsys):
+    # no loop state allowed: no trace, so no verdict to give; every
+    # subcommand that builds a universe says so in one line, with no warning
+    bounds = ["--model", model, "--universe-prefix", "1", "--universe-loop", "2",
+              "--loop-states", ","]
+    for argv in (["check", "--formula", "p", *bounds], ["validate", *bounds],
+                 ["universe", *bounds]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would exit 3
+            code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == ("error: the model has no trace within --universe-prefix 1 "
+                       "--universe-loop 2 --loop-states ,\n"), argv
 
 
 def test_stabilization_cap_in_a_zipped_relation_is_an_input_error(capsys, tmp_path):

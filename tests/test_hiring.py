@@ -231,6 +231,17 @@ def test_restricted_universe_order_is_pinned(max_prefix, size, digest):
     assert all(t.canonical() is t for t in u)
 
 
+def test_gender_frozen_universe_order_is_pinned():
+    # the two-round universe of the full structure (the gender-frozen
+    # variant's), recorded before the generator kept its per-state loop tables
+    u = generate_universe(build_gender_frozen(), max_prefix=3, max_loop=1,
+                          loop_states=(START,))
+    assert len(u) == 1_369
+    assert sha256("\n".join(map(format_trace, u)).encode()).hexdigest() == (
+        "0958b47217068bbebbfaa80152646a53bd2d7c77531cd1e1aca3670cfecf2228")
+    assert all(t.canonical() is t for t in u)
+
+
 def test_vocabulary_matches_every_variant():
     v = hiring_vocabulary()
     assert v.agents() == ("a", "r")

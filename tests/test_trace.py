@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import warnings
 from math import lcm
 
 import pytest
@@ -25,7 +26,7 @@ from ckltl import (
 
 from ckltl.trace import _LETTERS
 
-from gen import gen_system, gen_trace, gen_universe
+from gen import gen_letter, gen_system, gen_trace, gen_universe
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -317,3 +318,157 @@ def test_add_trace():
             similarity={"a": subset_similarity(("p",))},
         )
         add_trace(u, tr("| {p}"), system=s)
+
+
+# ---------------------------------------------------------------------------
+# generate_universe against a brute-force reference enumerator
+# ---------------------------------------------------------------------------
+
+
+def reference_universe(k, max_prefix, max_loop, loop_states=None):
+    """Every initial lasso state path, in the generator's documented order
+    (prefix paths depth-first, each before its extensions; after a prefix,
+    loops by length, then first state, then depth-first), canonicalized and
+    deduplicated in that order."""
+    ok = lambda s: loop_states is None or s in loop_states
+    trans = k.transitions
+
+    def successors(path):
+        return trans[path[-1]] if path else (k.initial,)
+
+    def prefix_paths(path):
+        yield path
+        if len(path) < max_prefix:
+            for s in successors(path):
+                yield from prefix_paths(path + (s,))
+
+    def walks(path, length):
+        if len(path) == length:
+            yield path
+            return
+        for s in trans[path[-1]]:
+            if ok(s):
+                yield from walks(path + (s,), length)
+
+    out = {}
+    for prefix in prefix_paths(()):
+        for length in range(1, max_loop + 1):
+            for first in filter(ok, successors(prefix)):
+                for loop in walks((first,), length):
+                    if loop[0] in trans[loop[-1]]:
+                        t = LassoTrace(tuple(k.labels[s] for s in prefix),
+                                       tuple(k.labels[s] for s in loop))
+                        out.setdefault(t.canonical(), None)
+    return list(out)
+
+
+def test_generate_universe_matches_reference_enumerator():
+    r = random.Random(14)
+    for case in range(300):
+        k = gen_system(r).kripke
+        max_prefix, max_loop = r.randint(0, 3), r.randint(1, 3)
+        loop_states = None
+        if r.random() < 0.5:
+            loop_states = tuple(s for s in k.states if r.random() < 0.6)
+        want = reference_universe(k, max_prefix, max_loop, loop_states)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty universes
+            u = generate_universe(k, max_prefix, max_loop, loop_states=loop_states,
+                                  max_traces=len(want))
+        assert list(u.traces) == want, case
+        assert u.origins == ("model",) * len(want)
+        assert u.provenance == (
+            f"generated(max_prefix={max_prefix}, max_loop={max_loop}"
+            + (f", loop_states={sorted(loop_states)}" if loop_states is not None else "")
+            + ")")
+        assert all(t.canonical() is t for t in u)
+        assert all(u.index(t) == i for i, t in enumerate(want))
+        if want:
+            with pytest.raises(SizeLimitExceeded):
+                generate_universe(k, max_prefix, max_loop, loop_states=loop_states,
+                                  max_traces=len(want) - 1)
+
+
+# ---------------------------------------------------------------------------
+# is_model_trace against the quadratic fixpoint it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_is_model_trace(kripke, trace):
+    """The former implementation: forward reachability in the product of the
+    structure and the word's position automaton, then dead ends trimmed by
+    rescanning every live node until nothing changes."""
+    t = trace.canonical()
+    p, l = len(t.prefix), len(t.loop)
+
+    def letter(pos):
+        return t.prefix[pos] if pos < p else t.loop[(pos - p) % l]
+
+    def next_pos(pos):
+        n = pos + 1
+        return n if n < p + l else p + ((n - p) % l)
+
+    start = (kripke.initial, 0)
+    if kripke.labels[kripke.initial] != letter(0):
+        return False
+    reach, frontier = {start}, [start]
+    while frontier:
+        s, pos = frontier.pop()
+        np = next_pos(pos)
+        for s2 in kripke.transitions[s]:
+            if kripke.labels[s2] == letter(np) and (s2, np) not in reach:
+                reach.add((s2, np))
+                frontier.append((s2, np))
+
+    def succs(node):
+        s, pos = node
+        np = next_pos(pos)
+        return [(s2, np) for s2 in kripke.transitions[s]
+                if kripke.labels[s2] == letter(np) and (s2, np) in live]
+
+    live = set(reach)
+    changed = True
+    while changed:
+        changed = False
+        for node in list(live):
+            if not succs(node):
+                live.discard(node)
+                changed = True
+    return start in live
+
+
+def test_is_model_trace_matches_the_fixpoint_reference():
+    r = random.Random(15)
+    verdicts = set()
+    for case in range(300):
+        k = gen_system(r, props=("p", "q")).kripke
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            paths = generate_universe(k, max_prefix=2, max_loop=2).traces
+        # random words, mostly not paths, and paths with one letter changed
+        traces = [gen_trace(r, props=("p", "q"), max_prefix=4) for _ in range(4)]
+        for t in r.sample(paths, min(3, len(paths))):
+            cells = list(t.prefix + t.loop)
+            j = r.randrange(len(cells))
+            cells[j] = gen_letter(r, ("p", "q"))
+            traces += [t, LassoTrace(tuple(cells[:len(t.prefix)]),
+                                     tuple(cells[len(t.prefix):]))]
+        for t in traces:
+            got = is_model_trace(k, t)
+            assert got == reference_is_model_trace(k, t), (case, format_trace(t))
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("transitions, verdict", [
+    # s0 idles or leaves for the dead-end s1 or for s2, which idles on {p}
+    ({"s0": ("s0", "s1", "s2"), "s1": ("s1",), "s2": ("s2",)}, True),
+    # s0 and s1 idle on {} between them, and nothing reaches s2
+    ({"s0": ("s0", "s1"), "s1": ("s0", "s1"), "s2": ("s2",)}, False),
+])
+def test_is_model_trace_on_a_long_prefix(transitions, verdict):
+    # 2,000 letters {} before the loop {p}: a dead end at every position,
+    # which rescanning the live nodes trimmed one sweep at a time
+    k = KripkeStructure(("s0", "s1", "s2"), "s0", transitions, ("p",),
+                        {"s0": E, "s1": E, "s2": P})
+    assert is_model_trace(k, LassoTrace((E,) * 2_000, (P,))) is verdict
