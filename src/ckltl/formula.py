@@ -24,11 +24,11 @@ that pass ``isalnum()`` or are ``_``; the keywords above are not identifiers.
 No position is kept per token: a :class:`ParseError` computes its 1-based line
 and column from the token's offset when it is raised.
 
-The four binary connectives are parsed by precedence climbing over one table,
+The parser is one loop over the tokens with a stack of pending operators,
+ordered by one precedence table, ``_INFIX_OPS``: the binary connectives of
 ``_BINARY`` (precedence, node class, right associativity), which the printer
-shares.  ``cf``, ``until`` and ``unary`` keep a method each; a run of prefix
-operators is applied without recursion.  A level of parentheses costs four
-Python frames, so about 240 levels parse within the default recursion limit.
+shares, then ``U``/``S`` and the counterfactuals.  It does not recurse, so
+no nesting is too deep for it.
 
 Counterfactual operators do not associate: nesting one under another requires
 parentheses.  A traced atom ``p@pi`` reads proposition ``p`` on the trace bound
@@ -47,7 +47,10 @@ module-level unique table keyed by (type, scalar fields, child nodes), so a
 formula is a DAG in which structurally equal subformulas are one object.
 Equality and hashing are identity, nodes are immutable, and
 `parse(to_source(f)) is f`.  The table holds its nodes weakly, so formulas
-that nobody refers to any more leave it.
+that nobody refers to any more leave it.  Through `memo` the same table also
+maps a source text to its parse, a subset-similarity relation and a
+requirement to their live nodes, weakly too: while a formula lives, building
+it again returns it without rebuilding it.
 The first-order nodes of `foe` subclass `HashConsed` too and share the table,
 but they are not `Formula`s: `desugar` and `to_source` reject them.
 Printing, desugaring, counting and traversal are iterative postorders over
@@ -97,6 +100,15 @@ def _add(key: tuple, node: HashConsed) -> HashConsed:
         if live is not None:
             return live
         _remove_dead_weakref(_TABLE, key)
+
+
+def memo(key: tuple, build) -> HashConsed:
+    """The live node the table holds under `key`, a tuple whose first item is
+    the function that builds the node; if there is none, `build()`, recorded
+    under `key` until it dies.  An exception from `build` records nothing."""
+    entry = _TABLE.get(key)
+    node = entry() if entry is not None else None
+    return node if node is not None else _add(key, build())
 
 
 # One constructor maker per number of fields.  Each takes the setters of a
@@ -484,7 +496,7 @@ def _syntax_error(text: str, token: re.Pattern, valid, k: int, message: str) -> 
 
 
 # ---------------------------------------------------------------------------
-# Parser (precedence climbing over the binary connectives)
+# Parser (operator precedence, one loop)
 # ---------------------------------------------------------------------------
 
 # precedence levels, shared with the printer; higher binds tighter
@@ -508,118 +520,104 @@ _PREFIX_OPS = {
     "O": Once,
     "H": Historically,
 }
+# every infix operator: precedence, node, right associative.  Counterfactuals
+# do not associate; marked right associative, a pending one stays on the
+# stack when the next arrives, for the parser to refuse.
+_INFIX_OPS = {**_BINARY, **{t: (_P_CF, n, True) for t, n in _CF_OPS.items()},
+              **{t: (_P_UNTIL, n, True) for t, n in _UNTIL_OPS.items()}}
+_OPEN = (-1, None)  # an open parenthesis, or the bottom of the operator stack
 
 
-class _Parser:
-    __slots__ = ("text", "toks", "pos")
+def _error(text: str, k: int, message: str) -> ParseError:
+    return _syntax_error(text, _TOKEN, _is_token, k, message)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _TOKEN.findall(text, 0, _scan_end(text)) + [""]  # "": end of input
-        self.pos = 0
 
-    def error(self, message: str) -> ParseError:
-        return _syntax_error(self.text, _TOKEN, _is_token, self.pos, message)
-
-    def expect(self, text: str) -> None:
-        t = self.toks[self.pos]
-        if t != text:
-            raise self.error(f"expected {text!r}, found {t or 'end of input'!r}")
-        self.pos += 1
-
-    def agent_name(self) -> str:
-        self.expect("[")
-        t = self.toks[self.pos]
-        if not _is_ident(t):
-            raise self.error("expected an agent name")
-        self.pos += 1
-        self.expect("]")
-        return t
-
-    def binary(self, min_prec: int) -> Formula:
-        f = self.cf()
-        while True:
-            op = _BINARY.get(self.toks[self.pos])
-            if op is None or op[0] < min_prec:
-                return f
-            self.pos += 1
-            prec, node, right_assoc = op
-            f = node(f, self.binary(prec if right_assoc else prec + 1))
-
-    def cf(self) -> Formula:
-        f = self.until()
-        node = _CF_OPS.get(self.toks[self.pos])
-        if node is None:
-            return f
-        self.pos += 1
-        agent = self.agent_name()
-        f = node(agent, f, self.until())
-        if self.toks[self.pos] in _CF_OPS:
-            raise self.error("counterfactual operators do not associate; parenthesize")
-        return f
-
-    def until(self) -> Formula:
-        f = self.unary()
-        node = _UNTIL_OPS.get(self.toks[self.pos])
-        if node is None:
-            return f
-        self.pos += 1
-        return node(f, self.until())  # right associative
-
-    def unary(self) -> Formula:
-        """Prefix operators, applied innermost first, then an atom; a chain
-        of prefix operators costs no recursion."""
-        toks = self.toks
-        ops = []
-        while True:
-            t = toks[self.pos]
-            if t in _PREFIX_OPS:
-                self.pos += 1
-                ops.append(_PREFIX_OPS[t])
-            elif t == "K":
-                self.pos += 1
-                ops.append(partial(Know, self.agent_name()))
-            else:
-                break
-        if t == "(":
-            self.pos += 1
-            f = self.binary(_P_IFF)
-            self.expect(")")
-        elif t == "true":
-            self.pos += 1
-            f = TrueConst()
-        elif t == "false":
-            self.pos += 1
-            f = FalseConst()
-        elif _is_ident(t):
-            self.pos += 1
-            if toks[self.pos] == "@":
-                self.pos += 1
-                v = toks[self.pos]
-                if not _is_ident(v):
-                    raise self.error("expected a trace variable after '@'")
-                self.pos += 1
-                f = TracedAtom(t, v)
-            else:
-                f = Atom(t)
-        else:
-            raise self.error(f"expected a formula, found {t or 'end of input'!r}")
-        while ops:
-            f = ops.pop()(f)
-        return f
+def _agent(text: str, toks: list[str], k: int) -> str:
+    """The agent of the `[ name ]` that starts at token `k`."""
+    if toks[k] != "[":
+        raise _error(text, k, f"expected '[', found {toks[k] or 'end of input'!r}")
+    if not _is_ident(toks[k + 1]):
+        raise _error(text, k + 1, "expected an agent name")
+    if toks[k + 2] != "]":
+        raise _error(text, k + 2, f"expected ']', found {toks[k + 2] or 'end of input'!r}")
+    return toks[k + 1]
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into an AST, preserving surface operators.
 
-    Raises :class:`ParseError` with line/column on malformed input.
+    Raises :class:`ParseError` with line/column on malformed input.  The
+    formula of a text is kept in the unique table while it lives, so parsing
+    a text again returns it without reading the text.
     """
-    p = _Parser(text)
-    f = p.binary(_P_IFF)
-    t = p.toks[p.pos]
-    if t:
-        raise p.error(f"unexpected trailing input {t!r}")
-    return f
+    return memo((parse, text), partial(_parse, text))
+
+
+def _parse(text: str) -> Formula:
+    """Read operands, each after its prefix operators, and the infix operator
+    after each.  `ops` holds the pending operators as (precedence,
+    constructor), innermost last, and `lefts` the left operands of the infix
+    ones; an operator is applied once an operand is complete and no operator
+    after it binds tighter."""
+    toks = _TOKEN.findall(text, 0, _scan_end(text)) + [""]  # "": end of input
+    ops, lefts = [_OPEN], []
+    pos = depth = 0
+    while True:
+        t = toks[pos]
+        pos += 1
+        if t in _PREFIX_OPS:
+            ops.append((_P_UNARY, _PREFIX_OPS[t]))
+            continue
+        if t == "K":
+            ops.append((_P_UNARY, partial(Know, _agent(text, toks, pos))))
+            pos += 3
+            continue
+        if t == "(":
+            ops.append(_OPEN)
+            depth += 1
+            continue
+        if t == "true":
+            f = TrueConst()
+        elif t == "false":
+            f = FalseConst()
+        elif not _is_ident(t):
+            raise _error(text, pos - 1, f"expected a formula, found {t or 'end of input'!r}")
+        elif toks[pos] != "@":
+            f = Atom(t)
+        elif _is_ident(toks[pos + 1]):
+            f = TracedAtom(t, toks[pos + 1])
+            pos += 2
+        else:
+            raise _error(text, pos + 1, "expected a trace variable after '@'")
+        while True:  # `f` is complete: apply what binds tighter than the next token
+            while ops[-1][0] == _P_UNARY:
+                f = ops.pop()[1](f)
+            t = toks[pos]
+            op = _INFIX_OPS.get(t)
+            bar = op[0] + op[2] if op else 0  # pending operators this tight or tighter apply
+            while ops[-1][0] >= bar:
+                f = ops.pop()[1](lefts.pop(), f)
+            if op:
+                break
+            if t == ")" and depth:
+                ops.pop()
+                depth -= 1
+                pos += 1
+            elif depth:
+                raise _error(text, pos, f"expected ')', found {t or 'end of input'!r}")
+            elif t:
+                raise _error(text, pos, f"unexpected trailing input {t!r}")
+            else:
+                return f
+        prec, node, _ = op
+        if prec == _P_CF:
+            if ops[-1][0] == _P_CF:
+                raise _error(text, pos, "counterfactual operators do not associate; parenthesize")
+            node = partial(node, _agent(text, toks, pos + 1))
+            pos += 3
+        ops.append((prec, node))
+        lefts.append(f)
+        pos += 1
 
 
 # ---------------------------------------------------------------------------

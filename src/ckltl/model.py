@@ -27,6 +27,7 @@ from .formula import (
     RelationalFormulaError,
     TracedAtom,
     conjoin,
+    memo,
     parse,
     to_source,
     validate_relational,
@@ -266,20 +267,27 @@ def subset_similarity(
       & H (AND_p ...)
 
     The induced relation is a preorder with the reference itself as minimum.
+    The body is kept in the unique table while it lives, under the
+    propositions and parameters, and is built once.
     """
+    props = tuple(props)
     ref, near, far = params  # `RelationalFormula` refuses repeated ones
-    parts = []
-    for p in props:
-        on_ref = TracedAtom(p, ref)
-        differs_near = Not(Iff(on_ref, TracedAtom(p, near)))
-        differs_far = Not(Iff(on_ref, TracedAtom(p, far)))
-        parts.append(Implies(differs_near, differs_far))
-    # G and H over the same pointwise block: the evaluator recognises this
-    # all-positions shape and runs the block per position on the universe's
-    # proposition masks; other relations are evaluated on views of the
-    # universe that bind the reference and nearer traces
-    block = conjoin(parts)
-    # only traced atoms over `params` under boolean and temporal connectives:
-    # valid by construction, so `validate_relational` would find nothing
-    body = And(Globally(block), Historically(block))
+
+    def build() -> Formula:
+        parts = []
+        for p in props:
+            on_ref = TracedAtom(p, ref)
+            differs_near = Not(Iff(on_ref, TracedAtom(p, near)))
+            differs_far = Not(Iff(on_ref, TracedAtom(p, far)))
+            parts.append(Implies(differs_near, differs_far))
+        # G and H over the same pointwise block: the evaluator recognises this
+        # all-positions shape and runs the block per position on the universe's
+        # proposition masks; other relations are evaluated on views of the
+        # universe that bind the reference and nearer traces
+        block = conjoin(parts)
+        # only traced atoms over `params` under boolean and temporal connectives:
+        # valid by construction, so `validate_relational` would find nothing
+        return And(Globally(block), Historically(block))
+
+    body = memo((subset_similarity, props, ref, near, far), build)
     return RelationalFormula(tuple(params), body)

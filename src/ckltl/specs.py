@@ -34,6 +34,7 @@ from .formula import (
     Next,
     Not,
     disjoin,
+    memo,
     to_source,
 )
 from .model import System
@@ -114,77 +115,74 @@ def satisfiable_pairs(
     When no such pair exists (one literal, or only complementary ones), falls
     back to the degenerate self-pairs (a, a), which builders collapse to the
     bare literal."""
-    return tuple((literals[i], literals[j]) for i, j in _pair_positions(literals))
+    pairs = _pair_positions([lit.name for lit in literals])
+    return tuple((literals[i], literals[j]) for i, j in pairs)
 
 
-def _pair_positions(literals: Sequence[AttrLiteral]) -> list[tuple[int, int]]:
+def _pair_positions(names: Sequence[str]) -> list[tuple[int, int]]:
     """`satisfiable_pairs` as index pairs.  Two literals are equal or
     complementary exactly when their names match, so only names are
     compared."""
-    names = [lit.name for lit in literals]
     n = len(names)
     out = [(i, j) for i in range(n) for j in range(i + 1, n) if names[i] != names[j]]
     return out or [(i, i) for i in range(n)]
 
 
-def _antecedents(vocab: AttributeVocabulary, agents: Iterable[str]) -> list[Formula]:
-    """`a & b` for each satisfiable pair of the agents' literals, duplicates
-    dropped (a self-pair is the bare literal).  Pairs are built over literal
-    positions and literals are keyed by (name, sign), so no literal is
-    hashed or compared as a dataclass."""
-    seen: dict[tuple, AttrLiteral] = {}  # (name, sign) -> first such literal
-    for agent in agents:
-        for lit in vocab.literals_of(agent):
-            seen.setdefault((lit.name, lit.positive), lit)
-    if not seen:
+def _antecedents(lits: Iterable[tuple[str, bool]]) -> list[Formula]:
+    """`a & b` for each satisfiable pair of the (name, sign) literals,
+    duplicates dropped (a self-pair is the bare literal)."""
+    lits = list(dict.fromkeys(lits))
+    if not lits:
         raise ValueError("empty attribute set")
-    lits = list(seen.values())
-    forms = [lit.as_formula() for lit in lits]
-    return [forms[i] if i == j else And(forms[i], forms[j]) for i, j in _pair_positions(lits)]
+    forms = [Atom(name) if positive else Not(Atom(name)) for name, positive in lits]
+    pairs = _pair_positions([name for name, _ in lits])
+    return [forms[i] if i == j else And(forms[i], forms[j]) for i, j in pairs]
 
 
 def _requirement(
-    antes: list[Formula], knower: str, cf_agent: str, outcome: str, joint_antecedent: bool
+    vocab: AttributeVocabulary, agents: Iterable[str], knower: str, cf_agent: str,
+    joint_antecedent: bool,
 ) -> Formula:
-    offer = Atom(outcome)
-    if joint_antecedent:
-        body = Know(knower, Might(cf_agent, disjoin(antes), offer))
-    else:
-        body = disjoin([Know(knower, Might(cf_agent, ante, offer)) for ante in antes])
-    return Globally(Implies(Not(offer), body))
+    """The requirement over the agents' literals, in the unique table under
+    those literals as (name, sign) pairs, so no literal is hashed or compared
+    as a dataclass, and a requirement still alive is not built again."""
+    lits = tuple((lit.name, lit.positive) for agent in agents for lit in vocab.literals_of(agent))
+    outcome = vocab.outcome
+
+    def build() -> Formula:
+        antes, offer = _antecedents(lits), Atom(outcome)
+        if joint_antecedent:
+            body = Know(knower, Might(cf_agent, disjoin(antes), offer))
+        else:
+            body = disjoin([Know(knower, Might(cf_agent, ante, offer)) for ante in antes])
+        return Globally(Implies(Not(offer), body))
+
+    return memo((_requirement, lits, knower, cf_agent, outcome, joint_antecedent), build)
 
 
 def build_ice(vocab: AttributeVocabulary, agent: str) -> Formula:
     """Internal explainability: at each outcome-less moment the agent knows,
     for some pair of its own attribute literals, that the pair might have
     produced the outcome."""
-    return _requirement(
-        _antecedents(vocab, [agent]), agent, agent, vocab.outcome, False
-    )
+    return _requirement(vocab, [agent], agent, agent, False)
 
 
 def build_wce(vocab: AttributeVocabulary, agent: str) -> Formula:
     """Weak variant: one knowledge operator around a single counterfactual
     whose antecedent disjoins all the pairs."""
-    return _requirement(
-        _antecedents(vocab, [agent]), agent, agent, vocab.outcome, True
-    )
+    return _requirement(vocab, [agent], agent, agent, True)
 
 
 def build_gce(vocab: AttributeVocabulary, knower: str, cf_agent: str) -> Formula:
     """General variant: pairs drawn from every agent's literal closure in the
     vocabulary (insertion order, duplicates dropped)."""
-    return _requirement(
-        _antecedents(vocab, vocab.agents()), knower, cf_agent, vocab.outcome, False
-    )
+    return _requirement(vocab, vocab.agents(), knower, cf_agent, False)
 
 
 def build_ece(vocab: AttributeVocabulary, attr_agent: str, agent: str) -> Formula:
     """External variant: pairs over `attr_agent`'s literals, knowledge and
     counterfactual judged by `agent`."""
-    return _requirement(
-        _antecedents(vocab, [attr_agent]), agent, agent, vocab.outcome, False
-    )
+    return _requirement(vocab, [attr_agent], agent, agent, False)
 
 
 def position_variant(f: Formula, k: int) -> Formula:

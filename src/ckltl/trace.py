@@ -274,13 +274,13 @@ class TraceUniverse:
         return trace.canonical() in self._index
 
 
-def _indexed(index: dict, origins: tuple[str, ...], provenance: str) -> TraceUniverse:
-    """Universe over the keys of `index`, distinct canonical traces each
-    mapped to its position, keeping `index` as its own: the constructor
-    without its second pass over the traces."""
+def _indexed(traces: tuple[LassoTrace, ...], index: dict, origins: tuple[str, ...],
+             provenance: str) -> TraceUniverse:
+    """Universe over `traces`, distinct words whose canonical forms `index`
+    maps to their positions, keeping `index` as its own: the constructor
+    without its pass over the traces."""
     u = object.__new__(TraceUniverse)
-    u.__dict__.update(traces=tuple(index), origins=origins, provenance=provenance,
-                      _index=index)
+    u.__dict__.update(traces=traces, origins=origins, provenance=provenance, _index=index)
     return u
 
 
@@ -289,7 +289,7 @@ def universe_of(traces: Iterable[LassoTrace], provenance: str = "user") -> Trace
     index: dict[LassoTrace, int] = {}
     for t in traces:
         index.setdefault(t.canonical(), len(index))
-    return _indexed(index, ("user",) * len(index), provenance)
+    return _indexed(tuple(index), index, ("user",) * len(index), provenance)
 
 
 def generate_universe(
@@ -312,6 +312,8 @@ def generate_universe(
     k = getattr(system_or_kripke, "kripke", system_or_kripke)
     if max_prefix < 0 or max_loop < 1:
         raise ValueError("need max_prefix >= 0 and max_loop >= 1")
+    if max_traces < 1:
+        raise ValueError(f"need max_traces >= 1, got {max_traces}")
     allowed = set(loop_states) if loop_states is not None else None
     if allowed is not None:
         unknown = allowed - set(k.states)
@@ -374,7 +376,7 @@ def generate_universe(
         + (f", loop_states={sorted(allowed)}" if allowed is not None else "")
         + ")"
     )
-    return _indexed(found, ("model",) * len(found), note)
+    return _indexed(tuple(found), found, ("model",) * len(found), note)
 
 
 def is_model_trace(kripke, trace: LassoTrace) -> bool:
@@ -446,8 +448,8 @@ def add_trace(universe: TraceUniverse, trace: LassoTrace, system=None) -> TraceU
     c = trace.canonical()
     if c in universe:
         return universe
-    return TraceUniverse(
-        universe.traces + (c,),
-        universe.origins + ("user" if system is None else "model",),
-        universe.provenance,
-    )
+    index = dict(universe._index)
+    index[c] = len(universe)
+    origin = "user" if system is None else "model"
+    return _indexed(universe.traces + (c,), index, universe.origins + (origin,),
+                    universe.provenance)

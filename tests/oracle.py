@@ -1,4 +1,5 @@
-"""A deliberately naive bounded-window evaluator used as a second route.
+"""Second routes for differential tests: a deliberately naive bounded-window
+evaluator, and a recursive-descent parser for the formula syntax.
 
 Differences from the engine are structural, not cosmetic: no memoization, no
 zipped traces (relational formulas read trace variables from an environment),
@@ -6,9 +7,17 @@ observation equivalence recomputed per query, and each counterfactual variant
 written out as its own textbook quantifier pattern instead of sharing a
 negated-consequent core.  Agreement between this and the engine is therefore
 evidence, not an echo.
+
+The parser, `parse_reference`, reads the grammar of `ckltl.formula` with one
+method per precedence tier, recursing on parentheses and on the right operand
+of a right-associative connective; it shares the library's tokenizer and
+error reporting, so its results and error messages must match `parse`'s
+exactly on every input within its recursion depth.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from ckltl import (
     And,
@@ -33,6 +42,18 @@ from ckltl import (
     Until,
     UWould,
     Would,
+)
+from ckltl.formula import (
+    _BINARY,
+    _CF_OPS,
+    _P_IFF,
+    _PREFIX_OPS,
+    _TOKEN,
+    _UNTIL_OPS,
+    _is_ident,
+    _is_token,
+    _scan_end,
+    _syntax_error,
 )
 
 
@@ -165,3 +186,115 @@ def naive(system, universe, n, t, f, i, env=None):
         )
 
     return ev(t, f, i, env or {})
+
+
+# ---------------------------------------------------------------------------
+# recursive-descent parser
+# ---------------------------------------------------------------------------
+
+
+class _Parser:
+    __slots__ = ("text", "toks", "pos")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _TOKEN.findall(text, 0, _scan_end(text)) + [""]  # "": end of input
+        self.pos = 0
+
+    def error(self, message: str):
+        return _syntax_error(self.text, _TOKEN, _is_token, self.pos, message)
+
+    def expect(self, text: str) -> None:
+        t = self.toks[self.pos]
+        if t != text:
+            raise self.error(f"expected {text!r}, found {t or 'end of input'!r}")
+        self.pos += 1
+
+    def agent_name(self) -> str:
+        self.expect("[")
+        t = self.toks[self.pos]
+        if not _is_ident(t):
+            raise self.error("expected an agent name")
+        self.pos += 1
+        self.expect("]")
+        return t
+
+    def binary(self, min_prec: int):
+        f = self.cf()
+        while True:
+            op = _BINARY.get(self.toks[self.pos])
+            if op is None or op[0] < min_prec:
+                return f
+            self.pos += 1
+            prec, node, right_assoc = op
+            f = node(f, self.binary(prec if right_assoc else prec + 1))
+
+    def cf(self):
+        f = self.until()
+        node = _CF_OPS.get(self.toks[self.pos])
+        if node is None:
+            return f
+        self.pos += 1
+        agent = self.agent_name()
+        f = node(agent, f, self.until())
+        if self.toks[self.pos] in _CF_OPS:
+            raise self.error("counterfactual operators do not associate; parenthesize")
+        return f
+
+    def until(self):
+        f = self.unary()
+        node = _UNTIL_OPS.get(self.toks[self.pos])
+        if node is None:
+            return f
+        self.pos += 1
+        return node(f, self.until())  # right associative
+
+    def unary(self):
+        toks = self.toks
+        ops = []
+        while True:
+            t = toks[self.pos]
+            if t in _PREFIX_OPS:
+                self.pos += 1
+                ops.append(_PREFIX_OPS[t])
+            elif t == "K":
+                self.pos += 1
+                ops.append(partial(Know, self.agent_name()))
+            else:
+                break
+        if t == "(":
+            self.pos += 1
+            f = self.binary(_P_IFF)
+            self.expect(")")
+        elif t == "true":
+            self.pos += 1
+            f = TrueConst()
+        elif t == "false":
+            self.pos += 1
+            f = FalseConst()
+        elif _is_ident(t):
+            self.pos += 1
+            if toks[self.pos] == "@":
+                self.pos += 1
+                v = toks[self.pos]
+                if not _is_ident(v):
+                    raise self.error("expected a trace variable after '@'")
+                self.pos += 1
+                f = TracedAtom(t, v)
+            else:
+                f = Atom(t)
+        else:
+            raise self.error(f"expected a formula, found {t or 'end of input'!r}")
+        while ops:
+            f = ops.pop()(f)
+        return f
+
+
+def parse_reference(text: str):
+    """`text` parsed by recursive descent; raises `ParseError` like `parse`."""
+    p = _Parser(text)
+    f = p.binary(_P_IFF)
+    t = p.toks[p.pos]
+    if t:
+        raise p.error(f"unexpected trailing input {t!r}")
+    return f

@@ -34,6 +34,17 @@ def run(capsys, argv):
     return code, cap.out, cap.err
 
 
+def test_check_deeply_parenthesized_formula(model, capsys):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        code, out, err = run(capsys, ["check", "--model", model, "--formula",
+                                      "(" * 300 + "p" + ")" * 300, *TRACES])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (1, "") and "result: not satisfied" in out
+
+
 def test_check_satisfied(model, capsys):
     code, out, err = run(
         capsys, ["check", "--model", model, "--formula", "p | !p", *TRACES]

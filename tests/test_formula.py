@@ -15,6 +15,7 @@ from ckltl import (
     EMight,
     Eventually,
     FalseConst,
+    Formula,
     Globally,
     Historically,
     Iff,
@@ -43,6 +44,7 @@ from ckltl import (
     disjoin,
     parse,
     subformulas,
+    subset_similarity,
     to_source,
     validate_relational,
 )
@@ -52,6 +54,7 @@ from ckltl.hiring import hiring_vocabulary
 from ckltl.specs import AttributeVocabulary
 
 from gen import gen_formula
+from oracle import parse_reference
 
 
 def test_parse_atoms_and_constants():
@@ -175,6 +178,71 @@ def test_nesting_depth_within_default_recursion_limit():
         assert isinstance(f, Not)
         f = f.child
     assert f == Atom("p")
+
+
+def _chain(node, n: int, right: bool):
+    """`n` atoms joined by `node`, nested to the right or to the left."""
+    f = Atom("p0")
+    for j in range(1, n):
+        f = node(Atom(f"p{j}"), f) if right else node(f, Atom(f"p{j}"))
+    return f
+
+
+def test_parse_any_nesting_depth():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert parse("(" * 20_000 + "p" + ")" * 20_000) is Atom("p")
+        for node in (Implies, Until):
+            for right in (True, False):
+                f = _chain(node, 5_000, right)
+                assert parse(to_source(f)) is f, (node, right)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# pieces of token strings for the differential test: tokens, near-tokens
+# and characters no token starts with
+PIECES = ["p", "q", "s", "p@pi", "q@pi1", "@", "(", "(", ")", ")", "[", "]", "a",
+          "!", "&", "|", "->", "<->", "U", "S", "X", "F", "G", "Y", "O", "H", "K",
+          "K[a]", "K[]", "WOULD[a]", "MIGHT[b]", "UWOULD", "EMIGHT[a]", "true",
+          "false", "$", "1", "\n", "<-", "é"]
+
+
+def _token_strings(r: random.Random, n: int):
+    """Random formulas with tokens dropped or inserted, and random runs of
+    pieces, joined by a space or, now and then, by nothing."""
+    for _ in range(n):
+        if r.random() < 0.3:
+            toks = to_source(gen_formula(r, depth=r.randint(1, 4))).split(" ")
+            for _ in range(r.randint(0, 2)):
+                k = r.randrange(len(toks) + 1)
+                if r.random() < 0.5 and k < len(toks):
+                    del toks[k]
+                else:
+                    toks.insert(k, r.choice(PIECES))
+        else:
+            toks = [r.choice(PIECES) for _ in range(r.randint(0, 12))]
+        yield ("" if r.random() < 0.2 else " ").join(toks)
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+def test_parse_matches_the_recursive_reference():
+    # the recursive-descent parser the stack parser replaced, on seeded
+    # token strings: the same formula or the same error and position
+    r = random.Random(20261019)
+    parsed = 0
+    for text in _token_strings(r, 20_000):
+        got, want = _outcome(parse, text), _outcome(parse_reference, text)
+        assert got is want if isinstance(want, Formula) else got == want, text
+        parsed += isinstance(want, Formula)
+    assert parsed > 2_000
 
 
 def test_roundtrip_fixed_examples():
@@ -410,6 +478,24 @@ def test_unique_table_is_weak():
     del f
     gc.collect()
     assert peak > start + 10 and len(_TABLE) == start
+
+
+def test_parse_is_memoized_while_its_formula_lives():
+    gc.collect()
+    start = len(_TABLE)
+    text = "memo_p U (memo_q & K[a] memo_r)"
+    f = parse(text)
+    assert parse(text) is f and _TABLE[(parse, text)]() is f
+    for bad in ("memo_p &", "memo_p $"):
+        with pytest.raises(ParseError):
+            parse(bad)
+        assert (parse, bad) not in _TABLE
+    gce = build_gce(hiring_vocabulary(), "a", "a")
+    sim = subset_similarity(p for p in ("memo_p", "memo_q"))
+    assert len(_TABLE) > start
+    del f, gce, sim
+    gc.collect()
+    assert len(_TABLE) == start
 
 
 def _hash_consed_classes():

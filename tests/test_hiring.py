@@ -1,5 +1,7 @@
 """The hiring case study: structures, universes, observation, similarity."""
 
+import subprocess
+import sys
 from hashlib import sha256
 from pathlib import Path
 
@@ -274,3 +276,30 @@ def test_fixtures_load_back_to_the_builders():
         fname = f"{name.replace('-', '_')}.json"
         loaded = load_system(FIXTURES / fname)
         assert system_to_dict(loaded) == system_to_dict(build())
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_setups_leave_nothing_in_the_unique_table():
+    # the benchmark's single-round set-up, twice in a fresh process: the
+    # table's memo entries live with the formulas, so nothing carries over
+    code = """
+import gc, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+import workloads
+from ckltl.formula import _TABLE
+w = workloads.Hiring1Round(workloads.Path(sys.argv[1]), 1)
+sizes = []
+for pass_no in range(2):
+    checks = w.setup(pass_no)
+    sizes.append(len(_TABLE))
+    del checks
+    gc.collect()
+    sizes.append(len(_TABLE))
+print(*sizes)
+"""
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT)], capture_output=True,
+                         text=True, check=True).stdout
+    live, after, live_again, after_again = map(int, out.split())
+    assert live > 0 and live_again == live and after == after_again == 0

@@ -131,6 +131,15 @@ def test_subset_similarity_shape():
         assert f"@{var}" in src
 
 
+def test_subset_similarity_accepts_any_iterable_of_props():
+    rf = subset_similarity(("p", "q"))
+    assert subset_similarity(p for p in ("p", "q")).formula is rf.formula
+    assert subset_similarity(["p", "q"], list(SIM_PARAMS)) == rf
+    # the parameters are part of the relation, not only its wrapper
+    other = subset_similarity(("p", "q"), ("u", "v", "w"))
+    assert other.formula is not rf.formula and "@u" in to_source(other.formula)
+
+
 def test_subset_similarity_is_valid_by_construction():
     for props in [("p",), ("p", "q"), ("q", "p", "s"), ("a_job", "r_gen", "offer")]:
         for params in [SIM_PARAMS, ("u", "v", "w")]:

@@ -160,6 +160,28 @@ def test_explicit_literal_override():
     assert to_source(mights[0].ante) == "x"
 
 
+def test_each_literal_sequence_gets_its_own_requirement():
+    # the table keys a requirement by the literals in order, so a vocabulary
+    # whose literals differ, or come in another order, is not served another's
+    v = small_vocab()
+    gce = build_gce(v, "a", "a")
+    assert build_gce(small_vocab(), "a", "a") is gce
+    swapped = AttributeVocabulary(positives={"b": ("z",), "a": ("x", "y")}, outcome="win")
+    first = [to_source(m.ante) for m in subformulas(build_gce(swapped, "a", "a"))
+             if isinstance(m, Might)]
+    assert build_gce(swapped, "a", "a") is not gce and first[0] == "z & x"
+    overridden = AttributeVocabulary(positives=v.positives, outcome="win",
+                                     literals={"a": (AttrLiteral("y"), AttrLiteral("x"))})
+    f = build_ice(overridden, "a")
+    assert f is not build_ice(v, "a")
+    assert [to_source(m.ante) for m in subformulas(f) if isinstance(m, Might)] == ["y & x"]
+    # knower, counterfactual agent, outcome and shape are part of the key;
+    # the ECE of an agent's own attributes is its ICE
+    assert len({build_gce(v, "a", "a"), build_gce(v, "b", "a"), build_gce(v, "a", "b"),
+                build_ice(v, "a"), build_wce(v, "a"), build_ece(v, "a", "a"),
+                build_ice(AttributeVocabulary(v.positives, "lose"), "a")}) == 6
+
+
 def test_empty_attribute_set_is_an_error():
     v = AttributeVocabulary(positives={"a": ()}, outcome="win")
     with pytest.raises(ValueError):

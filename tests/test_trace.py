@@ -286,6 +286,13 @@ def test_generate_universe_size_cap_and_empty_warning():
     assert len(u) == 0
 
 
+def test_generate_universe_refuses_a_cap_below_one():
+    k = two_state_kripke()
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_traces"):
+            generate_universe(k, max_prefix=1, max_loop=1, max_traces=cap)
+
+
 def test_is_model_trace():
     k = two_state_kripke()
     assert is_model_trace(k, tr("| {}"))
@@ -307,7 +314,7 @@ def test_add_trace():
     grown = add_trace(u, tr("{} | {p} ; {}"))
     assert len(grown) == len(u) + 1
     again = add_trace(grown, tr("{} ; {p} | {} ; {p}"))
-    assert len(again) == len(grown)  # same word, no-op
+    assert again is grown  # same word, no-op
     with pytest.raises(NotAPathOfModel):
         from ckltl import System, subset_similarity
 
@@ -318,6 +325,34 @@ def test_add_trace():
             similarity={"a": subset_similarity(("p",))},
         )
         add_trace(u, tr("| {p}"), system=s)
+
+
+def test_add_trace_extends_the_index():
+    r = random.Random(16)
+    k = two_state_kripke()
+    for case in range(200):
+        # a user universe keeps its traces as given, canonical or not
+        traces = gen_universe(r).traces
+        u = (TraceUniverse(tuple(LassoTrace(t.prefix, t.loop + t.loop) for t in traces))
+             if r.random() < 0.5 else generate_universe(k, r.randint(0, 2), r.randint(1, 2)))
+        system = k if r.random() < 0.5 else None
+        if system is None:
+            t = gen_trace(r)
+        else:  # a path of the model, in a presentation of its own
+            t = r.choice(generate_universe(k, 3, 2).traces)
+            t = LassoTrace(t.prefix + t.loop, t.loop)
+        grown = add_trace(u, t, system)
+        if t in u:
+            assert grown is u, case
+            continue
+        rebuilt = TraceUniverse(u.traces + (t.canonical(),),
+                                u.origins + ("user" if system is None else "model",),
+                                u.provenance)
+        assert grown.traces == rebuilt.traces and grown.origins == rebuilt.origins, case
+        assert grown.provenance == rebuilt.provenance, case
+        assert grown._index == rebuilt._index and list(grown._index.values()) == list(
+            range(len(grown))), case
+        assert u._index is not grown._index and len(u._index) == len(u), case
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +409,7 @@ def test_generate_universe_matches_reference_enumerator():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty universes
             u = generate_universe(k, max_prefix, max_loop, loop_states=loop_states,
-                                  max_traces=len(want))
+                                  max_traces=max(len(want), 1))  # a cap below 1 is refused
         assert list(u.traces) == want, case
         assert u.origins == ("model",) * len(want)
         assert u.provenance == (
@@ -383,7 +418,7 @@ def test_generate_universe_matches_reference_enumerator():
             + ")")
         assert all(t.canonical() is t for t in u)
         assert all(u.index(t) == i for i, t in enumerate(want))
-        if want:
+        if len(want) > 1:
             with pytest.raises(SizeLimitExceeded):
                 generate_universe(k, max_prefix, max_loop, loop_states=loop_states,
                                   max_traces=len(want) - 1)
