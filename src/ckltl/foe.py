@@ -272,44 +272,38 @@ class _Translator:
                     FoNot(self.go(f.ante, xe, None)),
                 ),
             )
-            xe2 = self.fresh()
-            xc = self.fresh()
-            guard = self._sigma(a, x, x, xc, xe2)
-            if not self.faithful:
-                guard = FoAnd(FoEqualLevel(xc, x), guard)
-            threshold = FoExists(
-                xe2,
+            return FoOr(none_accessible, self._threshold(f, x, x, False))
+        xa = self.fresh()
+        threshold = self._threshold(f, x, xa, True)  # numbered before the rest
+        return FoForall(
+            xa,
+            FoImplies(
                 _fo_conjoin(
                     [
-                        FoEqualLevel(xe2, x),
-                        self._sigma(a, x, x, x, xe2),
-                        self.go(f.ante, xe2, None),
-                        FoForall(
-                            xc,
-                            FoImplies(
-                                guard,
-                                FoImplies(
-                                    self.go(f.ante, xc, None),
-                                    self.go(f.cons, xc, None),
-                                ),
-                            ),
-                        ),
+                        FoEqualLevel(xa, x),
+                        self._sigma(a, x, x, x, xa),
+                        self.go(f.ante, xa, None),
                     ]
                 ),
-            )
-            return FoOr(none_accessible, threshold)
-        xa = self.fresh()
+                threshold,
+            ),
+        )
+
+    def _threshold(self, f: Would | UWould, x: str, y: str, closer: bool) -> FoFormula:
+        """Threshold from x: an antecedent trace xe at y's level, at least as
+        close as y (`closer`, UWould) or at least as far (Would, y = x), within
+        whose sphere (xc at x's level unless faithful) ante implies cons."""
         xe = self.fresh()
         xc = self.fresh()
-        guard = self._sigma(a, x, x, xc, xe)
+        guard = self._sigma(f.agent, x, x, xc, xe)
         if not self.faithful:
             guard = FoAnd(FoEqualLevel(xc, x), guard)
-        threshold = FoExists(
+        return FoExists(
             xe,
             _fo_conjoin(
                 [
-                    FoEqualLevel(xe, xa),
-                    self._sigma(a, x, x, xe, xa),
+                    FoEqualLevel(xe, y),
+                    self._sigma(f.agent, x, x, *((xe, y) if closer else (y, xe))),
                     self.go(f.ante, xe, None),
                     FoForall(
                         xc,
@@ -322,19 +316,6 @@ class _Translator:
                         ),
                     ),
                 ]
-            ),
-        )
-        return FoForall(
-            xa,
-            FoImplies(
-                _fo_conjoin(
-                    [
-                        FoEqualLevel(xa, x),
-                        self._sigma(a, x, x, x, xa),
-                        self.go(f.ante, xa, None),
-                    ]
-                ),
-                threshold,
             ),
         )
 

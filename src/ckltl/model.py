@@ -203,13 +203,15 @@ def system_from_dict(data: dict) -> System:
         try:
             name = item["name"]
             obs = frozenset(item["observes"])
-            params = tuple(item["similarity"]["params"])
+            params = item["similarity"]["params"]
             formula_text = item["similarity"]["formula"]
         except (KeyError, TypeError) as exc:
             raise ModelFormatError(f"malformed agent entry: {exc}") from exc
-        if len(params) != 3:
+        if not (isinstance(params, list) and all(isinstance(p, str) for p in params)
+                and len(set(params)) == len(params) == 3):
             raise ModelFormatError(
-                f"agent {name!r}: similarity needs exactly 3 trace parameters"
+                f"agent {name!r}: similarity params must be a list of 3 distinct"
+                f" trace variable names, got {params!r}"
             )
         agents.append(name)
         observation[name] = obs

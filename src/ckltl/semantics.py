@@ -1,16 +1,16 @@
 """Evaluation of formulas on lasso traces over a finite trace universe.
 
-Two modes:
+A context's `bound` picks the semantics:
 
-* exact-lasso -- true infinite-word semantics.  On a set of traces with
+* None (exact) -- true infinite-word semantics.  On a set of traces with
   longest prefix P and loop lcm L, the values of a subformula repeat from
   P + a*L with period b*L, for a bound (a, b) proved from the formula
   structure alone, never read off computed values.  U, F and G pass over
   the period twice: from the least (U, F) or greatest (G) fixpoint to settle
   the value at its start, then from that value to fill it.
 
-* bounded(N) -- positions range over [0, N]; X is false at N, Y is false at 0,
-  Until/Since witnesses are clipped to the window.  This mirrors the
+* N >= 0 (bounded) -- positions range over [0, N]; X is false at N, Y is
+  false at 0, Until/Since witnesses are clipped to the window.  This mirrors the
   first-order translation over the same bounded domain exactly.
 
 The evaluator handles the surface operators (Or, Implies, Iff, F, G, O, H,
@@ -80,14 +80,10 @@ from .formula import (
     UWould,
     Would,
     children,
-    subformulas,
     to_source,
 )
 from .model import System
 from .trace import LassoTrace, TraceUniverse, format_trace
-
-EXACT_LASSO = "exact-lasso"
-BOUNDED = "bounded"
 
 _CF_NODES = {Would: (False, False), Might: (False, True),
              UWould: (True, False), EMight: (True, True)}
@@ -231,7 +227,7 @@ def _step(l, r, k, x, other):
 
 
 class EvalContext:
-    """Evaluation state: system, universe, mode, and all memo tables.
+    """Evaluation state: system, universe, bound (None: exact), and all memo tables.
 
     Columns are indexed by trace set and formula node (see the module
     docstring) and filled lazily, so building a context costs nothing per
@@ -239,23 +235,17 @@ class EvalContext:
     context are warm; results never depend on cache state.
     """
 
-    __slots__ = ("system", "universe", "mode", "bound", "stabilization_cap",
+    __slots__ = ("system", "universe", "bound", "stabilization_cap",
                  "_bounds", "_shape", "_sets", "_parts", "_asks", "_rels")
 
-    def __init__(self, system: System, universe: TraceUniverse, mode: str = EXACT_LASSO,
-                 bound: int | None = None, stabilization_cap: int = 64):
-        if mode not in (EXACT_LASSO, BOUNDED):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == BOUNDED:
-            if bound is None or bound < 0:
-                raise ValueError("bounded mode needs a bound >= 0")
-        elif bound is not None:
-            raise ValueError("exact-lasso mode takes no bound")
+    def __init__(self, system: System, universe: TraceUniverse, bound: int | None = None,
+                 stabilization_cap: int = 64):
+        if bound is not None and bound < 0:
+            raise ValueError(f"bounded mode needs a bound >= 0, got {bound}")
         if stabilization_cap < 1:
             raise ValueError("stabilization cap must be positive")
         self.system = system
         self.universe = universe
-        self.mode = mode
         self.bound = bound
         self.stabilization_cap = stabilization_cap
         self._bounds: dict[Formula, tuple[int, int]] = {}  # met node -> (a, b)
@@ -268,11 +258,13 @@ class EvalContext:
 
     @classmethod
     def exact(cls, system, universe, stabilization_cap: int = 64) -> "EvalContext":
-        return cls(system, universe, EXACT_LASSO, None, stabilization_cap)
+        return cls(system, universe, None, stabilization_cap)
 
     @classmethod
     def bounded(cls, system, universe, bound: int) -> "EvalContext":
-        return cls(system, universe, BOUNDED, bound)
+        if bound is None:
+            raise ValueError(f"bounded mode needs a bound >= 0, got {bound}")
+        return cls(system, universe, bound)
 
     def stats(self) -> dict[str, int]:
         """Deterministic work counters: nodes met, (node, trace set) columns,
@@ -352,7 +344,7 @@ class EvalContext:
         the bounded window and a trace outside the universe are refused."""
         if i < 0:
             raise ValueError("positions start at 0")
-        if self.mode == BOUNDED and i > self.bound:
+        if self.bound is not None and i > self.bound:
             raise ValueError(f"position {i} outside the bounded window [0, {self.bound}]")
         for t in traces:
             if t not in self.universe:
@@ -375,8 +367,8 @@ class EvalContext:
     # ------------------------------------------------------------------
 
     def value(self, t: LassoTrace, f: Formula, i: int) -> bool:
-        """Truth of `f` on the universe trace `t` at position `i` (mode
-        aware)."""
+        """Truth of `f` on the universe trace `t` at position `i`, exact or
+        within the bound."""
         (k,) = self._indices(i, t)
         return self._eval(f, None, i, 1 << k) != 0
 
@@ -395,7 +387,7 @@ class EvalContext:
                 if view is not None and (type(g) is Know or type(g) in _CF_NODES):
                     raise ValueError(f"{to_source(g)!r} cannot appear in a similarity relation")
                 a, b = self._bounds.get(g) or self._meet(g)
-                s, w = (None, None) if self.mode == BOUNDED else (  # no period
+                s, w = (None, None) if self.bound is not None else (  # no period
                     p + a * l, p + (a + b) * l)
                 col = cols[g] = (bytearray() if n <= 4 else [], s, w)
             e, s, w = col
@@ -446,7 +438,7 @@ class EvalContext:
         period past i and its periodic start, on the universe's shape; N + 1
         in bounded mode.  Raises when an operand's window spans more loop
         unrollings past the prefix (its a + b) than the cap."""
-        if self.mode == BOUNDED:
+        if self.bound is not None:
             return self.bound + 1
         for g in children(f):
             if sum(self._bounds[g]) > self.stabilization_cap:
@@ -591,7 +583,7 @@ class EvalContext:
         """Does the agent's similarity formula accept (t_ref, t1, t2) at i?
 
         Reads "t1 is at least as similar to t_ref as t2, judged at position
-        i", in the context's own mode: bit k of the row of (t_ref, t1) when
+        i", exact or within the context's bound: bit k of the row of (t_ref, t1) when
         t2 is universe trace k."""
         t, y, x = self._indices(i, t_ref, t1, t2)
         return self._row(agent, t, y, i, 1 << x) != 0
@@ -612,7 +604,7 @@ class EvalContext:
             return self._eval(rel, (agent, t, y), i, need)
         row = rows.get((t, y))
         if row is None:
-            w = self.bound + 1 if self.mode == BOUNDED else sum(self._uni()[2:4])
+            w = sum(self._uni()[2:4]) if self.bound is None else self.bound + 1
             row, j = (1 << len(self.universe)) - 1, 0
             while row and j < w:
                 row &= _run_block(block, self._loads(j, t, y))
@@ -709,7 +701,7 @@ def explain(ctx: EvalContext, t: LassoTrace, i: int, f: Formula,
             # consequent of a false implication
             step = (g.left if ctx.value(tr, g.left, j) == v else g.right, tr, j)
         elif isinstance(g, Next):
-            if not (ctx.mode == BOUNDED and j >= ctx.bound):
+            if ctx.bound is None or j < ctx.bound:
                 step = (g.child, tr, j + 1)
         elif isinstance(g, Prev):
             if j > 0:
@@ -729,43 +721,6 @@ def explain(ctx: EvalContext, t: LassoTrace, i: int, f: Formula,
                         if not ctx.value(traces[x], g.child, j))
         # atoms, constants, Iff, counterfactuals: stop here
     return out
-
-
-@dataclass(frozen=True)
-class SatisfactionTable:
-    """Truth of every subformula at positions 0..positions-1 of one trace.
-
-    `unrollings` is the smallest number of loop copies after which consecutive
-    per-copy value vectors repeat (the values themselves come from the exact
-    engine and stay exact beyond the table)."""
-
-    trace: str
-    positions: int
-    unrollings: int
-    order: tuple[str, ...]
-    rows: dict[str, tuple[bool, ...]]
-
-
-def stabilize(ctx: EvalContext, t: LassoTrace, f: Formula) -> SatisfactionTable:
-    if ctx.mode != EXACT_LASSO:
-        raise ValueError("stabilize requires exact-lasso mode")
-    subs = list(subformulas(f))
-    p, l = len(t.prefix), len(t.loop)
-
-    def block(k: int) -> tuple[bool, ...]:
-        return tuple(ctx.value(t, g, p + k * l + j) for g in subs for j in range(l))
-
-    cap = ctx.stabilization_cap
-    c = 1  # block(c - 1) is read back from the memo, not evaluated again
-    while c <= cap and block(c) != block(c - 1):
-        c += 1
-    if c > cap:
-        raise StabilizationCapExceeded(t, f, cap + 1, cap)
-    positions = p + c * l
-    order = tuple(to_source(g) for g in subs)
-    rows = {to_source(g): tuple(ctx.value(t, g, j) for j in range(positions))
-            for g in subs}
-    return SatisfactionTable(format_trace(t), positions, c, order, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -140,30 +140,31 @@ def _minimal_period(loop: tuple[frozenset, ...]) -> tuple[frozenset, ...]:
 
 def parse_trace_literal(text: str) -> LassoTrace:
     """Parse `"{p} ; {q} | {r}"` style notation (cells are `,`-separated
-    proposition sets in braces, `;` between cells, `|` before the loop)."""
-    if "|" not in text:
-        raise ValueError(f"trace literal needs a '|' before the loop: {text!r}")
-    pre_text, loop_text = text.split("|", 1)
-    prefix = tuple(_parse_cells(pre_text))
-    loop = tuple(_parse_cells(loop_text))
+    proposition sets in braces, `;` between cells, one `|` before the loop);
+    a name is nonempty, without whitespace, braces, `|`, `;` or `,`."""
+    parts = text.split("|")
+    if len(parts) != 2:
+        raise ValueError(f"trace literal needs exactly one '|', before the loop: {text!r}")
+    prefix, loop = (tuple(_parse_cells(part, text)) for part in parts)
     if not loop:
         raise ValueError(f"trace literal has an empty loop: {text!r}")
     return LassoTrace(prefix, loop)
 
 
-def _parse_cells(text: str) -> list[frozenset]:
+def _parse_cells(part: str, text: str) -> list[frozenset]:
     cells = []
-    for chunk in text.split(";"):
+    for chunk in part.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         if not (chunk.startswith("{") and chunk.endswith("}")):
-            raise ValueError(f"malformed trace cell: {chunk!r}")
+            raise ValueError(f"malformed trace cell {chunk!r} in {text!r}")
         inner = chunk[1:-1].strip()
-        if inner:
-            cells.append(frozenset(p.strip() for p in inner.split(",")))
-        else:
-            cells.append(frozenset())
+        names = [p.strip() for p in inner.split(",")] if inner else []
+        for p in names:  # `|`, `;` and `,` were split on already
+            if not p or "{" in p or "}" in p or any(c.isspace() for c in p):
+                raise ValueError(f"bad proposition name {p!r} in trace literal {text!r}")
+        cells.append(frozenset(names))
     return cells
 
 
@@ -192,7 +193,8 @@ def zip3(
 ) -> LassoTrace:
     """Zip three traces into one whose labels tag each proposition with the
     trace variable it came from: position i carries
-    `{(p, names[k]) | p in tk[i]}`.
+    `{(p, names[k]) | p in tk[i]}`.  Kept only because perfbench's tracer
+    wraps it by name until the benchmark re-points it.
 
     The result's prefix length is the max of the inputs' prefix lengths and
     its loop length the lcm of theirs, so `label_at` agrees with the pointwise
@@ -222,7 +224,8 @@ def zip3(
 def obs_divergence_point(system, agent: str, t1: LassoTrace, t2: LassoTrace):
     """Smallest position where the agent's observations of t1 and t2 differ,
     or None if they never do.  Decided exactly: positions beyond
-    max-prefix + lcm-of-loops repeat earlier ones."""
+    max-prefix + lcm-of-loops repeat earlier ones.  Kept only because
+    perfbench's tracer wraps it by name until the benchmark re-points it."""
     obs = system.observation_of(agent)
     bound = max(len(t1.prefix), len(t2.prefix)) + lcm(len(t1.loop), len(t2.loop))
     for j in range(bound):
@@ -238,20 +241,14 @@ def obs_divergence_point(system, agent: str, t1: LassoTrace, t2: LassoTrace):
 
 @dataclass(frozen=True)
 class TraceUniverse:
-    """Finite ordered set of distinct lasso traces with provenance."""
+    """Finite ordered set of distinct lasso traces, indexed by denoted word."""
 
     traces: tuple[LassoTrace, ...]
-    origins: tuple[str, ...] = field(default=())  # 'model' or 'user', per trace
-    provenance: str = "user"
     # canonical trace -> position; derived from `traces`, so left out of
     # equality and hashing
     _index: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.origins:
-            object.__setattr__(self, "origins", tuple("user" for _ in self.traces))
-        if len(self.origins) != len(self.traces):
-            raise ValueError("origins must align with traces")
         index: dict[LassoTrace, int] = {}
         for k, t in enumerate(self.traces):
             if index.setdefault(t.canonical(), k) != k:
@@ -274,22 +271,21 @@ class TraceUniverse:
         return trace.canonical() in self._index
 
 
-def _indexed(traces: tuple[LassoTrace, ...], index: dict, origins: tuple[str, ...],
-             provenance: str) -> TraceUniverse:
+def _indexed(traces: tuple[LassoTrace, ...], index: dict) -> TraceUniverse:
     """Universe over `traces`, distinct words whose canonical forms `index`
     maps to their positions, keeping `index` as its own: the constructor
     without its pass over the traces."""
     u = object.__new__(TraceUniverse)
-    u.__dict__.update(traces=traces, origins=origins, provenance=provenance, _index=index)
+    u.__dict__.update(traces=traces, _index=index)
     return u
 
 
-def universe_of(traces: Iterable[LassoTrace], provenance: str = "user") -> TraceUniverse:
+def universe_of(traces: Iterable[LassoTrace]) -> TraceUniverse:
     """Universe from explicit traces (canonicalized, order-preserving dedup)."""
     index: dict[LassoTrace, int] = {}
     for t in traces:
         index.setdefault(t.canonical(), len(index))
-    return _indexed(tuple(index), index, ("user",) * len(index), provenance)
+    return _indexed(tuple(index), index)
 
 
 def generate_universe(
@@ -371,12 +367,7 @@ def generate_universe(
 
     if not found:
         warnings.warn("generated universe is empty under the given bounds", stacklevel=2)
-    note = (
-        f"generated(max_prefix={max_prefix}, max_loop={max_loop}"
-        + (f", loop_states={sorted(allowed)}" if allowed is not None else "")
-        + ")"
-    )
-    return _indexed(tuple(found), found, ("model",) * len(found), note)
+    return _indexed(tuple(found), found)
 
 
 def is_model_trace(kripke, trace: LassoTrace) -> bool:
@@ -450,6 +441,4 @@ def add_trace(universe: TraceUniverse, trace: LassoTrace, system=None) -> TraceU
         return universe
     index = dict(universe._index)
     index[c] = len(universe)
-    origin = "user" if system is None else "model"
-    return _indexed(universe.traces + (c,), index, universe.origins + (origin,),
-                    universe.provenance)
+    return _indexed(universe.traces + (c,), index)

@@ -305,6 +305,24 @@ def test_translate_rejects_flags_it_would_ignore(model, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_malformed_trace_literal_exits_2(model, capsys):
+    code, out, err = run(capsys, ["check", "--model", model, "--formula", "p",
+                                  "--trace", "{a_it} | {} | {offer}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad trace literal: trace literal needs exactly one '|'")
+
+
+def test_bad_similarity_params_exit_2(model, capsys, tmp_path):
+    for params in (["pi", "pi", "pi2"], "xyz"):
+        data = json.loads(Path(model).read_text())
+        data["agents"][0]["similarity"]["params"] = params
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["check", "--model", str(path), "--formula", "p", *TRACES])
+        assert (code, out) == (2, ""), params
+        assert err.count("\n") == 1 and "agent 'a': similarity params must be" in err, params
+
+
 def test_validate_ok(model, capsys):
     code, out, _ = run(capsys, ["validate", "--model", model, *TRACES])
     assert code == 0

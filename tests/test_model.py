@@ -199,6 +199,17 @@ def test_from_dict_rejects_bad_similarity():
         system_from_dict(d)
 
 
+def test_from_dict_rejects_bad_similarity_params():
+    # repeated names, a string (not split into letters), too few, non-strings
+    for params in (["pi", "pi", "pi2"], "xyz", ["pi", "pi1"], ["pi", "pi1", 2], None):
+        d = system_to_dict(tiny_system())
+        d["agents"][0]["similarity"]["params"] = params
+        with pytest.raises(ModelFormatError) as e:
+            system_from_dict(d)
+        assert str(e.value) == ("agent 'a': similarity params must be a list of 3"
+                                f" distinct trace variable names, got {params!r}")
+
+
 def test_from_dict_rejects_invariant_violations():
     d = system_to_dict(tiny_system())
     d["initial"] = "missing"

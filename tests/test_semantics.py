@@ -43,7 +43,6 @@ from ckltl import (
     obs_divergence_point,
     parse,
     parse_trace_literal,
-    stabilize,
     subformulas,
     subset_similarity,
     universe_of,
@@ -128,9 +127,7 @@ def test_exact_value_is_presentation_invariant():
         got = eval_at(ctx, t, i, f)
         # same word, different lasso split; fresh context so nothing is shared
         t2 = LassoTrace(t.prefix + t.loop, t.loop)
-        u2 = universe_of(
-            [t2 if x.same_word(t) else x for x in u.traces], u.provenance
-        )
+        u2 = universe_of([t2 if x.same_word(t) else x for x in u.traces])
         ctx2 = EvalContext.exact(s, u2, stabilization_cap=256)
         assert eval_at(ctx2, t2, i, f) == got
 
@@ -378,41 +375,6 @@ def test_library_calls_leave_no_reference_cycles():
         gc.enable()
 
 
-def test_stabilize_table_shape():
-    s, u = cf_fixture()
-    t = tr("{p} ; {} | {q} ; {}")
-    u2 = universe_of(list(u.traces) + [t])
-    ctx = EvalContext.exact(s, u2)
-    f = parse("F p & Y q")
-    table = stabilize(ctx, t, f)
-    assert table.trace == "{p} ; {} | {q} ; {}"
-    assert table.unrollings >= 1
-    assert table.positions == len(t.prefix) + table.unrollings * len(t.loop)
-    assert set(table.rows) == {"F p & Y q", "F p", "Y q", "p", "q"}
-    assert table.order == tuple(table.rows)
-    for vals in table.rows.values():
-        assert len(vals) == table.positions
-    # the block after the table repeats the table's final block (the engine
-    # stays exact past the cut)
-    span = len(t.loop)
-    from ckltl import subformulas, to_source
-
-    for g in subformulas(f):
-        tail = [ctx.value(t, g, table.positions + j) for j in range(span)]
-        assert tail == list(table.rows[to_source(g)][-span:])
-    # ground truth for the atom row: p only at position 0
-    assert table.rows["p"] == tuple(
-        j == 0 for j in range(table.positions)
-    )
-
-
-def test_bounded_context_never_stabilizes():
-    s, u = cf_fixture()
-    ctx = EvalContext.bounded(s, u, 4)
-    with pytest.raises(ValueError):
-        stabilize(ctx, u.traces[0], parse("p"))
-
-
 def test_stabilization_cap_trips_on_deep_past_nesting():
     # a forward scan over a deeply nested past body needs the body's proven
     # period, which doubles per nesting level; a tiny cap refuses the work
@@ -465,9 +427,9 @@ def test_forward_operator_rows_fill_in_linear_time():
         for ctx, want in ((EvalContext.exact(s, u), exact),
                           (EvalContext.bounded(s, u, n), bounded)):
             for i in range(n, -1, -1):  # each query needs one new position
-                assert eval_at(ctx, t, i, parse(src)) == want, (src, ctx.mode, i)
+                assert eval_at(ctx, t, i, parse(src)) == want, (src, ctx.bound, i)
             asks = ctx.stats()["asks"]
-            assert asks < 10 * n, (src, ctx.mode, asks)
+            assert asks < 10 * n, (src, ctx.bound, asks)
 
 
 def test_deep_formula_evaluates_within_the_recursion_limit():
@@ -605,8 +567,9 @@ def test_position_and_mode_validation():
                 call(*args)
             assert str(e.value) == msg, (call, i)
     assert eval_at(bounded, u.traces[1], 3, p) and validate_similarity(bounded, "a", t, 3).ok
-    with pytest.raises(ValueError):
-        EvalContext.bounded(s, u, -1)
+    for make, bound in ((EvalContext.bounded, -1), (EvalContext.bounded, None), (EvalContext, -1)):
+        with pytest.raises(ValueError, match=f"needs a bound >= 0, got {bound}"):
+            make(s, u, bound)
     with pytest.raises(ValueError):
         eval_at(exact, tr("| {p} ; {p,q}"), 0, parse("p"))  # foreign trace
 
@@ -657,12 +620,12 @@ def views(ctx):
 def assert_routes_agree(ctx, agent, traces, positions, oracle_universe=None):
     """`similarity_holds` equals the relation evaluated on the zipped triple,
     for every triple of the universe traces `traces`, in a context of the
-    same mode whose universe is those zipped triples; in bounded mode, when
+    same bound whose universe is those zipped triples; in bounded mode, when
     a universe is given, also the naive oracle's environment-based reading."""
     rf = ctx.system.similarity_of(agent)
     trios = [(x, y, z) for x in traces for y in traces for z in traces]
     zipped = universe_of(zip3(*trio, rf.params) for trio in trios)
-    zctx = EvalContext(ctx.system, zipped, ctx.mode, ctx.bound)
+    zctx = EvalContext(ctx.system, zipped, ctx.bound)
     for x, y, z in trios:
         for i in positions:
             got = ctx.similarity_holds(agent, x, y, z, i)

@@ -155,9 +155,12 @@ def test_trace_literal_roundtrip():
 
 
 def test_trace_literal_rejects_garbage():
-    for bad in ["{p}", "{p} |", "| p", "{p | {q}", "| {p};{q"]:
-        with pytest.raises(ValueError):
+    for bad in ["{p}", "{p} |", "| p", "{p | {q}", "| {p};{q",
+                # a second '|', an empty name, names holding a space or braces
+                "{p} | {q} | {r}", "{p,} | {}", "| {,}", "| {p q}", "| {}{}", "{p}{q} | {}"]:
+        with pytest.raises(ValueError) as e:
             tr(bad)
+        assert repr(bad) in str(e.value), bad
 
 
 def test_zip3_positional_oracle():
@@ -208,9 +211,9 @@ def test_universe_index_by_canonical_form():
     with pytest.raises(KeyError):
         u.index(unknown)
     # the index is derived state: equal universes compare and hash equal
-    same = TraceUniverse(u.traces, u.origins, u.provenance)
+    same = TraceUniverse(u.traces)
     assert same == u and hash(same) == hash(u)
-    assert same != TraceUniverse(u.traces[:-1], u.origins[:-1], u.provenance)
+    assert same != TraceUniverse(u.traces[:-1])
 
 
 def test_obs_divergence_point_matches_brute_scan():
@@ -259,8 +262,6 @@ def test_generate_universe_enumerates_exactly():
     #   prefix s0, loop (s1 s0) -> same word as | {} ; {p} (prefix absorbed)
     # a loop (s1) is impossible: s1 has no self edge
     assert words == {"| {}", "| {} ; {p}", "{} | {} ; {p}"}
-    assert all(o == "model" for o in u.origins)
-    assert "generated(" in u.provenance
 
 
 def test_generate_universe_respects_transitions():
@@ -345,11 +346,8 @@ def test_add_trace_extends_the_index():
         if t in u:
             assert grown is u, case
             continue
-        rebuilt = TraceUniverse(u.traces + (t.canonical(),),
-                                u.origins + ("user" if system is None else "model",),
-                                u.provenance)
-        assert grown.traces == rebuilt.traces and grown.origins == rebuilt.origins, case
-        assert grown.provenance == rebuilt.provenance, case
+        rebuilt = TraceUniverse(u.traces + (t.canonical(),))
+        assert grown.traces == rebuilt.traces, case
         assert grown._index == rebuilt._index and list(grown._index.values()) == list(
             range(len(grown))), case
         assert u._index is not grown._index and len(u._index) == len(u), case
@@ -411,11 +409,6 @@ def test_generate_universe_matches_reference_enumerator():
             u = generate_universe(k, max_prefix, max_loop, loop_states=loop_states,
                                   max_traces=max(len(want), 1))  # a cap below 1 is refused
         assert list(u.traces) == want, case
-        assert u.origins == ("model",) * len(want)
-        assert u.provenance == (
-            f"generated(max_prefix={max_prefix}, max_loop={max_loop}"
-            + (f", loop_states={sorted(loop_states)}" if loop_states is not None else "")
-            + ")")
         assert all(t.canonical() is t for t in u)
         assert all(u.index(t) == i for i, t in enumerate(want))
         if len(want) > 1:
