@@ -116,11 +116,12 @@ def _cap(args) -> int:
 
 
 def _context(args, system, universe) -> EvalContext:
+    cap = _cap(args)  # checked in bounded mode too, which has no use for it
     if args.bounded is not None:
         if args.bounded < 0:
             raise InputError("--bounded must be at least 0")
         return EvalContext.bounded(system, universe, args.bounded)
-    return EvalContext.exact(system, universe, _cap(args))
+    return EvalContext.exact(system, universe, cap)
 
 
 def _emit(args, text: str) -> None:

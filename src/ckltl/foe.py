@@ -170,6 +170,7 @@ class _Translator:
         self.system = system
         self.faithful = faithful
         self.n = next_index
+        self.cores: dict[str, Formula] = {}  # agent -> its relation, desugared
 
     def fresh(self) -> str:
         v = f"x{self.n}"
@@ -184,7 +185,7 @@ class _Translator:
         if isinstance(f, Atom):
             return FoPred(f.name, x, x)
         if isinstance(f, TracedAtom):
-            if env is None or f.trace_var not in env:
+            if env is None:
                 raise UnsupportedNode(
                     f"traced atom {f.name}@{f.trace_var} outside a similarity inlining"
                 )
@@ -213,16 +214,12 @@ class _Translator:
                 _fo_conjoin([reach, right, FoForall(x1, FoImplies(between, left))]),
             )
         if isinstance(f, Know):
-            if env is not None:
-                raise UnsupportedNode("knowledge inside a similarity formula")
-            return self._know(f, x, env)
+            return self._know(f, x)
         if isinstance(f, (Would, UWould)):
-            if env is not None:
-                raise UnsupportedNode("counterfactual inside a similarity formula")
             return self._counterfactual(f, x)
         raise UnsupportedNode(f"not a core-form node: {f!r}")
 
-    def _know(self, f: Know, x: str, env) -> FoFormula:
+    def _know(self, f: Know, x: str) -> FoFormula:
         xe = self.fresh()
         xem = self.fresh()
         xtm = self.fresh()
@@ -248,7 +245,7 @@ class _Translator:
                 ),
             ),
         )
-        body = self.go(f.child, xe, env)
+        body = self.go(f.child, xe, None)
         return FoForall(
             xe, FoImplies(FoAnd(FoEqualLevel(xe, x), prefix_eq), body)
         )
@@ -256,10 +253,12 @@ class _Translator:
     def _sigma(self, agent: str, x: str, ref: str, near: str, far: str) -> FoFormula:
         """Inline the agent's similarity formula, anchored at position
         variable `x`, with its three trace parameters instantiated by the
-        traces of `ref`, `near` and `far`."""
+        traces of `ref`, `near` and `far`; it holds no K or counterfactual."""
         rf = self.system.similarity_of(agent)
+        if agent not in self.cores:
+            self.cores[agent] = desugar(rf.formula)
         env = {rf.params[0]: ref, rf.params[1]: near, rf.params[2]: far}
-        return self.go(desugar(rf.formula), x, env)
+        return self.go(self.cores[agent], x, env)
 
     def _counterfactual(self, f: Would | UWould, x: str) -> FoFormula:
         a = f.agent

@@ -50,7 +50,8 @@ Equality and hashing are identity, nodes are immutable, and
 that nobody refers to any more leave it.  Through `memo` the same table also
 maps a source text to its parse, a subset-similarity relation and a
 requirement to their live nodes, weakly too: while a formula lives, building
-it again returns it without rebuilding it.
+it again returns it without rebuilding it; and a similarity relation built
+while an equal, checked one lives is not checked again.
 The first-order nodes of `foe` subclass `HashConsed` too and share the table,
 but they are not `Formula`s: `desugar` and `to_source` reject them.
 Printing, desugaring, counting and traversal are iterative postorders over
@@ -102,10 +103,10 @@ def _add(key: tuple, node: HashConsed) -> HashConsed:
         _remove_dead_weakref(_TABLE, key)
 
 
-def memo(key: tuple, build) -> HashConsed:
+def memo(key: tuple, build):
     """The live node the table holds under `key`, a tuple whose first item is
-    the function that builds the node; if there is none, `build()`, recorded
-    under `key` until it dies.  An exception from `build` records nothing."""
+    the function or class that builds the node; if there is none, `build()`,
+    recorded under `key` until it dies.  An exception from `build` records nothing."""
     entry = _TABLE.get(key)
     node = entry() if entry is not None else None
     return node if node is not None else _add(key, build())
@@ -707,10 +708,13 @@ class RelationalFormulaError(ValueError):
 
 @dataclass(frozen=True)
 class RelationalFormula:
-    """A formula over a fixed tuple of trace variables, evaluated on triples
-    of traces.  Restricted to traced atoms, boolean connectives, and temporal
-    operators: no Know, no counterfactuals, no plain atoms.  The parameters
-    must be distinct."""
+    """A similarity relation: a formula over three distinct trace variables
+    (reference, nearer, farther), evaluated on triples of traces.  Building
+    one is its one check: traced atoms over the parameters, constants,
+    boolean connectives and temporal operators only, no Know, counterfactual
+    or plain atom, else :class:`RelationalFormulaError` lists every offending
+    node.  An equal relation built while a checked one lives is not walked
+    again (see `memo`)."""
 
     params: tuple[str, str, str]
     formula: Formula
@@ -718,41 +722,36 @@ class RelationalFormula:
     def __post_init__(self):
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"duplicate trace parameters: {self.params!r}")
+        memo((RelationalFormula, self.params, self.formula), self._checked)
 
-
-def validate_relational(f: Formula, params: tuple[str, str, str]) -> RelationalFormula:
-    """Check the relational restrictions and wrap `f` with its parameters.
-
-    Raises :class:`RelationalFormulaError` listing every offending node.
-    """
-    rf = RelationalFormula(tuple(params), f)  # refuses repeated parameters
-    violations: list[RelationalViolation] = []
-    # preorder, left operand first; a path is "root" or (parent path, step),
-    # rendered only for a violation
-    stack: list[tuple[Formula, object]] = [(f, "root")]
-    while stack:
-        g, path = stack.pop()
-        cls = type(g)
-        if cls is TracedAtom:
-            if g.trace_var not in params:
-                violations.append(RelationalViolation(
-                    "undeclared-trace-variable", g.trace_var, _path_text(path)))
-            continue
-        if cls is Know or cls in _CF_NAMES:
-            op = "K" if cls is Know else _CF_NAMES[cls]
-            violations.append(
-                RelationalViolation("forbidden-operator", op, _path_text(path)))
-        elif cls is Atom:
-            violations.append(RelationalViolation("untraced-atom", g.name, _path_text(path)))
-        kids = children(g)
-        if len(kids) == 1:
-            stack.append((kids[0], (path, ".child")))
-        elif len(kids) == 2:
-            stack.append((kids[1], (path, ".right")))
-            stack.append((kids[0], (path, ".left")))
-    if violations:
-        raise RelationalFormulaError(violations)
-    return rf
+    def _checked(self) -> RelationalFormula:
+        params, violations = self.params, []
+        # preorder, left operand first; a path is "root" or (parent path,
+        # step), rendered only for a violation
+        stack: list[tuple[Formula, object]] = [(self.formula, "root")]
+        while stack:
+            g, path = stack.pop()
+            cls = type(g)
+            if cls is TracedAtom:
+                if g.trace_var not in params:
+                    violations.append(RelationalViolation(
+                        "undeclared-trace-variable", g.trace_var, _path_text(path)))
+                continue
+            if cls is Know or cls in _CF_NAMES:
+                op = "K" if cls is Know else _CF_NAMES[cls]
+                violations.append(
+                    RelationalViolation("forbidden-operator", op, _path_text(path)))
+            elif cls is Atom:
+                violations.append(RelationalViolation("untraced-atom", g.name, _path_text(path)))
+            kids = children(g)
+            if len(kids) == 1:
+                stack.append((kids[0], (path, ".child")))
+            elif len(kids) == 2:
+                stack.append((kids[1], (path, ".right")))
+                stack.append((kids[0], (path, ".left")))
+        if violations:
+            raise RelationalFormulaError(violations)
+        return self
 
 
 def _path_text(path) -> str:

@@ -29,7 +29,6 @@ from .formula import (
     RelationalFormula,
     TracedAtom,
     conjoin,
-    validate_relational,
 )
 from .model import (
     SIM_PARAMS,
@@ -118,9 +117,7 @@ def attribute_similarity() -> RelationalFormula:
 
 def gender_frozen_similarity() -> RelationalFormula:
     base = attribute_similarity()
-    return validate_relational(
-        And(base.formula, _gender_freeze(base.params)), base.params
-    )
+    return RelationalFormula(base.params, And(base.formula, _gender_freeze(base.params)))
 
 
 def similarity_maps() -> tuple[dict, dict]:

@@ -30,7 +30,6 @@ from .formula import (
     memo,
     parse,
     to_source,
-    validate_relational,
 )
 
 
@@ -84,14 +83,14 @@ class KripkeStructure:
             succ = self.transitions.get(s, ())
             if not succ:
                 problems.append(f"state {s!r} has no successor (relation must be serial)")
-            for s2 in succ:
-                if s2 not in state_set:
-                    problems.append(f"transition {s!r} -> {s2!r} leaves the state set")
-            extra = self.labels.get(s, frozenset()) - ap_set
-            if extra:
-                problems.append(
-                    f"state {s!r} is labeled with undeclared propositions {sorted(extra)}"
-                )
+            elif not state_set.issuperset(succ):  # one C-level test per sound state
+                for s2 in succ:
+                    if s2 not in state_set:
+                        problems.append(f"transition {s!r} -> {s2!r} leaves the state set")
+            label = self.labels.get(s, frozenset())
+            if not ap_set.issuperset(label):
+                problems.append(f"state {s!r} is labeled with undeclared propositions "
+                                f"{sorted(label - ap_set)}")
         for s in self.transitions:
             if s not in state_set:
                 problems.append(f"transitions declared for unknown state {s!r}")
@@ -184,16 +183,25 @@ def system_to_dict(system: System) -> dict:
     }
 
 
+def _strings(value, what: str) -> tuple[str, ...]:
+    """`value`, a JSON list of strings, as a tuple; a string is refused too."""
+    if not (isinstance(value, list) and all(map(str.__instancecheck__, value))):
+        raise ModelFormatError(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def system_from_dict(data: dict) -> System:
     try:
-        aps = tuple(data["aps"])
+        aps = _strings(data["aps"], "aps")
         state_items = data["states"]
         states = tuple(item["id"] for item in state_items)
-        labels = {item["id"]: frozenset(item["labels"]) for item in state_items}
+        labels = {item["id"]: frozenset(_strings(item["labels"], f"state {item['id']!r}: labels"))
+                  for item in state_items}
         initial = data["initial"]
-        transitions = {s: tuple(ts) for s, ts in data["transitions"].items()}
+        transitions = {s: _strings(ts, f"state {s!r}: transitions")
+                       for s, ts in data["transitions"].items()}
         agent_items = data["agents"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:  # transitions with no `.items()`
         raise ModelFormatError(f"malformed model file: {exc}") from exc
     kripke = KripkeStructure(states, initial, transitions, aps, labels)
     agents = []
@@ -202,7 +210,7 @@ def system_from_dict(data: dict) -> System:
     for item in agent_items:
         try:
             name = item["name"]
-            obs = frozenset(item["observes"])
+            obs = frozenset(_strings(item["observes"], f"agent {name!r}: observes"))
             params = item["similarity"]["params"]
             formula_text = item["similarity"]["formula"]
         except (KeyError, TypeError) as exc:
@@ -216,7 +224,7 @@ def system_from_dict(data: dict) -> System:
         agents.append(name)
         observation[name] = obs
         try:
-            similarity[name] = validate_relational(parse(formula_text), params)
+            similarity[name] = RelationalFormula(tuple(params), parse(formula_text))
         except (ParseError, RelationalFormulaError) as exc:
             raise ModelFormatError(
                 f"agent {name!r}: bad similarity formula: {exc}"
@@ -287,8 +295,6 @@ def subset_similarity(
         # proposition masks; other relations are evaluated on views of the
         # universe that bind the reference and nearer traces
         block = conjoin(parts)
-        # only traced atoms over `params` under boolean and temporal connectives:
-        # valid by construction, so `validate_relational` would find nothing
         return And(Globally(block), Historically(block))
 
     body = memo((subset_similarity, props, ref, near, far), build)

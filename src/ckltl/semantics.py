@@ -46,7 +46,8 @@ connectives, constants) -- does not depend on i: its row is the AND, over
 the positions of a window, of a compiled block run on the universe's
 proposition masks; `subset_similarity` and the gender-frozen hiring
 relation have this shape.  Every other relation is evaluated on the row's
-view (t, y) of the universe.  Counterfactuals are read off rows.
+view (t, y) of the universe.  Counterfactuals are read off rows.  Neither
+route checks what a relation holds: `RelationalFormula` did, when it was built.
 """
 
 from __future__ import annotations
@@ -145,8 +146,6 @@ def _all_positions_block(params: tuple[str, str, str], rel: Formula):
             if g in regs:
                 continue
             if isinstance(g, TracedAtom):
-                if g.trace_var not in params:
-                    return None
                 k = params.index(g.trace_var)
                 op = (_HAS if k < 2 else _LOAD, k, g.name)
             elif isinstance(g, (TrueConst, FalseConst)):
@@ -384,8 +383,6 @@ class EvalContext:
         while True:
             col = cols.get(g)
             if col is None:  # entries are added on request
-                if view is not None and (type(g) is Know or type(g) in _CF_NODES):
-                    raise ValueError(f"{to_source(g)!r} cannot appear in a similarity relation")
                 a, b = self._bounds.get(g) or self._meet(g)
                 s, w = (None, None) if self.bound is not None else (  # no period
                     p + a * l, p + (a + b) * l)
@@ -419,8 +416,8 @@ class EvalContext:
 
     def _leaf(self, f: Formula, view: tuple | None, j: int, x: int) -> int:
         """Value mask of an atom or constant at j on the traces of x.  In a
-        view, a traced atom reads the loads of the agent's parameter it
-        names, as in the compiled block, and a plain atom is false."""
+        view, which holds only a relation's nodes, a traced atom reads the
+        loads of the agent's parameter it names, as in the compiled block."""
         if isinstance(f, (TrueConst, FalseConst)):
             return x if isinstance(f, TrueConst) else 0
         if view is None:
@@ -428,8 +425,6 @@ class EvalContext:
             traces = self.universe.traces
             return sum(1 << k for k in _members(x) if key in traces[k].label_at(j))
         params, loads = self._rel(view[0])[0], self._loads(j, *view[1:])
-        if not isinstance(f, TracedAtom) or f.trace_var not in params:
-            return 0
         k = params.index(f.trace_var)
         return x & (loads[k].get(f.name, 0) if k == 2 else -(f.name in loads[k]))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ckltl import System, cli, desugar, parse, save_system, validate_relational
+from ckltl import RelationalFormula, System, cli, desugar, parse, save_system
 from ckltl.cli import build_parser, main
 from ckltl.foe import print_fo, translate
 
@@ -172,6 +172,7 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         ("--max-traces", [*generated, "--max-traces", "-1"]),
         ("--bounded", [*check, "--bounded", "-1"]),
         ("--stabilization-cap", [*check, "--stabilization-cap", "0"]),
+        ("--stabilization-cap", [*check, "--bounded", "3", "--stabilization-cap", "0"]),
         ("--stabilization-cap", ["demo", "explainable", "--stabilization-cap", "0"]),
         ("--position", [*validate, "--position", "-1"]),
         ("--position", [*validate, "--bounded", "1", "--position", "5"]),
@@ -180,6 +181,22 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: {flag} "), (argv, err)
     assert run(capsys, [*validate, "--bounded", "1", "--position", "1"])[0] == 0
+    # a bad model file: the message names the field and its agent
+    data = json.loads(Path(model).read_text())
+    data["agents"][0]["observes"] = "pq"
+    letters = tmp_path / "letters.json"
+    letters.write_text(json.dumps(data))
+    data["agents"][0]["observes"] = ["p"]
+    data["agents"][0]["similarity"]["formula"] = "K[a] p@pi"
+    knows = tmp_path / "knows.json"
+    knows.write_text(json.dumps(data))
+    for path, detail in (
+        (letters, "agent 'a': observes must be a list of strings, got 'pq'"),
+        (knows, "agent 'a': bad similarity formula: not a relational formula:"
+                " forbidden-operator: K at root"),
+    ):
+        code, out, err = run(capsys, ["check", "--model", str(path), "--formula", "p", *TRACES])
+        assert (code, out, err) == (2, "", f"error: bad model file: {detail}\n")
 
 
 def test_empty_generated_universe_is_an_input_error(model, capsys):
@@ -202,8 +219,8 @@ def test_stabilization_cap_in_a_zipped_relation_is_an_input_error(capsys, tmp_pa
     # row's view is evaluated; check and validate both report it as bad
     # input, and the message names the universe trace it tripped on
     s, _ = cf_fixture()
-    rel = validate_relational(
-        parse("G (p@pi1 S (q@pi2 S (p@pi1 S (q@pi2 S p@pi))))"), ("pi", "pi1", "pi2"))
+    rel = RelationalFormula(
+        ("pi", "pi1", "pi2"), parse("G (p@pi1 S (q@pi2 S (p@pi1 S (q@pi2 S p@pi))))"))
     path = tmp_path / "deep.json"
     save_system(System(s.kripke, ("a",), s.observation, {"a": rel}), path)
     universe = ["--trace", "| {p}", "--trace", "{p} ; {} | {p}", "--stabilization-cap", "2"]
@@ -335,9 +352,7 @@ def test_validate_flags_bad_relation(capsys, tmp_path):
     import ckltl
 
     s, _ = cf_fixture()
-    bogus = ckltl.validate_relational(
-        parse("p@pi2 & !p@pi1"), ("pi", "pi1", "pi2")
-    )
+    bogus = ckltl.RelationalFormula(("pi", "pi1", "pi2"), parse("p@pi2 & !p@pi1"))
     bad = ckltl.System(
         kripke=s.kripke,
         agents=("a",),

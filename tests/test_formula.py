@@ -1,4 +1,4 @@
-"""Formula ASTs, the parser/printer pair, desugaring, relational validation."""
+"""Formula ASTs, the parser/printer pair, desugaring, relational formulas."""
 
 import copy
 import gc
@@ -46,7 +46,6 @@ from ckltl import (
     subformulas,
     subset_similarity,
     to_source,
-    validate_relational,
 )
 from ckltl import foe, formula
 from ckltl.formula import _TABLE, HashConsed, is_core, node_count
@@ -339,47 +338,71 @@ def test_conjoin_disjoin():
     )
 
 
-def test_validate_relational_accepts_traced_temporal():
+def test_relational_formula_accepts_traced_temporal():
     body = Globally(Implies(TracedAtom("p", "pi1"), TracedAtom("p", "pi2")))
-    rf = validate_relational(body, ("pi", "pi1", "pi2"))
+    rf = RelationalFormula(("pi", "pi1", "pi2"), body)
     assert rf.params == ("pi", "pi1", "pi2")
 
 
 def test_relational_formula_refuses_repeated_parameters():
     # a repeated parameter would bind two traces to one variable, which the
     # engine and the reference oracle read differently
-    for build in (lambda: RelationalFormula(("pi", "pi", "pi2"), parse("p@pi -> p@pi2")),
-                  lambda: validate_relational(parse("p@pi -> p@pi2"), ("pi", "pi2", "pi2"))):
+    for params in (("pi", "pi", "pi2"), ("pi", "pi2", "pi2")):
         with pytest.raises(ValueError, match="duplicate trace parameters"):
-            build()
+            RelationalFormula(params, parse("p@pi -> p@pi2"))
 
 
-def test_validate_relational_rejects_untraced_atom():
+def test_relational_formula_refuses_untraced_atom():
     with pytest.raises(RelationalFormulaError):
-        validate_relational(Atom("p"), ("pi", "pi1", "pi2"))
+        RelationalFormula(("pi", "pi1", "pi2"), Atom("p"))
 
 
-def test_validate_relational_rejects_unknown_trace_var():
+def test_relational_formula_refuses_unknown_trace_var():
     with pytest.raises(RelationalFormulaError):
-        validate_relational(TracedAtom("p", "rho"), ("pi", "pi1", "pi2"))
+        RelationalFormula(("pi", "pi1", "pi2"), TracedAtom("p", "rho"))
     # every offending node, in preorder, with its path
     with pytest.raises(RelationalFormulaError) as e:
-        validate_relational(parse("(p & K[a] q@pi) | !r@rho"), ("pi", "pi1", "pi2"))
+        RelationalFormula(("pi", "pi1", "pi2"), parse("(p & K[a] q@pi) | !r@rho"))
     assert [(v.kind, v.detail, v.path) for v in e.value.violations] == [
         ("untraced-atom", "p", "root.left.left"),
         ("forbidden-operator", "K", "root.left.right"),
         ("undeclared-trace-variable", "rho", "root.right.child"),
     ]
+    assert str(e.value) == (
+        "not a relational formula: untraced-atom: p at root.left.left; forbidden-operator:"
+        " K at root.left.right; undeclared-trace-variable: rho at root.right.child")
 
 
-def test_validate_relational_rejects_knowledge_and_counterfactuals():
+def test_relational_formula_refuses_knowledge_and_counterfactuals():
     with pytest.raises(RelationalFormulaError):
-        validate_relational(Know("a", TracedAtom("p", "pi")), ("pi", "pi1", "pi2"))
+        RelationalFormula(("pi", "pi1", "pi2"), Know("a", TracedAtom("p", "pi")))
     with pytest.raises(RelationalFormulaError):
-        validate_relational(
-            Would("a", TracedAtom("p", "pi"), TracedAtom("p", "pi1")),
+        RelationalFormula(
             ("pi", "pi1", "pi2"),
+            Would("a", TracedAtom("p", "pi"), TracedAtom("p", "pi1")),
         )
+
+
+def test_relational_formula_is_checked_once_while_an_equal_one_lives(monkeypatch):
+    # the check walks the formula through `children`; an equal relation built
+    # while a checked one lives is recorded in the unique table and not walked
+    walked, children = [], formula.children
+    monkeypatch.setattr(formula, "children", lambda f: walked.append(f) or children(f))
+    params, body = ("pi", "pi1", "pi2"), parse("G (once_p@pi1 -> once_p@pi2)")
+    first = RelationalFormula(params, body)
+    assert walked and _TABLE[(RelationalFormula, params, body)]() is first
+    walked.clear()
+    again = RelationalFormula(params, body)
+    assert again == first and walked == []
+    # a failed check records nothing, so the same offence is reported again
+    for _ in range(2):
+        with pytest.raises(RelationalFormulaError):
+            RelationalFormula(params, parse("once_p"))
+    assert (RelationalFormula, params, parse("once_p")) not in _TABLE
+    # the entry leaves with the relation it records
+    del first, again
+    gc.collect()
+    assert (RelationalFormula, params, body) not in _TABLE
 
 
 def test_build_minimal_antecedent_counts():

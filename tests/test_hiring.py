@@ -10,6 +10,7 @@ import pytest
 from ckltl import (
     EvalContext,
     Globally,
+    RelationalFormula,
     System,
     build_gce,
     build_ice,
@@ -22,7 +23,6 @@ from ckltl import (
     position_variant,
     system_to_dict,
     universe_of,
-    validate_relational,
     validate_similarity,
 )
 from ckltl.hiring import (
@@ -206,7 +206,7 @@ def test_g_only_similarity_matches_the_compiled_route_at_scale():
     s = build_restricted()
     full = generate_universe(s, max_prefix=3, max_loop=1, loop_states=(START,))
     u = universe_of(full.traces[::5])
-    g_only = {a: validate_relational(s.similarity_of(a).formula.left, s.similarity_of(a).params)
+    g_only = {a: RelationalFormula(s.similarity_of(a).params, s.similarity_of(a).formula.left)
               for a in s.agents}
     assert all(isinstance(rf.formula, Globally) for rf in g_only.values())
     s_g = System(s.kripke, s.agents, s.observation, g_only)

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from ckltl import (
     InvariantViolation,
     KripkeStructure,
     ModelFormatError,
+    RelationalFormula,
     System,
     TracedAtom,
     UnknownAgentError,
@@ -21,11 +23,13 @@ from ckltl import (
     system_from_dict,
     system_to_dict,
     to_source,
-    validate_relational,
 )
+from ckltl import formula
 from ckltl.model import SIM_PARAMS
 
 from gen import gen_system
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def tiny_kripke():
@@ -95,6 +99,28 @@ def test_kripke_validation_catches_each_defect():
     assert any("duplicate" in p for p in bad.validate())
 
 
+def test_kripke_validation_lists_every_defect_in_order():
+    bad = KripkeStructure(
+        states=("s0", "s1", "s2", "s1"),
+        initial="sZ",
+        transitions={"s0": ("s1", "sX", "s0", "sY"), "s1": (), "s2": ("s2",), "sU": ("s0",)},
+        aps=("p",),
+        labels={"s0": frozenset({"p", "zz", "aa"}), "s2": frozenset({"q"}), "sV": frozenset()},
+    )
+    assert bad.validate() == [
+        "duplicate state ids",
+        "initial state 'sZ' is not a state",
+        "transition 's0' -> 'sX' leaves the state set",
+        "transition 's0' -> 'sY' leaves the state set",
+        "state 's0' is labeled with undeclared propositions ['aa', 'zz']",
+        "state 's1' has no successor (relation must be serial)",
+        "state 's2' is labeled with undeclared propositions ['q']",
+        "state 's1' has no successor (relation must be serial)",
+        "transitions declared for unknown state 'sU'",
+        "labels declared for unknown state 'sV'",
+    ]
+
+
 def test_system_validation_domain_mismatch():
     s = tiny_system()
     bad = System(s.kripke, ("a", "b"), s.observation, s.similarity)
@@ -144,7 +170,7 @@ def test_subset_similarity_is_valid_by_construction():
     for props in [("p",), ("p", "q"), ("q", "p", "s"), ("a_job", "r_gen", "offer")]:
         for params in [SIM_PARAMS, ("u", "v", "w")]:
             rf = subset_similarity(props, params)
-            assert rf == validate_relational(rf.formula, params)
+            assert rf == RelationalFormula(params, rf.formula)
     with pytest.raises(ValueError, match="duplicate trace parameters"):
         subset_similarity(("p",), ("pi", "pi", "pi2"))
 
@@ -208,6 +234,42 @@ def test_from_dict_rejects_bad_similarity_params():
             system_from_dict(d)
         assert str(e.value) == ("agent 'a': similarity params must be a list of 3"
                                 f" distinct trace variable names, got {params!r}")
+
+
+def test_from_dict_refuses_what_is_not_a_list_of_strings():
+    # a string would load as its letters; the message names the field and
+    # its state or agent
+    for keys, bad, what in ((("aps",), "pq", "aps"),
+                            (("states", 1, "labels"), "p", "state 's1': labels"),
+                            (("transitions", "s0"), "s1", "state 's0': transitions"),
+                            (("agents", 0, "observes"), "pq", "agent 'a': observes"),
+                            (("agents", 0, "observes"), ["p", 1], "agent 'a': observes")):
+        d = system_to_dict(tiny_system())
+        node = d
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = bad
+        with pytest.raises(ModelFormatError) as e:
+            system_from_dict(d)
+        assert str(e.value) == f"{what} must be a list of strings, got {bad!r}"
+    d = system_to_dict(tiny_system())
+    d["transitions"] = [["s0", "s1"]]
+    with pytest.raises(ModelFormatError, match="malformed model file"):
+        system_from_dict(d)
+
+
+def test_equal_relations_are_checked_once_while_one_lives(monkeypatch):
+    # two hiring fixtures, four agents, one relation: the check walks it
+    # (through `formula.children`) for the first agent only.  The parameters
+    # are renamed so that no relation built elsewhere is alive.
+    walked, children = [], formula.children
+    monkeypatch.setattr(formula, "children", lambda f: walked.append(f) or children(f))
+    dicts = [json.loads((FIXTURES / name).read_text().replace("pi", "once_pi"))
+             for name in ("explainable.json", "unexplainable.json")]
+    systems = [system_from_dict(d) for d in dicts]
+    rel = systems[0].similarity_of("a")
+    assert all(s.similarity_of(a) == rel for s in systems for a in s.agents)
+    assert walked.count(rel.formula) == 1
 
 
 def test_from_dict_rejects_invariant_violations():

@@ -29,6 +29,7 @@ from ckltl import (
     Once,
     Prev,
     RelationalFormula,
+    RelationalFormulaError,
     StabilizationCapExceeded,
     System,
     Until,
@@ -46,7 +47,6 @@ from ckltl import (
     subformulas,
     subset_similarity,
     universe_of,
-    validate_relational,
     validate_similarity,
     zip3,
 )
@@ -93,8 +93,8 @@ def test_bounded_engine_matches_naive_oracle():
         n = r.randint(0, 6)
         i = r.randint(0, n)
         t = r.choice(u.traces)
-        zipped = {a: validate_relational(parse(shapes.choice(OTHER_SHAPES).replace("pi", v)),
-                                         (v, v + "1", v + "2"))
+        zipped = {a: RelationalFormula((v, v + "1", v + "2"),
+                                       parse(shapes.choice(OTHER_SHAPES).replace("pi", v)))
                   for a, v in zip(s.agents, ("pi", "rho"))}
         for system in (s, System(s.kripke, s.agents, s.observation, zipped)):
             ctx = EvalContext.bounded(system, u, n)
@@ -368,7 +368,7 @@ def test_library_calls_leave_no_reference_cycles():
         verdict = check_system(EvalContext.exact(system, u), ice1)
         assert not verdict.result and verdict.trail  # explain ran
         eval_fo(FoDomain(small, 3), sentence)
-        validate_relational(parse("G (p@pi <-> p@pi1) & !q@rho"), ("pi", "pi1", "rho"))
+        RelationalFormula(("pi", "pi1", "rho"), parse("G (p@pi <-> p@pi1) & !q@rho"))
         del u, verdict
         assert gc.collect() == 0
     finally:
@@ -539,16 +539,11 @@ def test_quantifiers_reject_traces_outside_the_universe():
 
 
 def test_knowledge_inside_a_relation_is_refused():
-    # RelationalFormula built directly skips the check that keeps K out of
-    # relations; K then meets a row's view, which is refused by name
-    s, u = cf_fixture()
-    rel = RelationalFormula(("pi", "pi1", "pi2"), parse("G (K[a] p@pi1 -> p@pi2)"))
-    system = System(s.kripke, ("a",), s.observation, {"a": rel})
-    t = u.traces[3]
-    for ctx in (EvalContext.exact(system, u), EvalContext.bounded(system, u, 2)):
-        with pytest.raises(ValueError) as e:
-            ctx.similarity_holds("a", t, t, t, 0)
-        assert str(e.value) == "'K[a] p@pi1' cannot appear in a similarity relation"
+    # the constructor is the one check, so no relation holding K reaches a
+    # context
+    with pytest.raises(RelationalFormulaError) as e:
+        RelationalFormula(("pi", "pi1", "pi2"), parse("G (K[a] p@pi1 -> p@pi2)"))
+    assert str(e.value) == "not a relational formula: forbidden-operator: K at root.child.left"
 
 
 def test_position_and_mode_validation():
@@ -588,13 +583,9 @@ def test_validate_similarity_clean_on_subset_template():
 
 
 def test_validate_similarity_flags_bad_relation():
-    from ckltl import validate_relational
-
     s, u = cf_fixture()
     # "closer" iff the far trace has p right now: not reflexive, not minimal
-    bogus = validate_relational(
-        parse("p@pi2 & !p@pi1"), ("pi", "pi1", "pi2")
-    )
+    bogus = RelationalFormula(("pi", "pi1", "pi2"), parse("p@pi2 & !p@pi1"))
     bad = System(
         kripke=s.kripke,
         agents=("a",),
@@ -689,7 +680,7 @@ def test_other_similarity_shapes_take_the_zipped_route(src):
     s, u = cf_fixture()
     # a second agent holds the same relation over other parameter names, so
     # the views of one agent's rows cannot serve the other's
-    rels = {a: validate_relational(parse(src.replace("pi", v)), (v, v + "1", v + "2"))
+    rels = {a: RelationalFormula((v, v + "1", v + "2"), parse(src.replace("pi", v)))
             for a, v in (("a", "pi"), ("b", "rho"))}
     system = System(s.kripke, ("a", "b"), dict.fromkeys(rels, s.observation["a"]), rels)
     u = universe_of(list(u.traces) + [tr("{p} | {q} ; {}")])
