@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import foe, hiring
 from .formula import Formula, ParseError, desugar, parse
-from .model import ModelFormatError, System, UnknownAgentError, load_system
+from .model import InvariantViolation, ModelFormatError, System, UnknownAgentError, load_system
 from .semantics import (
     EvalContext,
     StabilizationCapExceeded,
@@ -50,7 +50,7 @@ def _load_model(args) -> System:
         return load_system(args.model)
     except FileNotFoundError:
         raise InputError(f"model file not found: {args.model}")
-    except ModelFormatError as e:
+    except (ModelFormatError, InvariantViolation) as e:
         raise InputError(f"bad model file: {e}")
 
 
@@ -277,7 +277,8 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, formula=False, universe=True) -> None:
+def _add_common(p: argparse.ArgumentParser, formula=False, universe=True,
+                context=True) -> None:
     p.add_argument("--model", help="model file (JSON)")
     if formula:
         p.add_argument("--formula", help="formula source text")
@@ -296,8 +297,9 @@ def _add_common(p: argparse.ArgumentParser, formula=False, universe=True) -> Non
         help='trace literal like "{p} ; {} | {q}"; repeat for more',
     )
     p.add_argument("--max-traces", type=int, default=100_000)
-    p.add_argument("--bounded", type=int, default=None, metavar="N")
-    p.add_argument("--stabilization-cap", type=int, default=64)
+    if context:  # only the subcommands that evaluate take a context's settings
+        p.add_argument("--bounded", type=int, default=None, metavar="N")
+        p.add_argument("--stabilization-cap", type=int, default=64)
     p.add_argument("--json", action="store_true")
 
 
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("universe", help="list the generated universe")
-    _add_common(p)
+    _add_common(p, context=False)
     p.set_defaults(func=_cmd_universe)
 
     p = sub.add_parser("demo", help="run a packaged hiring variant")

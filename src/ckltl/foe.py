@@ -166,10 +166,10 @@ _fo_conjoin = partial(reduce, FoAnd)  # left-associative conjunction of a nonemp
 
 
 class _Translator:
-    def __init__(self, system: System, faithful: bool, next_index: int):
+    def __init__(self, system: System, faithful: bool):
         self.system = system
         self.faithful = faithful
-        self.n = next_index
+        self.n = 1  # x0 is the evaluation point; fresh variables follow
         self.cores: dict[str, Formula] = {}  # agent -> its relation, desugared
 
     def fresh(self) -> str:
@@ -327,22 +327,14 @@ def _ge(a: str, b: str) -> FoFormula:
 def translate(f: Formula, system: System, *, faithful: bool = False) -> FoFormula:
     """Closed FO[<,E] sentence equivalent to checking core-form `f` on every
     trace at the first position: forall x0. min(x0) -> body."""
-    body = translate_at(f, system, var="x0", next_index=1, faithful=faithful)
+    body = translate_at(f, system, faithful=faithful)
     return FoForall("x0", FoImplies(FoMin("x0"), body))
 
 
-def translate_at(
-    f: Formula,
-    system: System,
-    *,
-    var: str = "x0",
-    next_index: int = 1,
-    faithful: bool = False,
-) -> FoFormula:
-    """Body of the translation with `var` free at the evaluation point; fresh
-    variables are numbered from `next_index`."""
-    tr = _Translator(system, faithful, next_index)
-    return tr.go(f, var, None)
+def translate_at(f: Formula, system: System, *, faithful: bool = False) -> FoFormula:
+    """Body of the translation with `x0` free at the evaluation point; fresh
+    variables are numbered from x1."""
+    return _Translator(system, faithful).go(f, "x0", None)
 
 
 # ---------------------------------------------------------------------------

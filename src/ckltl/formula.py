@@ -331,11 +331,6 @@ class EMight(Formula):
     __slots__ = ("agent", "ante", "cons")
 
 
-def is_core(f: Formula) -> bool:
-    """True iff `f` contains no derived (surface) operators."""
-    return all(isinstance(g, Formula) and type(g) not in _SUGAR for g in subformulas(f))
-
-
 def children(f: Formula) -> tuple[Formula, ...]:
     """Operands in order: (child,), (left, right) or (ante, cons)."""
     get = _CHILDREN.get(type(f))

@@ -190,14 +190,20 @@ def _strings(value, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ModelFormatError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def system_from_dict(data: dict) -> System:
     try:
         aps = _strings(data["aps"], "aps")
         state_items = data["states"]
-        states = tuple(item["id"] for item in state_items)
-        labels = {item["id"]: frozenset(_strings(item["labels"], f"state {item['id']!r}: labels"))
-                  for item in state_items}
-        initial = data["initial"]
+        states = tuple(_string(item["id"], "state id") for item in state_items)
+        labels = {s: frozenset(_strings(item["labels"], f"state {s!r}: labels"))
+                  for s, item in zip(states, state_items)}
+        initial = _string(data["initial"], "initial")
         transitions = {s: _strings(ts, f"state {s!r}: transitions")
                        for s, ts in data["transitions"].items()}
         agent_items = data["agents"]
@@ -209,10 +215,11 @@ def system_from_dict(data: dict) -> System:
     similarity = {}
     for item in agent_items:
         try:
-            name = item["name"]
+            name = _string(item["name"], "agent name")
             obs = frozenset(_strings(item["observes"], f"agent {name!r}: observes"))
             params = item["similarity"]["params"]
-            formula_text = item["similarity"]["formula"]
+            formula_text = _string(item["similarity"]["formula"],
+                                   f"agent {name!r}: similarity formula")
         except (KeyError, TypeError) as exc:
             raise ModelFormatError(f"malformed agent entry: {exc}") from exc
         if not (isinstance(params, list) and all(isinstance(p, str) for p in params)

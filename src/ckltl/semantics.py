@@ -622,11 +622,6 @@ def eval_at(ctx: EvalContext, t: LassoTrace, i: int, f: Formula) -> bool:
     return ctx.value(t, f, i)
 
 
-def similarity_holds(ctx: EvalContext, agent: str, t_ref: LassoTrace, t1: LassoTrace,
-                     t2: LassoTrace, i: int) -> bool:
-    return ctx.similarity_holds(agent, t_ref, t1, t2, i)
-
-
 @dataclass(frozen=True)
 class TrailEntry:
     formula: str

@@ -37,26 +37,7 @@ from .formula import (
     memo,
     to_source,
 )
-from .model import System
 from .semantics import EvalContext, Verdict, check_system
-
-
-@dataclass(frozen=True)
-class AttrLiteral:
-    """An attribute proposition or its negation."""
-
-    name: str
-    positive: bool = True
-
-    def as_formula(self) -> Formula:
-        atom = Atom(self.name)
-        return atom if self.positive else Not(atom)
-
-    def complements(self, other: "AttrLiteral") -> bool:
-        return self.name == other.name and self.positive != other.positive
-
-    def __str__(self) -> str:
-        return self.name if self.positive else f"!{self.name}"
 
 
 @dataclass(frozen=True)
@@ -64,65 +45,28 @@ class AttributeVocabulary:
     """Per-agent attribute propositions plus the outcome proposition.
 
     `positives` maps an agent to its positive attribute propositions; the
-    literal closure of an agent is those plus their negations, in that order.
-    `literals` may override the closure for specific agents (used for
-    degenerate vocabularies in tests)."""
+    literal closure of an agent is those plus their negations, in that order,
+    each literal a `(name, positive)` pair."""
 
     positives: Mapping[str, tuple[str, ...]]
     outcome: str
-    literals: Mapping[str, tuple[AttrLiteral, ...]] | None = None
 
     def agents(self) -> tuple[str, ...]:
         return tuple(self.positives)
 
-    def literals_of(self, agent: str) -> tuple[AttrLiteral, ...]:
-        if self.literals is not None and agent in self.literals:
-            return tuple(self.literals[agent])
+    def literals_of(self, agent: str) -> tuple[tuple[str, bool], ...]:
         if agent not in self.positives:
             raise KeyError(f"no attributes declared for agent {agent!r}")
         pos = self.positives[agent]
-        return tuple(AttrLiteral(p) for p in pos) + tuple(
-            AttrLiteral(p, False) for p in pos
-        )
-
-    def validate_for(self, system: System) -> list[str]:
-        """Invariant violations against a concrete system (empty if none)."""
-        problems = []
-        aps = set(system.kripke.aps)
-        if self.outcome not in aps:
-            problems.append(f"outcome {self.outcome!r} not among the propositions")
-        for agent, props in self.positives.items():
-            if agent not in system.agents:
-                problems.append(f"vocabulary names unknown agent {agent!r}")
-            for p in props:
-                if p not in aps:
-                    problems.append(f"attribute {p!r} not among the propositions")
-        if self.literals:
-            for agent, lits in self.literals.items():
-                for lit in lits:
-                    if lit.name not in aps:
-                        problems.append(
-                            f"attribute {lit.name!r} not among the propositions"
-                        )
-        return problems
-
-
-def satisfiable_pairs(
-    literals: Sequence[AttrLiteral],
-) -> tuple[tuple[AttrLiteral, AttrLiteral], ...]:
-    """Unordered distinct jointly-satisfiable pairs, in input order.
-
-    When no such pair exists (one literal, or only complementary ones), falls
-    back to the degenerate self-pairs (a, a), which builders collapse to the
-    bare literal."""
-    pairs = _pair_positions([lit.name for lit in literals])
-    return tuple((literals[i], literals[j]) for i, j in pairs)
+        return tuple((p, True) for p in pos) + tuple((p, False) for p in pos)
 
 
 def _pair_positions(names: Sequence[str]) -> list[tuple[int, int]]:
-    """`satisfiable_pairs` as index pairs.  Two literals are equal or
-    complementary exactly when their names match, so only names are
-    compared."""
+    """Unordered distinct jointly-satisfiable literal pairs, as index pairs in
+    input order.  Two literals are equal or complementary exactly when their
+    names match, so only names are compared.  When no such pair exists (an
+    attribute and its negation only), falls back to the self-pairs (i, i),
+    which builders collapse to the bare literal."""
     n = len(names)
     out = [(i, j) for i in range(n) for j in range(i + 1, n) if names[i] != names[j]]
     return out or [(i, i) for i in range(n)]
@@ -144,9 +88,8 @@ def _requirement(
     joint_antecedent: bool,
 ) -> Formula:
     """The requirement over the agents' literals, in the unique table under
-    those literals as (name, sign) pairs, so no literal is hashed or compared
-    as a dataclass, and a requirement still alive is not built again."""
-    lits = tuple((lit.name, lit.positive) for agent in agents for lit in vocab.literals_of(agent))
+    those literals, so a requirement still alive is not built again."""
+    lits = tuple(lit for agent in agents for lit in vocab.literals_of(agent))
     outcome = vocab.outcome
 
     def build() -> Formula:
@@ -289,15 +232,9 @@ def entailment_probe(
 ) -> ProbeReport:
     """Check f1 and f2 on every family member and classify the evidence.
 
-    Family entries are (label, system, universe) triples; plain
-    (system, universe) pairs get positional labels."""
+    Family entries are (label, system, universe) triples."""
     members = []
-    for idx, entry in enumerate(family):
-        if len(entry) == 3:
-            label, system, universe = entry
-        else:
-            system, universe = entry
-            label = f"member-{idx}"
+    for label, system, universe in family:
         ctx = EvalContext.exact(system, universe, stabilization_cap)
         v1 = check_system(ctx, f1)
         v2 = check_system(ctx, f2)

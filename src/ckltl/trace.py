@@ -26,10 +26,6 @@ class SizeLimitExceeded(RuntimeError):
     """Universe generation hit the configured trace-count cap."""
 
 
-class NotAPathOfModel(ValueError):
-    """A user-supplied trace is not realizable as an initial path."""
-
-
 class LassoTrace:
     """Ultimately periodic trace: `prefix` then `loop` forever (loop nonempty).
 
@@ -99,9 +95,6 @@ class LassoTrace:
                 c = _lasso(tuple(prefix), loop, True)
             _set_canon(self, c)
         return self if c is True else c
-
-    def same_word(self, other: "LassoTrace") -> bool:
-        return self.canonical() == other.canonical()
 
 
 # label set -> its letter, the one object every trace cell with that label
@@ -368,77 +361,3 @@ def generate_universe(
     if not found:
         warnings.warn("generated universe is empty under the given bounds", stacklevel=2)
     return _indexed(tuple(found), found)
-
-
-def is_model_trace(kripke, trace: LassoTrace) -> bool:
-    """True iff the denoted word is the label sequence of some initial path.
-
-    Product construction: pair the structure with the word's position automaton
-    (prefix positions, then loop positions cycling) and ask whether an infinite
-    path exists from the start, i.e. whether the start can reach a cycle in the
-    reachable, label-consistent product graph.
-    """
-    t = trace.canonical()
-    p, l = len(t.prefix), len(t.loop)
-
-    def letter(pos: int) -> frozenset:
-        return t.prefix[pos] if pos < p else t.loop[(pos - p) % l]
-
-    def next_pos(pos: int) -> int:
-        n = pos + 1
-        if n < p + l:
-            return n
-        return p + ((n - p) % l)
-
-    start = (kripke.initial, 0)
-    if kripke.labels[kripke.initial] != letter(0):
-        return False
-    # forward reachability, recording each reachable node's number of
-    # successors and its predecessors
-    preds = {start: []}
-    succ_count = {}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        s, pos = node
-        np = next_pos(pos)
-        want = letter(np)
-        succs = [(s2, np) for s2 in kripke.transitions[s] if kripke.labels[s2] == want]
-        succ_count[node] = len(succs)
-        for nxt in succs:
-            if nxt not in preds:
-                preds[nxt] = []
-                frontier.append(nxt)
-            preds[nxt].append(node)
-    # trim dead ends: a node dies once all its successors have died; each
-    # edge is looked at once, so the trimming is linear in the graph
-    dead = [node for node, n in succ_count.items() if n == 0]
-    while dead:
-        node = dead.pop()
-        if node == start:
-            return False
-        for pred in preds[node]:
-            succ_count[pred] -= 1
-            if succ_count[pred] == 0:
-                dead.append(pred)
-    return True
-
-
-def add_trace(universe: TraceUniverse, trace: LassoTrace, system=None) -> TraceUniverse:
-    """Universe with `trace` appended (no-op if the word is already present).
-
-    When `system` is given, the trace must be realizable as an initial path of
-    its structure; otherwise :class:`NotAPathOfModel` is raised.
-    """
-    if system is not None:
-        k = getattr(system, "kripke", system)
-        if not is_model_trace(k, trace):
-            raise NotAPathOfModel(
-                f"not an initial path of the model: {format_trace(trace)}"
-            )
-    c = trace.canonical()
-    if c in universe:
-        return universe
-    index = dict(universe._index)
-    index[c] = len(universe)
-    return _indexed(universe.traces + (c,), index)

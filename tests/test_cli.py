@@ -181,22 +181,33 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: {flag} "), (argv, err)
     assert run(capsys, [*validate, "--bounded", "1", "--position", "1"])[0] == 0
-    # a bad model file: the message names the field and its agent
-    data = json.loads(Path(model).read_text())
-    data["agents"][0]["observes"] = "pq"
-    letters = tmp_path / "letters.json"
-    letters.write_text(json.dumps(data))
-    data["agents"][0]["observes"] = ["p"]
-    data["agents"][0]["similarity"]["formula"] = "K[a] p@pi"
-    knows = tmp_path / "knows.json"
-    knows.write_text(json.dumps(data))
-    for path, detail in (
-        (letters, "agent 'a': observes must be a list of strings, got 'pq'"),
-        (knows, "agent 'a': bad similarity formula: not a relational formula:"
-                " forbidden-operator: K at root"),
+    # a bad model file: the message names the field and its state or agent,
+    # or the structural rule it breaks; the last six exited 3 with an internal
+    # error (InvariantViolation, AttributeError or TypeError) before
+    for keys, bad, detail in (
+        (("agents", 0, "observes"), "pq",
+         "agent 'a': observes must be a list of strings, got 'pq'"),
+        (("agents", 0, "similarity", "formula"), "K[a] p@pi",
+         "agent 'a': bad similarity formula: not a relational formula:"
+         " forbidden-operator: K at root"),
+        (("initial",), "nope", "initial state 'nope' is not a state"),
+        (("states", 0, "id"), 0, "state id must be a string, got 0"),
+        (("agents", 0, "similarity", "formula"), 5,
+         "agent 'a': similarity formula must be a string, got 5"),
+        (("agents", 0, "similarity", "formula"), ["x"],
+         "agent 'a': similarity formula must be a string, got ['x']"),
+        (("initial",), ["s0"], "initial must be a string, got ['s0']"),
+        (("agents", 0, "name"), ["a"], "agent name must be a string, got ['a']"),
     ):
+        data = json.loads(Path(model).read_text())
+        node = data
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
         code, out, err = run(capsys, ["check", "--model", str(path), "--formula", "p", *TRACES])
-        assert (code, out, err) == (2, "", f"error: bad model file: {detail}\n")
+        assert (code, out, err) == (2, "", f"error: bad model file: {detail}\n"), keys
 
 
 def test_empty_generated_universe_is_an_input_error(model, capsys):
@@ -310,6 +321,17 @@ def test_translate_faithful_differs_on_counterfactuals(model, capsys):
     assert amended != unpinned
     # the pin is one extra equal-level conjunct
     assert amended.count("E(") == unpinned.count("E(") + 1
+
+
+def test_universe_rejects_context_flags(model, capsys):
+    # `universe` builds no evaluation context, so it takes neither of its settings
+    base = ["universe", "--model", model, "--trace", "| {}"]
+    for extra in (["--bounded", "3"], ["--stabilization-cap", "0"]):
+        with pytest.raises(SystemExit) as e:
+            main(base + extra)
+        assert e.value.code == 2, extra
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(capsys, base) == (0, "| {}\n", "")
 
 
 def test_translate_rejects_flags_it_would_ignore(model, capsys):

@@ -48,7 +48,7 @@ from ckltl import (
     to_source,
 )
 from ckltl import foe, formula
-from ckltl.formula import _TABLE, HashConsed, is_core, node_count
+from ckltl.formula import _TABLE, HashConsed, node_count
 from ckltl.hiring import hiring_vocabulary
 from ckltl.specs import AttributeVocabulary
 
@@ -277,7 +277,7 @@ def test_desugar_removes_surface_forms():
     for _ in range(200):
         f = gen_formula(r, depth=4)
         core = desugar(f)
-        assert is_core(core)
+        assert desugar(core) is core
 
 
 def test_desugar_fixed_points():
@@ -457,7 +457,7 @@ def test_formula_layer_handles_large_formulas(build, size):
         f = build()
         assert parse(to_source(f)) is f
         core = desugar(f)
-        assert is_core(core) and desugar(core) is core
+        assert desugar(core) is core
         assert node_count(f) == size
     finally:
         sys.setrecursionlimit(limit)

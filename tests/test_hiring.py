@@ -250,7 +250,10 @@ def test_vocabulary_matches_every_variant():
     assert v.outcome == "offer"
     assert len(v.literals_of("a")) == 10
     for build in VARIANTS.values():
-        assert v.validate_for(build()) == []
+        s = build()
+        aps = set(s.kripke.aps)
+        assert v.outcome in aps and set(v.agents()) <= set(s.agents)
+        assert all(set(props) <= aps for props in v.positives.values())
 
 
 def test_shipped_fixtures_are_in_sync(tmp_path):

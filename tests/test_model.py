@@ -258,6 +258,27 @@ def test_from_dict_refuses_what_is_not_a_list_of_strings():
         system_from_dict(d)
 
 
+@pytest.mark.parametrize("keys, bad, what", [
+    (("initial",), ["s0"], "initial"),
+    (("states", 0, "id"), 0, "state id"),
+    (("agents", 0, "name"), ["a"], "agent name"),
+    (("agents", 0, "similarity", "formula"), 5, "agent 'a': similarity formula"),
+    (("agents", 0, "similarity", "formula"), ["x"], "agent 'a': similarity formula"),
+], ids=["list-initial", "numeric-state-id", "list-agent-name", "numeric-formula",
+        "list-formula"])
+def test_from_dict_refuses_what_is_not_a_string(keys, bad, what):
+    # a non-string used to reach a hash, `parse` or a state lookup, and fail
+    # there with an error that names no field
+    d = system_to_dict(tiny_system())
+    node = d
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = bad
+    with pytest.raises(ModelFormatError) as e:
+        system_from_dict(d)
+    assert str(e.value) == f"{what} must be a string, got {bad!r}"
+
+
 def test_equal_relations_are_checked_once_while_one_lives(monkeypatch):
     # two hiring fixtures, four agents, one relation: the check walks it
     # (through `formula.children`) for the first agent only.  The parameters
@@ -276,4 +297,7 @@ def test_from_dict_rejects_invariant_violations():
     d = system_to_dict(tiny_system())
     d["initial"] = "missing"
     with pytest.raises(InvariantViolation):
+        system_from_dict(d)
+    d["initial"] = "nope"
+    with pytest.raises(InvariantViolation, match="^initial state 'nope' is not a state$"):
         system_from_dict(d)

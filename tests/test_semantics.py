@@ -127,7 +127,7 @@ def test_exact_value_is_presentation_invariant():
         got = eval_at(ctx, t, i, f)
         # same word, different lasso split; fresh context so nothing is shared
         t2 = LassoTrace(t.prefix + t.loop, t.loop)
-        u2 = universe_of([t2 if x.same_word(t) else x for x in u.traces])
+        u2 = universe_of([t2 if x.canonical() == t.canonical() else x for x in u.traces])
         ctx2 = EvalContext.exact(s, u2, stabilization_cap=256)
         assert eval_at(ctx2, t2, i, f) == got
 

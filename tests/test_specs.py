@@ -6,7 +6,6 @@ import pytest
 
 from ckltl import (
     And,
-    AttrLiteral,
     AttributeVocabulary,
     EvalContext,
     Globally,
@@ -24,7 +23,6 @@ from ckltl import (
     eval_at,
     parse,
     position_variant,
-    satisfiable_pairs,
     subformulas,
     to_source,
 )
@@ -38,51 +36,33 @@ def small_vocab():
     )
 
 
+def mights(f):
+    return [to_source(m.ante) for m in subformulas(f) if isinstance(m, Might)]
+
+
 def test_literals_and_complements():
+    # the closure is the positives, then their complements, as (name, sign) pairs
     v = small_vocab()
-    lits = v.literals_of("a")
-    assert [str(l) for l in lits] == ["x", "y", "!x", "!y"]
-    x, y, nx, ny = lits
-    assert x.complements(nx) and nx.complements(x)
-    assert not x.complements(y) and not x.complements(x)
-    assert to_source(nx.as_formula()) == "!x"
+    assert v.literals_of("a") == (("x", True), ("y", True), ("x", False), ("y", False))
     assert v.agents() == ("a", "b")
 
 
 def test_satisfiable_pairs_counts():
     v = small_vocab()
-    # 4 literals -> C(4,2)=6 unordered pairs minus 2 complementary = 4
-    pairs = satisfiable_pairs(v.literals_of("a"))
-    assert len(pairs) == 4
-    assert all(not p.complements(q) for p, q in pairs)
-    # a lone literal has no partner: fall back to the reflexive pair
-    only = (AttrLiteral("z"),)
-    assert satisfiable_pairs(only) == ((only[0], only[0]),)
-    # two complementary literals likewise fall back
-    z, nz = AttrLiteral("z"), AttrLiteral("z", positive=False)
-    assert satisfiable_pairs((z, nz)) == ((z, z), (nz, nz))
+    # 4 literals -> C(4,2)=6 unordered pairs minus 2 complementary = 4, in
+    # literal order; a negative literal reads `!name`
+    assert mights(build_ice(v, "a")) == ["x & y", "x & !y", "y & !x", "!x & !y"]
+    # two complementary literals fall back to the reflexive pairs, which
+    # collapse to the bare literals
+    assert mights(build_ice(v, "b")) == ["z", "!z"]
 
 
-def test_building_a_requirement_never_hashes_or_compares_literals(monkeypatch):
-    # pairs are built over literal positions and literal formulas keyed by
-    # (name, sign), so the dataclass's generated `__hash__`/`__eq__` stay idle
-    x, nx, y = AttrLiteral("x"), AttrLiteral("x", positive=False), AttrLiteral("y")
-    vocabs = (small_vocab(), AttributeVocabulary(
-        positives={"a": ("x",), "b": ("y",)}, outcome="win",
-        literals={"a": (x, nx, x), "b": (y, AttrLiteral("x"))}))
-    builds = [lambda v: build_ice(v, "a"), lambda v: build_wce(v, "b"),
-              lambda v: build_gce(v, "a", "b"), lambda v: build_ece(v, "a", "b")]
-    want = [to_source(build(v)) for v in vocabs for build in builds]
-
-    def refuse(*args):
-        raise AssertionError("a literal was hashed or compared")
-
-    monkeypatch.setattr(AttrLiteral, "__hash__", refuse)
-    monkeypatch.setattr(AttrLiteral, "__eq__", refuse)
-    assert [to_source(build(v)) for v in vocabs for build in builds] == want
-    # duplicates drop to their first occurrence, in insertion order
-    assert to_source(build_gce(vocabs[1], "a", "b")) == (
-        "G (!win -> K[a] ((x & y) MIGHT[b] win) | K[a] ((!x & y) MIGHT[b] win))")
+def test_gce_drops_duplicate_literals_in_insertion_order():
+    # an attribute of two agents is one pair of literals, at its first occurrence
+    v = AttributeVocabulary(positives={"a": ("y",), "b": ("x", "y")}, outcome="win")
+    assert to_source(build_gce(v, "a", "b")) == (
+        "G (!win -> K[a] ((y & x) MIGHT[b] win) | K[a] ((y & !x) MIGHT[b] win)"
+        " | K[a] ((!y & x) MIGHT[b] win) | K[a] ((!y & !x) MIGHT[b] win))")
 
 
 def test_ice_shape():
@@ -147,19 +127,6 @@ def test_ece_uses_one_agents_attributes_with_another_evaluator():
     assert antes == {"z", "!z"}
 
 
-def test_explicit_literal_override():
-    v = AttributeVocabulary(
-        positives={"a": ("x", "y")},
-        outcome="win",
-        literals={"a": (AttrLiteral("x"),)},
-    )
-    f = build_ice(v, "a")
-    mights = [g for g in subformulas(f) if isinstance(g, Might)]
-    # a single literal collapses to the bare antecedent, not (x & x)
-    assert len(mights) == 1
-    assert to_source(mights[0].ante) == "x"
-
-
 def test_each_literal_sequence_gets_its_own_requirement():
     # the table keys a requirement by the literals in order, so a vocabulary
     # whose literals differ, or come in another order, is not served another's
@@ -167,14 +134,12 @@ def test_each_literal_sequence_gets_its_own_requirement():
     gce = build_gce(v, "a", "a")
     assert build_gce(small_vocab(), "a", "a") is gce
     swapped = AttributeVocabulary(positives={"b": ("z",), "a": ("x", "y")}, outcome="win")
-    first = [to_source(m.ante) for m in subformulas(build_gce(swapped, "a", "a"))
-             if isinstance(m, Might)]
-    assert build_gce(swapped, "a", "a") is not gce and first[0] == "z & x"
-    overridden = AttributeVocabulary(positives=v.positives, outcome="win",
-                                     literals={"a": (AttrLiteral("y"), AttrLiteral("x"))})
-    f = build_ice(overridden, "a")
+    assert build_gce(swapped, "a", "a") is not gce
+    assert mights(build_gce(swapped, "a", "a"))[0] == "z & x"
+    reordered = AttributeVocabulary(positives={"a": ("y", "x"), "b": ("z",)}, outcome="win")
+    f = build_ice(reordered, "a")
     assert f is not build_ice(v, "a")
-    assert [to_source(m.ante) for m in subformulas(f) if isinstance(m, Might)] == ["y & x"]
+    assert mights(f) == ["y & x", "y & !x", "x & !y", "!y & !x"]
     # knower, counterfactual agent, outcome and shape are part of the key;
     # the ECE of an agent's own attributes is its ICE
     assert len({build_gce(v, "a", "a"), build_gce(v, "b", "a"), build_gce(v, "a", "b"),
@@ -194,18 +159,6 @@ def test_unknown_agent_is_an_error():
     v = small_vocab()
     with pytest.raises(KeyError):
         build_ice(v, "zz")
-
-
-def test_vocabulary_validation():
-    from ckltl.hiring import build_explainable, hiring_vocabulary
-
-    v = hiring_vocabulary()
-    assert v.validate_for(build_explainable()) == []
-    bad = AttributeVocabulary(positives={"zz": ("nope",)}, outcome="missing")
-    problems = bad.validate_for(build_explainable())
-    assert any("zz" in p for p in problems)
-    assert any("missing" in p for p in problems)
-    assert any("nope" in p for p in problems)
 
 
 def test_position_variant():
@@ -243,10 +196,10 @@ def test_probe_finds_strictness_witness():
     s, u = cf_fixture()
     stronger = parse("G p")
     weaker = parse("G (p | !p)")
-    report = entailment_probe(stronger, weaker, [(s, u)])
+    report = entailment_probe(stronger, weaker, [("m", s, u)])
     assert report.inclusion_consistent
     # the member satisfies the weak formula but not the strong one
-    assert report.strictness_witnesses == ("member-0",)
+    assert report.strictness_witnesses == ("m",)
     m = report.members[0]
     assert not m.holds_first and m.holds_second
     assert m.first.counterexample == "| {}"

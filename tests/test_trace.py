@@ -11,13 +11,10 @@ import pytest
 from ckltl import (
     KripkeStructure,
     LassoTrace,
-    NotAPathOfModel,
     SizeLimitExceeded,
     TraceUniverse,
-    add_trace,
     format_trace,
     generate_universe,
-    is_model_trace,
     obs_divergence_point,
     parse_trace_literal,
     universe_of,
@@ -26,7 +23,7 @@ from ckltl import (
 
 from ckltl.trace import _LETTERS
 
-from gen import gen_letter, gen_system, gen_trace, gen_universe
+from gen import gen_system, gen_trace, gen_universe
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -46,7 +43,7 @@ def test_trace_is_an_immutable_value():
     t = LassoTrace((P, Q), (P, Q))
     # equality and hashing go by presentation, not by denoted word
     assert t == LassoTrace((P, Q), (P, Q)) and hash(t) == hash(LassoTrace((P, Q), (P, Q)))
-    assert t != LassoTrace((), (P, Q)) and t.same_word(LassoTrace((), (P, Q)))
+    assert t != LassoTrace((), (P, Q)) and t.canonical() == LassoTrace((), (P, Q)).canonical()
     assert t != (t.prefix, t.loop)
     for field in ("prefix", "loop"):
         with pytest.raises(AttributeError):
@@ -135,9 +132,7 @@ def test_same_word_is_presentation_invariant():
         t = gen_trace(r)
         unrolled = LassoTrace(t.prefix + t.loop, t.loop)
         doubled = LassoTrace(t.prefix, t.loop + t.loop)
-        assert t.same_word(unrolled)
-        assert t.same_word(doubled)
-        assert unrolled.same_word(doubled)
+        assert t.canonical() == unrolled.canonical() == doubled.canonical()
         # and the canonical form denotes the same pointwise labels
         c = t.canonical()
         for i in range(len(t.prefix) + 2 * len(t.loop) + 3):
@@ -264,12 +259,6 @@ def test_generate_universe_enumerates_exactly():
     assert words == {"| {}", "| {} ; {p}", "{} | {} ; {p}"}
 
 
-def test_generate_universe_respects_transitions():
-    k = two_state_kripke()
-    for t in generate_universe(k, max_prefix=2, max_loop=2):
-        assert is_model_trace(k, t)
-
-
 def test_generate_universe_loop_states():
     k = two_state_kripke()
     u = generate_universe(k, max_prefix=2, max_loop=2, loop_states=("s0",))
@@ -292,65 +281,6 @@ def test_generate_universe_refuses_a_cap_below_one():
     for cap in (0, -1):
         with pytest.raises(ValueError, match="max_traces"):
             generate_universe(k, max_prefix=1, max_loop=1, max_traces=cap)
-
-
-def test_is_model_trace():
-    k = two_state_kripke()
-    assert is_model_trace(k, tr("| {}"))
-    assert is_model_trace(k, tr("{} ; {p} | {}"))
-    assert not is_model_trace(k, tr("| {p}"))        # s1 has no self loop
-    assert not is_model_trace(k, tr("{p} | {}"))     # initial state is s0
-    assert not is_model_trace(k, tr("| {q}"))        # no such labeling
-
-
-def test_is_model_trace_checks_all_presentations():
-    # the canonical word matters, not the given split
-    k = two_state_kripke()
-    assert is_model_trace(k, tr("{} | {} ; {}"))
-
-
-def test_add_trace():
-    k = two_state_kripke()
-    u = generate_universe(k, max_prefix=0, max_loop=1)
-    grown = add_trace(u, tr("{} | {p} ; {}"))
-    assert len(grown) == len(u) + 1
-    again = add_trace(grown, tr("{} ; {p} | {} ; {p}"))
-    assert again is grown  # same word, no-op
-    with pytest.raises(NotAPathOfModel):
-        from ckltl import System, subset_similarity
-
-        s = System(
-            kripke=k,
-            agents=("a",),
-            observation={"a": frozenset({"p"})},
-            similarity={"a": subset_similarity(("p",))},
-        )
-        add_trace(u, tr("| {p}"), system=s)
-
-
-def test_add_trace_extends_the_index():
-    r = random.Random(16)
-    k = two_state_kripke()
-    for case in range(200):
-        # a user universe keeps its traces as given, canonical or not
-        traces = gen_universe(r).traces
-        u = (TraceUniverse(tuple(LassoTrace(t.prefix, t.loop + t.loop) for t in traces))
-             if r.random() < 0.5 else generate_universe(k, r.randint(0, 2), r.randint(1, 2)))
-        system = k if r.random() < 0.5 else None
-        if system is None:
-            t = gen_trace(r)
-        else:  # a path of the model, in a presentation of its own
-            t = r.choice(generate_universe(k, 3, 2).traces)
-            t = LassoTrace(t.prefix + t.loop, t.loop)
-        grown = add_trace(u, t, system)
-        if t in u:
-            assert grown is u, case
-            continue
-        rebuilt = TraceUniverse(u.traces + (t.canonical(),))
-        assert grown.traces == rebuilt.traces, case
-        assert grown._index == rebuilt._index and list(grown._index.values()) == list(
-            range(len(grown))), case
-        assert u._index is not grown._index and len(u._index) == len(u), case
 
 
 # ---------------------------------------------------------------------------
@@ -415,88 +345,3 @@ def test_generate_universe_matches_reference_enumerator():
             with pytest.raises(SizeLimitExceeded):
                 generate_universe(k, max_prefix, max_loop, loop_states=loop_states,
                                   max_traces=len(want) - 1)
-
-
-# ---------------------------------------------------------------------------
-# is_model_trace against the quadratic fixpoint it replaced
-# ---------------------------------------------------------------------------
-
-
-def reference_is_model_trace(kripke, trace):
-    """The former implementation: forward reachability in the product of the
-    structure and the word's position automaton, then dead ends trimmed by
-    rescanning every live node until nothing changes."""
-    t = trace.canonical()
-    p, l = len(t.prefix), len(t.loop)
-
-    def letter(pos):
-        return t.prefix[pos] if pos < p else t.loop[(pos - p) % l]
-
-    def next_pos(pos):
-        n = pos + 1
-        return n if n < p + l else p + ((n - p) % l)
-
-    start = (kripke.initial, 0)
-    if kripke.labels[kripke.initial] != letter(0):
-        return False
-    reach, frontier = {start}, [start]
-    while frontier:
-        s, pos = frontier.pop()
-        np = next_pos(pos)
-        for s2 in kripke.transitions[s]:
-            if kripke.labels[s2] == letter(np) and (s2, np) not in reach:
-                reach.add((s2, np))
-                frontier.append((s2, np))
-
-    def succs(node):
-        s, pos = node
-        np = next_pos(pos)
-        return [(s2, np) for s2 in kripke.transitions[s]
-                if kripke.labels[s2] == letter(np) and (s2, np) in live]
-
-    live = set(reach)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(live):
-            if not succs(node):
-                live.discard(node)
-                changed = True
-    return start in live
-
-
-def test_is_model_trace_matches_the_fixpoint_reference():
-    r = random.Random(15)
-    verdicts = set()
-    for case in range(300):
-        k = gen_system(r, props=("p", "q")).kripke
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            paths = generate_universe(k, max_prefix=2, max_loop=2).traces
-        # random words, mostly not paths, and paths with one letter changed
-        traces = [gen_trace(r, props=("p", "q"), max_prefix=4) for _ in range(4)]
-        for t in r.sample(paths, min(3, len(paths))):
-            cells = list(t.prefix + t.loop)
-            j = r.randrange(len(cells))
-            cells[j] = gen_letter(r, ("p", "q"))
-            traces += [t, LassoTrace(tuple(cells[:len(t.prefix)]),
-                                     tuple(cells[len(t.prefix):]))]
-        for t in traces:
-            got = is_model_trace(k, t)
-            assert got == reference_is_model_trace(k, t), (case, format_trace(t))
-            verdicts.add(got)
-    assert verdicts == {True, False}
-
-
-@pytest.mark.parametrize("transitions, verdict", [
-    # s0 idles or leaves for the dead-end s1 or for s2, which idles on {p}
-    ({"s0": ("s0", "s1", "s2"), "s1": ("s1",), "s2": ("s2",)}, True),
-    # s0 and s1 idle on {} between them, and nothing reaches s2
-    ({"s0": ("s0", "s1"), "s1": ("s0", "s1"), "s2": ("s2",)}, False),
-])
-def test_is_model_trace_on_a_long_prefix(transitions, verdict):
-    # 2,000 letters {} before the loop {p}: a dead end at every position,
-    # which rescanning the live nodes trimmed one sweep at a time
-    k = KripkeStructure(("s0", "s1", "s2"), "s0", transitions, ("p",),
-                        {"s0": E, "s1": E, "s2": P})
-    assert is_model_trace(k, LassoTrace((E,) * 2_000, (P,))) is verdict
