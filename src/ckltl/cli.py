@@ -19,7 +19,7 @@ import warnings
 from pathlib import Path
 
 from . import foe, hiring
-from .formula import Formula, ParseError, desugar, parse
+from .formula import Atom, Formula, ParseError, TracedAtom, desugar, parse, subformulas, to_source
 from .model import InvariantViolation, ModelFormatError, System, UnknownAgentError, load_system
 from .semantics import (
     EvalContext,
@@ -54,7 +54,10 @@ def _load_model(args) -> System:
         raise InputError(f"bad model file: {e}")
 
 
-def _load_formula(args) -> Formula:
+def _load_formula(args, system) -> Formula:
+    """The formula of --formula or --formula-file; an atom the model does not
+    declare, or a traced atom (which only a similarity relation binds), is
+    bad input."""
     if bool(args.formula) == bool(args.formula_file):
         raise InputError("need exactly one of --formula / --formula-file")
     src = args.formula
@@ -64,17 +67,31 @@ def _load_formula(args) -> Formula:
         except OSError as e:
             raise InputError(f"cannot read formula file: {e}")
     try:
-        return parse(src)
+        f = parse(src)
     except ParseError as e:
         raise InputError(f"bad formula: {e}")
+    aps = set(system.kripke.aps)
+    for g in subformulas(f):
+        if isinstance(g, TracedAtom):
+            raise InputError(f"bad formula: traced atom {to_source(g)} outside a "
+                             "similarity relation")
+        if isinstance(g, Atom) and g.name not in aps:
+            raise InputError(f"bad formula: undeclared proposition {g.name!r}")
+    return f
 
 
 def _build_universe(args, system) -> TraceUniverse:
     if args.trace:
         try:
-            return universe_of(parse_trace_literal(s) for s in args.trace)
+            traces = [parse_trace_literal(s) for s in args.trace]
         except ValueError as e:
             raise InputError(f"bad trace literal: {e}")
+        for s, t in zip(args.trace, traces):
+            extra = frozenset().union(*t.prefix, *t.loop).difference(system.kripke.aps)
+            if extra:
+                raise InputError(f"bad trace literal: {s!r} names undeclared proposition "
+                                 f"{min(extra)!r}")
+        return universe_of(traces)
     if args.universe_prefix is None or args.universe_loop is None:
         raise InputError(
             "need --trace literals or both --universe-prefix and --universe-loop"
@@ -150,7 +167,7 @@ def _verdict_text(v: Verdict, universe) -> str:
 
 def _cmd_check(args) -> int:
     system = _load_model(args)
-    f = _load_formula(args)
+    f = _load_formula(args, system)
     universe = _build_universe(args, system)
     ctx = _context(args, system, universe)
     v = check_system(ctx, f)
@@ -160,7 +177,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_translate(args) -> int:
     system = _load_model(args)
-    f = _load_formula(args)
+    f = _load_formula(args, system)
     fo = foe.translate(desugar(f), system, faithful=args.faithful)
     _emit(args, foe.print_fo(fo))
     return 0

@@ -79,6 +79,8 @@ class KripkeStructure:
         if self.initial not in state_set:
             problems.append(f"initial state {self.initial!r} is not a state")
         ap_set = set(self.aps)
+        if len(ap_set) != len(self.aps):
+            problems.append("duplicate propositions")
         for s in self.states:
             succ = self.transitions.get(s, ())
             if not succ:
@@ -298,9 +300,9 @@ def subset_similarity(
             differs_far = Not(Iff(on_ref, TracedAtom(p, far)))
             parts.append(Implies(differs_near, differs_far))
         # G and H over the same pointwise block: the evaluator recognises this
-        # all-positions shape and runs the block per position on the universe's
-        # proposition masks; other relations are evaluated on views of the
-        # universe that bind the reference and nearer traces
+        # all-positions shape and ANDs the block's cells, one per position;
+        # other relations are evaluated on views of the universe that bind
+        # the reference and nearer traces
         block = conjoin(parts)
         return And(Globally(block), Historically(block))
 

@@ -43,11 +43,12 @@ which the relation accepts (t, y, x) at i.  A relation of the
 all-positions shape -- a conjunction of `G B_k` and `H B_k` whose G-bodies
 and H-bodies form the same set, every body pointwise (traced atoms, boolean
 connectives, constants) -- does not depend on i: its row is the AND, over
-the positions of a window, of a compiled block run on the universe's
-proposition masks; `subset_similarity` and the gender-frozen hiring
-relation have this shape.  Every other relation is evaluated on the row's
-view (t, y) of the universe.  Counterfactuals are read off rows.  Neither
-route checks what a relation holds: `RelationalFormula` did, when it was built.
+the positions j of a window, of cells, each the bodies' mask at j kept
+under j and t's and y's letters there; `subset_similarity` and the
+gender-frozen hiring relation have this shape.  Every other relation is
+evaluated on the row's view (t, y) of the universe.  Counterfactuals are
+read off rows.  Neither route checks what a relation holds:
+`RelationalFormula` did, when it was built.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ from .formula import (
     UWould,
     Would,
     children,
+    conjoin,
+    subformulas,
     to_source,
 )
 from .model import System
@@ -104,19 +107,9 @@ class StabilizationCapExceeded(RuntimeError):
         self.cap = cap
 
 
-# Opcodes of a compiled pointwise block.  Registers hold ints read as trace
-# masks at one position (bit k = value on the set's trace k); negative ints
-# stand for masks with every high bit set, so negation is `~`.  `_HAS` reads
-# a proposition of the reference's or nearer trace's letter, `_LOAD` of the
-# universe's masks.
-_LOAD, _HAS, _CONST, _NOT, _AND, _OR, _IMPLIES, _IFF = range(8)
-_BINARY = {And: _AND, Or: _OR, Implies: _IMPLIES, Iff: _IFF}
-
-
-def _all_positions_block(params: tuple[str, str, str], rel: Formula):
-    """Compile `rel` into a flat op list when it has the all-positions shape,
-    else return None.  Registers are keyed by node, so equal subformulas
-    share one.
+def _all_positions_bodies(rel: Formula) -> tuple[Formula, ...] | None:
+    """The nodes of the conjunction of the bodies, in postorder (the root
+    last), when `rel` has the all-positions shape, else None.
 
     The shape is a conjunction of `G B_k` and `H B_k` in which the set of
     G-bodies equals the set of H-bodies and every body is pointwise over the
@@ -136,63 +129,35 @@ def _all_positions_block(params: tuple[str, str, str], rel: Formula):
     h_bodies = {g.child for g in conjuncts if isinstance(g, Historically)}
     if g_bodies.keys() != h_bodies:
         return None
-    ops: list[tuple] = []
-    regs: dict[Formula, int] = {}  # node -> register (index of the op that fills it)
-    roots = []
-    for body in g_bodies:
-        stack = [(body, False)]
-        while stack:
-            g, ready = stack.pop()
-            if g in regs:
-                continue
-            if isinstance(g, TracedAtom):
-                k = params.index(g.trace_var)
-                op = (_HAS if k < 2 else _LOAD, k, g.name)
-            elif isinstance(g, (TrueConst, FalseConst)):
-                op = (_CONST, -1 if isinstance(g, TrueConst) else 0, None)
-            elif not isinstance(g, (Not, *_BINARY)):
-                return None
-            elif not ready:
-                stack.append((g, True))
-                stack += ((c, False) for c in reversed(children(g)))
-                continue
-            elif isinstance(g, Not):
-                op = (_NOT, regs[g.child], None)
-            else:
-                op = (_BINARY[type(g)], regs[g.left], regs[g.right])
-            regs[g] = len(ops)
-            ops.append(op)
-        roots.append(regs[body])
-    acc = roots[0]
-    for r in roots[1:]:
-        ops.append((_AND, acc, r))
-        acc = len(ops) - 1
-    return tuple(ops)
+    nodes = tuple(subformulas(conjoin(list(g_bodies))))
+    pointwise = (TracedAtom, TrueConst, FalseConst, Not, And, Or, Implies, Iff)
+    return nodes if all(isinstance(g, pointwise) for g in nodes) else None
 
 
-def _run_block(ops: tuple, masks: tuple) -> int:
-    """Trace mask of a compiled block at one position, given the loads
-    `masks` (see `EvalContext._loads`); the root is the last op."""
-    r: list[int] = []
-    push = r.append
-    for code, a, b in ops:
-        if code == _LOAD:
-            push(masks[a].get(b, 0))
-        elif code == _HAS:
-            push(-(b in masks[a]))
-        elif code == _AND:
-            push(r[a] & r[b])
-        elif code == _IFF:
-            push(~(r[a] ^ r[b]))
-        elif code == _NOT:
-            push(~r[a])
-        elif code == _IMPLIES:
-            push(~r[a] | r[b])
-        elif code == _OR:
-            push(r[a] | r[b])
+def _cell(params: tuple[str, str, str], nodes: tuple, loads: tuple) -> int:
+    """Trace mask of the root of `nodes` (see `_all_positions_bodies`) at one
+    position, given the loads there (see `EvalContext._loads`).  Masks are
+    ints read as trace masks (bit k = value on universe trace k); negative
+    ints stand for masks with every high bit set, so negation is `~`."""
+    v: dict[Formula, int] = {}
+    for g in nodes:
+        c = type(g)
+        if c is TracedAtom:
+            k = params.index(g.trace_var)
+            v[g] = loads[k].get(g.name, 0) if k == 2 else -(g.name in loads[k])
+        elif c is Iff:
+            v[g] = ~(v[g.left] ^ v[g.right])
+        elif c is Not:
+            v[g] = ~v[g.child]
+        elif c is Implies:
+            v[g] = ~v[g.left] | v[g.right]
+        elif c is And:
+            v[g] = v[g.left] & v[g.right]
+        elif c is Or:
+            v[g] = v[g.left] | v[g.right]
         else:
-            push(a)
-    return r[-1]
+            v[g] = -(c is TrueConst)
+    return v[g]
 
 
 def _members(m: int):
@@ -267,7 +232,8 @@ class EvalContext:
 
     def stats(self) -> dict[str, int]:
         """Deterministic work counters: nodes met, (node, trace set) columns,
-        operand asks, known values, similarity rows, partitions built."""
+        operand asks, known values, similarity work (cells, accessibility
+        rows and views made), partitions built."""
         full = (1 << len(self.universe)) - 1
         cols = [col[0] for st in self._sets.values() for col in st.values()]
         return {
@@ -351,14 +317,16 @@ class EvalContext:
         return [self.universe.index(t) for t in traces]
 
     def _rel(self, agent: str) -> tuple[tuple, Formula, tuple | None, dict]:
-        """(params, formula, compiled block or None, memo of block rows) of the
-        agent's relation, whose nodes are met on first use."""
+        """(params, formula, `_all_positions_bodies` or None, memo) of the
+        agent's relation, whose nodes are met on first use.  The memo holds
+        cells under (j, t's letter at j, y's letter at j) and accessibility
+        rows under t (see `_row`)."""
         got = self._rels.get(agent)
         if got is None:
             rf = self.system.similarity_of(agent)
             self._meet(rf.formula)
-            block = _all_positions_block(rf.params, rf.formula)
-            got = self._rels[agent] = (rf.params, rf.formula, block, {})
+            got = self._rels[agent] = (rf.params, rf.formula,
+                                       _all_positions_bodies(rf.formula), {})
         return got
 
     # ------------------------------------------------------------------
@@ -417,7 +385,7 @@ class EvalContext:
     def _leaf(self, f: Formula, view: tuple | None, j: int, x: int) -> int:
         """Value mask of an atom or constant at j on the traces of x.  In a
         view, which holds only a relation's nodes, a traced atom reads the
-        loads of the agent's parameter it names, as in the compiled block."""
+        loads of the agent's parameter it names, as in a cell."""
         if isinstance(f, (TrueConst, FalseConst)):
             return x if isinstance(f, TrueConst) else 0
         if view is None:
@@ -587,24 +555,34 @@ class EvalContext:
         """Mask of the universe traces x of mask `need` for which the agent's
         relation accepts (t, y, x) at i; t, y and x are universe indices.
 
-        A relation of the all-positions shape does not depend on i: its
-        whole row, kept per agent, is the compiled block ANDed over the
-        window, where t and y load their own labels and x the universe's
-        proposition masks.  Bounded mode: [0, N].  Exact mode: [0, P + L),
-        where every later position repeats one inside.  Any other relation
-        is evaluated on `need` in the view of (t, y), which binds the
-        agent's reference and nearer parameters to t and y."""
-        _, rel, block, rows = self._rel(agent)
-        if block is None:
+        A relation of the all-positions shape does not depend on i: its row
+        is the AND, over a window, of one cell per position j, the bodies'
+        mask at j where t and y load their own letters and x the universe's
+        proposition masks.  A cell depends on j and the two letters only,
+        and is kept under them; the AND stops once nothing of `need` is
+        left.  Exact mode: window [0, P + L).  Bounded mode: [0, min(N + 1,
+        P + L)).  Every later position repeats one inside.  Accessibility
+        rows (t = y) are kept whole, per t.  Any other relation is evaluated
+        on `need` in the view of (t, y), which binds the agent's reference
+        and nearer parameters to t and y."""
+        params, rel, nodes, memo = self._rel(agent)
+        if nodes is None:
             return self._eval(rel, (agent, t, y), i, need)
-        row = rows.get((t, y))
-        if row is None:
-            w = sum(self._uni()[2:4]) if self.bound is None else self.bound + 1
-            row, j = (1 << len(self.universe)) - 1, 0
-            while row and j < w:
-                row &= _run_block(block, self._loads(j, t, y))
-                j += 1
-            rows[(t, y)] = row
+        if t == y and t in memo:
+            return memo[t] & need
+        traces, n, p, l, _ = self._uni()
+        w = p + l if self.bound is None else min(self.bound + 1, p + l)
+        row, lt, ly = (1 << n) - 1 if t == y else need, traces[t], traces[y]
+        for j in range(w):
+            key = (j, lt.label_at(j), ly.label_at(j))
+            cell = memo.get(key)
+            if cell is None:
+                cell = memo[key] = _cell(params, nodes, self._loads(j, t, y))
+            row &= cell
+            if not row:
+                break
+        if t == y:
+            memo[t] = row
         return row & need
 
 

@@ -198,6 +198,7 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
          "agent 'a': similarity formula must be a string, got ['x']"),
         (("initial",), ["s0"], "initial must be a string, got ['s0']"),
         (("agents", 0, "name"), ["a"], "agent name must be a string, got ['a']"),
+        (("aps",), ["p", "q", "p"], "duplicate propositions"),
     ):
         data = json.loads(Path(model).read_text())
         node = data
@@ -208,6 +209,31 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, ["check", "--model", str(path), "--formula", "p", *TRACES])
         assert (code, out, err) == (2, "", f"error: bad model file: {detail}\n"), keys
+
+
+HIRING = str(Path(__file__).resolve().parents[1] / "fixtures" / "explainable.json")
+
+
+@pytest.mark.parametrize("argv, detail", [
+    # a typo of `offer` in the formula
+    (["check", "--formula", "F offr", "--trace", "{a_it} | {offer}"],
+     "bad formula: undeclared proposition 'offr'"),
+    # a trace the model cannot produce
+    (["check", "--formula", "F offer", "--trace", "| {zzz}"],
+     "bad trace literal: '| {zzz}' names undeclared proposition 'zzz'"),
+    (["validate", "--trace", "| {offer}", "--trace", "{zzz} | {}"],
+     "bad trace literal: '{zzz} | {}' names undeclared proposition 'zzz'"),
+    (["universe", "--trace", "| {zzz}"],
+     "bad trace literal: '| {zzz}' names undeclared proposition 'zzz'"),
+    # only a similarity relation binds trace variables
+    (["check", "--formula", "offer@pi", "--trace", "| {offer}"],
+     "bad formula: traced atom offer@pi outside a similarity relation"),
+    (["translate", "--formula", "p@pi"],
+     "bad formula: traced atom p@pi outside a similarity relation"),
+])
+def test_undeclared_names_exit_2(capsys, argv, detail):
+    code, out, err = run(capsys, [argv[0], "--model", HIRING, *argv[1:]])
+    assert (code, out, err) == (2, "", f"error: {detail}\n")
 
 
 def test_empty_generated_universe_is_an_input_error(model, capsys):

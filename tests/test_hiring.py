@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from hashlib import sha256
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -202,7 +203,7 @@ def test_g_only_similarity_matches_the_compiled_route_at_scale():
     # every fifth trace of the two-round restricted universe, 125 traces:
     # with `G B` in place of each agent's `G B & H B`, the relation is off
     # the all-positions shape and every row is a view of the universe; the
-    # verdicts are those of the compiled block
+    # verdicts are those of the cell route
     s = build_restricted()
     full = generate_universe(s, max_prefix=3, max_loop=1, loop_states=(START,))
     u = universe_of(full.traces[::5])
@@ -216,6 +217,21 @@ def test_g_only_similarity_matches_the_compiled_route_at_scale():
         compiled, viewed = EvalContext.exact(s, u), EvalContext.exact(s_g, u)
         assert check_system(viewed, f).to_dict() == check_system(compiled, f).to_dict()
         assert views(viewed) and not views(compiled)
+
+
+def test_cell_memo_is_bounded_by_letter_pairs():
+    # ICE@1 on the two-round restricted universe: similarity work is bounded
+    # by one accessibility row per reference plus one cell per (position,
+    # letter pair) of the window [0, P + L), not by (reference, nearer) pairs
+    s = build_restricted()
+    u = generate_universe(s, max_prefix=3, max_loop=1, loop_states=(START,))
+    ctx = EvalContext.exact(s, u)
+    check_system(ctx, position_variant(build_ice(hiring_vocabulary(), "a"), 1))
+    window = max(len(t.prefix) for t in u) + lcm(*(len(t.loop) for t in u))
+    letter_pairs = sum(len({t.label_at(j) for t in u}) ** 2 for j in range(window))
+    got = ctx.stats()
+    assert got["similarity"] <= len(u) + letter_pairs
+    assert got["values"] == 68085
 
 
 @pytest.mark.parametrize("max_prefix, size, digest", [

@@ -98,6 +98,9 @@ def test_kripke_validation_catches_each_defect():
     bad = KripkeStructure(("s0", "s0"), "s0", {"s0": ("s0",)}, k.aps, {"s0": frozenset()})
     assert any("duplicate" in p for p in bad.validate())
 
+    bad = KripkeStructure(k.states, k.initial, k.transitions, ("p", "q", "p"), k.labels)
+    assert bad.validate() == ["duplicate propositions"]
+
 
 def test_kripke_validation_lists_every_defect_in_order():
     bad = KripkeStructure(

@@ -41,6 +41,7 @@ from ckltl import (
     desugar,
     eval_at,
     explain,
+    format_trace,
     obs_divergence_point,
     parse,
     parse_trace_literal,
@@ -57,7 +58,7 @@ from ckltl.hiring import (
     hiring_vocabulary,
     single_round_universe,
 )
-from ckltl.model import KripkeStructure
+from ckltl.model import SIM_PARAMS, KripkeStructure
 
 from gen import gen_formula, gen_system, gen_temporal, gen_trace, gen_universe
 from oracle import naive
@@ -101,6 +102,29 @@ def test_bounded_engine_matches_naive_oracle():
             assert eval_at(ctx, t, i, f) == naive(system, u, n, t, f, i), (
                 f"formula={f}, trace={t}, i={i}, n={n}"
             )
+
+
+# a gender-freeze-shaped all-positions relation: p pinned, subset on q
+FREEZE_BODY = "(p@pi1 <-> p@pi) & (p@pi2 <-> p@pi) & (!(q@pi <-> q@pi1) -> !(q@pi <-> q@pi2))"
+
+
+def test_whole_universe_checks_match_naive_oracle():
+    # check_system asks every trace at once, so cells are shared across
+    # references; windows fall on both sides of P + L
+    r = random.Random(108)
+    freeze = RelationalFormula(SIM_PARAMS, parse(f"G ({FREEZE_BODY}) & H ({FREEZE_BODY})"))
+    for _ in range(200):
+        s = gen_system(r)
+        u = gen_universe(r)
+        f = gen_formula(r, depth=r.randint(1, 4))
+        while not any(isinstance(g, (Would, Might, UWould, EMight)) for g in subformulas(f)):
+            f = gen_formula(r, depth=r.randint(1, 4))
+        n = r.randint(0, 6)
+        frozen = System(s.kripke, s.agents, s.observation, dict.fromkeys(s.agents, freeze))
+        for system in (s, frozen):
+            got = check_system(EvalContext.bounded(system, u, n), f).counterexamples
+            want = tuple(format_trace(t) for t in u if not naive(system, u, n, t, f, 0))
+            assert got == want, f"formula={f}, n={n}"
 
 
 def test_exact_surface_matches_exact_desugared():
