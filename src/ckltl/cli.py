@@ -13,6 +13,7 @@ for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -50,6 +51,8 @@ def _load_model(args) -> System:
         return load_system(args.model)
     except FileNotFoundError:
         raise InputError(f"model file not found: {args.model}")
+    except OSError as e:
+        raise InputError(f"cannot read model file: {e}")
     except (ModelFormatError, InvariantViolation) as e:
         raise InputError(f"bad model file: {e}")
 
@@ -82,6 +85,13 @@ def _load_formula(args, system) -> Formula:
 
 def _build_universe(args, system) -> TraceUniverse:
     if args.trace:
+        generated = [flag for flag, value in (("--universe-prefix", args.universe_prefix),
+                                              ("--universe-loop", args.universe_loop),
+                                              ("--loop-states", args.loop_states))
+                     if value is not None]
+        if generated:
+            raise InputError(f"give either --trace literals or {', '.join(generated)}, "
+                             "not both")
         try:
             traces = [parse_trace_literal(s) for s in args.trace]
         except ValueError as e:
@@ -143,7 +153,10 @@ def _context(args, system, universe) -> EvalContext:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write output file: {e}")
     else:
         sys.stdout.write(text + "\n")
 
@@ -199,18 +212,7 @@ def _cmd_validate(args) -> int:
     ]
     ok = all(r.ok for r in reports)
     if args.json:
-        payload = [
-            {
-                "agent": r.agent,
-                "reference": r.reference,
-                "position": r.position,
-                "violations": [
-                    {"kind": x.kind, "traces": list(x.traces)} for x in r.violations
-                ],
-            }
-            for r in reports
-        ]
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
     else:
         lines = []
         for r in reports:

@@ -12,9 +12,12 @@ FO nodes are hash-consed like formula nodes: they subclass
 `formula.HashConsed` and live in the same weak unique table, so structurally
 equal subformulas are one object, equality and hashing are identity, and
 `parse_fo(print_fo(f)) is f`.  They are not `Formula`s: `desugar` and
-`to_source` reject them.  Counting, free variables, printing and parsing are
-iterative over one children table and one operator table; only the
-translator and the evaluator recurse, once per level of their input.
+`to_source` reject them.  Their operands are registered in the formula
+layer's children table, so `formula.children`, `subformulas` and
+`node_count` walk and count FO sentences too, and `print_fo` prints through
+`formula.render`, the printer loop `to_source` uses.  Counting, free
+variables, printing and parsing are iterative; only the translator and the
+evaluator recurse, once per level of their input.
 
 Amendment: in both counterfactual cases the inner comparison variable (the
 universally quantified trace the conditional's guarantee ranges over) carries
@@ -47,11 +50,15 @@ from .formula import (
     Until,
     UWould,
     Would,
+    _CHILDREN,
     _fields,
     _scan_end,
     _syntax_error,
+    children,
     desugar,
-    postorder,
+    node_count,
+    render,
+    subformulas,
 )
 from .model import System
 from .trace import LassoTrace, TraceUniverse
@@ -137,24 +144,13 @@ class FoMin(FoFormula):
     __slots__ = ("var",)
 
 
-_FO_CHILDREN = dict.fromkeys((FoExists, FoForall), lambda f: (f.body,))
-_FO_CHILDREN[FoNot] = lambda f: (f.child,)
-_FO_CHILDREN.update(dict.fromkeys(
+# FO operands, in the table that `children` and `subformulas` read
+_CHILDREN.update(dict.fromkeys((FoExists, FoForall), lambda f: (f.body,)))
+_CHILDREN[FoNot] = lambda f: (f.child,)
+_CHILDREN.update(dict.fromkeys(
     (FoAnd, FoOr, FoImplies, FoIff), lambda f: (f.left, f.right)))
 
-
-def fo_children(f: FoFormula) -> tuple[FoFormula, ...]:
-    """Operands in order: (body,), (child,) or (left, right)."""
-    get = _FO_CHILDREN.get(type(f))
-    return get(f) if get else ()
-
-
-def fo_node_count(f: FoFormula) -> int:
-    """Size of `f` as a tree: a subformula counts once per occurrence."""
-    size: dict[FoFormula, int] = {}
-    for g in postorder(f, fo_children):
-        size[g] = 1 + sum(size[c] for c in fo_children(g))
-    return size[f]
+fo_node_count = node_count  # the name the benchmark tracer reads
 
 
 _fo_conjoin = partial(reduce, FoAnd)  # left-associative conjunction of a nonempty list
@@ -395,16 +391,14 @@ class _FoEvaluator:
         subformula not met before."""
         cache = self.fv_cache
         if node not in cache:
-            for g in postorder(node, fo_children):
+            for g in subformulas(node):
                 if g in cache:
                     continue
                 cls = type(g)
                 if cls in _QUANT_NAMES:
                     out = cache[g.body] - {g.var}
-                elif cls is FoNot:
-                    out = cache[g.child]
-                elif cls in _INFIX:
-                    out = cache[g.left] | cache[g.right]
+                elif cls is FoNot or cls in _INFIX:
+                    out = frozenset().union(*[cache[c] for c in children(g)])
                 elif cls is FoPred:
                     out = frozenset((g.trace_of, g.pos_of))
                 elif cls in _COMPARE_NAMES or cls in _CALL_NAMES:
@@ -500,47 +494,30 @@ _PREC.update(dict.fromkeys(_QUANT_NAMES, _P_QUANT))
 _PREC.update(dict.fromkeys(_COMPARE_NAMES, _P_CMP))
 
 
-def print_fo(f: FoFormula) -> str:
-    """Render `f` as text; `parse_fo(print_fo(f)) is f`.
+def _emit(g: HashConsed, p: int, out: list, stack: list) -> None:
+    cls = type(g)
+    if cls in _QUANT_NAMES:
+        out.append(f"{_QUANT_NAMES[cls]} {g.var}. ")
+        stack.append((g.body, p))
+    elif cls is FoNot:
+        out.append("!")
+        stack.append((g.child, _P_ATOM))
+    elif cls is FoPred:
+        if g.trace_of == g.pos_of:
+            out.append(f"P_{g.name}({g.trace_of})")
+        else:
+            out.append(f"P_{g.name}(tr({g.trace_of}), pos({g.pos_of}))")
+    elif cls in _COMPARE_NAMES:
+        out.append(f"{g.left}{_COMPARE_NAMES[cls]}{g.right}")
+    elif cls in _CALL_NAMES:
+        out.append(f"{_CALL_NAMES[cls]}({', '.join(_fields(g))})")
+    else:  # by type name: an FO node's repr is printed by this function
+        raise TypeError(f"not an FO node: {cls.__name__}")
 
-    Iterative, like `formula.to_source`: a stack holds the text still to
-    emit and the (node, context precedence) pairs still to render."""
-    out: list[str] = []
-    stack: list = [(f, _P_QUANT)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        g, ctx = item
-        cls = type(g)
-        p = _PREC.get(cls, _P_ATOM)
-        if p < ctx:
-            out.append("(")
-            stack.append(")")
-        if cls in _INFIX:
-            op, right = _INFIX[cls]
-            # the operand on the associating side shares the operator's level
-            lp, rp = (p + 1, p) if right else (p, p + 1)
-            stack += ((g.right, rp), op, (g.left, lp))
-        elif cls in _QUANT_NAMES:
-            out.append(f"{_QUANT_NAMES[cls]} {g.var}. ")
-            stack.append((g.body, p))
-        elif cls is FoNot:
-            out.append("!")
-            stack.append((g.child, _P_ATOM))
-        elif cls is FoPred:
-            if g.trace_of == g.pos_of:
-                out.append(f"P_{g.name}({g.trace_of})")
-            else:
-                out.append(f"P_{g.name}(tr({g.trace_of}), pos({g.pos_of}))")
-        elif cls in _COMPARE_NAMES:
-            out.append(f"{g.left}{_COMPARE_NAMES[cls]}{g.right}")
-        elif cls in _CALL_NAMES:
-            out.append(f"{_CALL_NAMES[cls]}({', '.join(_fields(g))})")
-        else:  # by type name: an FO node's repr is printed by this function
-            raise TypeError(f"not an FO node: {cls.__name__}")
-    return "".join(out)
+
+def print_fo(f: FoFormula) -> str:
+    """Render `f` as text; `parse_fo(print_fo(f)) is f`."""
+    return render(f, _P_QUANT, _PREC, _INFIX, _emit)
 
 
 # Skipped whitespace, then one token: an arrow, a punctuation character, a

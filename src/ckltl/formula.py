@@ -53,10 +53,11 @@ requirement to their live nodes, weakly too: while a formula lives, building
 it again returns it without rebuilding it; and a similarity relation built
 while an equal, checked one lives is not checked again.
 The first-order nodes of `foe` subclass `HashConsed` too and share the table,
-but they are not `Formula`s: `desugar` and `to_source` reject them.
+but they are not `Formula`s: `desugar` and `to_source` reject them.  One
+toolkit serves both: `foe` registers its operands in `_CHILDREN`, which
+`children`, `subformulas` and `node_count` read, and prints through `render`.
 Printing, desugaring, counting and traversal are iterative postorders over
-the DAG (`postorder`, given a children function): no formula is too deep or
-too wide for them.
+the DAG: no formula is too deep or too wide for them.
 """
 
 from __future__ import annotations
@@ -331,12 +332,13 @@ class EMight(Formula):
     __slots__ = ("agent", "ante", "cons")
 
 
-def children(f: Formula) -> tuple[Formula, ...]:
-    """Operands in order: (child,), (left, right) or (ante, cons)."""
-    get = _CHILDREN.get(type(f))
-    return get(f) if get else ()
+def children(f: HashConsed) -> tuple[HashConsed, ...]:
+    """Operands in order: (child,), (left, right), (ante, cons) or (body,)."""
+    return _CHILDREN.get(type(f), _leaf)(f)
 
 
+_leaf = lambda f: ()  # the operands of a node type `_CHILDREN` omits
+# node type with operands -> its operands; `foe` adds the FO node types
 _CHILDREN = dict.fromkeys(
     (Not, Next, Prev, Eventually, Globally, Once, Historically, Know),
     lambda f: (f.child,),
@@ -347,21 +349,17 @@ _CHILDREN.update(dict.fromkeys(
     (Would, UWould, Might, EMight), lambda f: (f.ante, f.cons)))
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Postorder traversal of distinct subformulas, left operand first."""
-    return postorder(f, children)
-
-
-def postorder(root: HashConsed, kids) -> Iterator[HashConsed]:
-    """Distinct nodes reachable from `root` through `kids(node)`, each after
-    its children, left operand first.
+def subformulas(f: HashConsed) -> Iterator[HashConsed]:
+    """Distinct nodes reachable from `f` through `children`, each after its
+    children, left operand first.
 
     Iterative: a node met the first time is pushed back under a `None`
     marker with its children above it, and yielded when the marker comes
     up; a subtree met again is skipped whole, as everything in it has been
     yielded already."""
     seen: set[HashConsed] = set()
-    stack: list = [root]
+    stack: list = [f]
+    get = _CHILDREN.get
     while stack:
         g = stack.pop()
         if g is None:
@@ -370,12 +368,12 @@ def postorder(root: HashConsed, kids) -> Iterator[HashConsed]:
             yield g
         elif g not in seen:
             stack += (g, None)
-            stack += kids(g)[::-1]
+            stack += get(type(g), _leaf)(g)[::-1]
 
 
-def node_count(f: Formula) -> int:
+def node_count(f: HashConsed) -> int:
     """Size of `f` as a tree: a subformula counts once per occurrence."""
-    size: dict[Formula, int] = {}
+    size: dict[HashConsed, int] = {}
     for g in subformulas(f):
         size[g] = 1 + sum(size[c] for c in children(g))
     return size[f]
@@ -496,7 +494,7 @@ def _syntax_error(text: str, token: re.Pattern, valid, k: int, message: str) -> 
 # ---------------------------------------------------------------------------
 
 # precedence levels, shared with the printer; higher binds tighter
-_P_IFF, _P_IMPL, _P_OR, _P_AND, _P_CF, _P_UNTIL, _P_UNARY, _P_ATOM = range(8)
+_P_IFF, _P_IMPL, _P_OR, _P_AND, _P_CF, _P_UNTIL, _P_UNARY = range(7)
 
 # binary connectives: precedence, node, right associative
 _BINARY = {
@@ -621,24 +619,27 @@ def _parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 
 _CF_NAMES = {node: text for text, node in _CF_OPS.items()}
-_PREFIX_NAMES = {node: text for text, node in _PREFIX_OPS.items()}
+_PREFIX_NAMES = {node: text if node is Not else f"{text} " for text, node in _PREFIX_OPS.items()}
 # infix nodes: operator text, right associative
-_INFIX = {node: (text, right) for text, (_, node, right) in _BINARY.items()}
-_INFIX.update({Until: ("U", True), Since: ("S", True)})
+_INFIX = {node: (f" {text} ", right) for text, (_, node, right) in _BINARY.items()}
+_INFIX.update({Until: (" U ", True), Since: (" S ", True)})
 _PREC = {node: prec for prec, node, _ in _BINARY.values()}
 _PREC.update({Until: _P_UNTIL, Since: _P_UNTIL, Know: _P_UNARY})
 _PREC.update(dict.fromkeys(_CF_NAMES, _P_CF))
 _PREC.update(dict.fromkeys(_PREFIX_NAMES, _P_UNARY))
 
 
-def to_source(f: Formula) -> str:
-    """Render `f` in canonical concrete syntax; `parse(to_source(f)) is f`.
-
-    Iterative: a stack holds the text still to emit and the (node, context
-    precedence) pairs still to render, and pieces are joined once at the end,
-    so the cost is linear in the output."""
+def render(f: HashConsed, ctx: int, prec: dict, infix: dict, emit) -> str:
+    """Text of `f` at context precedence `ctx`, in the language whose node
+    types have precedence `prec` (a type it omits never takes parentheses)
+    and whose infix types `infix` maps to (operator text, right associative).
+    A node binding looser than its context is parenthesized.  `emit(g, p,
+    out, stack)` prints any other node `g` of precedence `p`: it appends text
+    to `out` and pushes what follows, last first, onto `stack`, as text or
+    as (node, context precedence) pairs.  Iterative, and the pieces are
+    joined once at the end, so the cost is linear in the output."""
     out: list[str] = []
-    stack: list = [(f, 0)]
+    stack: list = [(f, ctx)]
     while stack:
         item = stack.pop()
         if type(item) is str:
@@ -646,38 +647,45 @@ def to_source(f: Formula) -> str:
             continue
         g, ctx = item
         cls = type(g)
-        p = _PREC.get(cls, _P_ATOM)
+        p = prec.get(cls, ctx)
         if p < ctx:
             out.append("(")
             stack.append(")")
-        if cls in _INFIX:
-            op, right = _INFIX[cls]
-            # the operand on the associating side shares the operator's level
-            lp, rp = (p + 1, p) if right else (p, p + 1)
-            stack += ((g.right, rp), f" {op} ", (g.left, lp))
-        elif cls in _CF_NAMES:
-            # non-associative: both operands live one level up (until tier)
-            stack += ((g.cons, p + 1), f" {_CF_NAMES[cls]}[{g.agent}] ", (g.ante, p + 1))
-        elif cls is Not:
-            out.append("!")
-            stack.append((g.child, p))
-        elif cls in _PREFIX_NAMES:
-            out.append(f"{_PREFIX_NAMES[cls]} ")
-            stack.append((g.child, p))
-        elif cls is Know:
-            out.append(f"K[{g.agent}] ")
-            stack.append((g.child, p))
-        elif cls is TrueConst:
-            out.append("true")
-        elif cls is FalseConst:
-            out.append("false")
-        elif cls is Atom:
-            out.append(g.name)
-        elif cls is TracedAtom:
-            out.append(f"{g.name}@{g.trace_var}")
-        else:  # by type name: a node's repr is printed by this function
-            raise TypeError(f"not a formula node: {cls.__name__}")
+        op = infix.get(cls)
+        if op is None:
+            emit(g, p, out, stack)
+        else:  # the operand on the associating side shares the operator's level
+            text, right = op
+            stack += ((g.right, p + 1 - right), text, (g.left, p + right))
     return "".join(out)
+
+
+def _emit(g: HashConsed, p: int, out: list, stack: list) -> None:
+    cls = type(g)
+    if cls in _CF_NAMES:
+        # non-associative: both operands live one level up (until tier)
+        stack += ((g.cons, p + 1), f" {_CF_NAMES[cls]}[{g.agent}] ", (g.ante, p + 1))
+    elif cls in _PREFIX_NAMES:
+        out.append(_PREFIX_NAMES[cls])
+        stack.append((g.child, p))
+    elif cls is Know:
+        out.append(f"K[{g.agent}] ")
+        stack.append((g.child, p))
+    elif cls is TrueConst:
+        out.append("true")
+    elif cls is FalseConst:
+        out.append("false")
+    elif cls is Atom:
+        out.append(g.name)
+    elif cls is TracedAtom:
+        out.append(f"{g.name}@{g.trace_var}")
+    else:  # by type name: a node's repr is printed by this function
+        raise TypeError(f"not a formula node: {cls.__name__}")
+
+
+def to_source(f: Formula) -> str:
+    """Render `f` in canonical concrete syntax; `parse(to_source(f)) is f`."""
+    return render(f, 0, _PREC, _INFIX, _emit)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,9 @@ def system_from_dict(data: dict) -> System:
         transitions = {s: _strings(ts, f"state {s!r}: transitions")
                        for s, ts in data["transitions"].items()}
         agent_items = data["agents"]
+        if not isinstance(agent_items, list):
+            raise ModelFormatError(
+                f"agents must be a list of agent entries, got {agent_items!r}")
     except (KeyError, TypeError, AttributeError) as exc:  # transitions with no `.items()`
         raise ModelFormatError(f"malformed model file: {exc}") from exc
     kripke = KripkeStructure(states, initial, transitions, aps, labels)

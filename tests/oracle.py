@@ -1,5 +1,6 @@
 """Second routes for differential tests: a deliberately naive bounded-window
-evaluator, and a recursive-descent parser for the formula syntax.
+evaluator, a recursive-descent parser for the formula syntax, and a naive
+recursive node count and walk.
 
 Differences from the engine are structural, not cosmetic: no memoization, no
 zipped traces (relational formulas read trace variables from an environment),
@@ -13,6 +14,10 @@ method per precedence tier, recursing on parentheses and on the right operand
 of a right-associative connective; it shares the library's tokenizer and
 error reporting, so its results and error messages must match `parse`'s
 exactly on every input within its recursion depth.
+
+`tree_size` and `distinct_postorder` recurse over a node's fields as its
+class declares them, without the library's children table, so they check
+`node_count` and `subformulas` on formulas and FO sentences alike.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from ckltl.formula import (
     _PREFIX_OPS,
     _TOKEN,
     _UNTIL_OPS,
+    HashConsed,
     _is_ident,
     _is_token,
     _scan_end,
@@ -298,3 +304,28 @@ def parse_reference(text: str):
     if t:
         raise p.error(f"unexpected trailing input {t!r}")
     return f
+
+
+def _operands(f) -> list:
+    """The fields of `f` that are nodes, in constructor order."""
+    return [v for v in (getattr(f, name) for name in type(f).__slots__)
+            if isinstance(v, HashConsed)]
+
+
+def tree_size(f) -> int:
+    """Size of `f` as a tree, by recursion: a shared node counts once per
+    occurrence."""
+    return 1 + sum(tree_size(c) for c in _operands(f))
+
+
+def distinct_postorder(f, seen=None) -> list:
+    """The distinct nodes of `f`, each after its operands, left operand
+    first, by recursion."""
+    seen = set() if seen is None else seen
+    out = []
+    if f not in seen:
+        seen.add(f)
+        for c in _operands(f):
+            out += distinct_postorder(c, seen)
+        out.append(f)
+    return out

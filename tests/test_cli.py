@@ -182,8 +182,8 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         assert err.startswith(f"error: {flag} "), (argv, err)
     assert run(capsys, [*validate, "--bounded", "1", "--position", "1"])[0] == 0
     # a bad model file: the message names the field and its state or agent,
-    # or the structural rule it breaks; the last six exited 3 with an internal
-    # error (InvariantViolation, AttributeError or TypeError) before
+    # or the structural rule it breaks; the last eight exited 3 with an
+    # internal error (InvariantViolation, AttributeError or TypeError) before
     for keys, bad, detail in (
         (("agents", 0, "observes"), "pq",
          "agent 'a': observes must be a list of strings, got 'pq'"),
@@ -199,6 +199,8 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         (("initial",), ["s0"], "initial must be a string, got ['s0']"),
         (("agents", 0, "name"), ["a"], "agent name must be a string, got ['a']"),
         (("aps",), ["p", "q", "p"], "duplicate propositions"),
+        (("agents",), 5, "agents must be a list of agent entries, got 5"),
+        (("agents",), None, "agents must be a list of agent entries, got None"),
     ):
         data = json.loads(Path(model).read_text())
         node = data
@@ -211,7 +213,35 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         assert (code, out, err) == (2, "", f"error: bad model file: {detail}\n"), keys
 
 
+def test_unreadable_model_file_exits_2(capsys, tmp_path):
+    # a directory: exited 3 with an internal IsADirectoryError before
+    code, out, err = run(capsys, ["universe", "--model", str(tmp_path), "--trace", "| {}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read model file: ") and str(tmp_path) in err
+
+
+def test_unwritable_out_file_exits_2(model, capsys, tmp_path):
+    # a missing directory: exited 3 with an internal FileNotFoundError before
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, ["universe", "--model", model, "--trace", "| {}",
+                                  "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output file: ") and str(target) in err
+
+
 HIRING = str(Path(__file__).resolve().parents[1] / "fixtures" / "explainable.json")
+
+
+@pytest.mark.parametrize("generated, flags", [
+    (["--universe-prefix", "2", "--universe-loop", "1", "--loop-states", "s0"],
+     "--universe-prefix, --universe-loop, --loop-states"),
+    (["--loop-states", "s0"], "--loop-states"),
+], ids=["bounds", "loop-states"])
+def test_trace_literals_and_generated_universe_do_not_mix(capsys, generated, flags):
+    # the generation flags were dropped silently, and the one literal checked
+    argv = ["check", "--model", HIRING, "--formula", "F offer", "--trace", "| {}", *generated]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: give either --trace literals or {flags}, not both\n")
 
 
 @pytest.mark.parametrize("argv, detail", [

@@ -35,10 +35,11 @@ from ckltl.foe import (
     translate,
     translate_at,
 )
-from ckltl.formula import _TABLE, node_count
-from ckltl.semantics import EvalContext
+from ckltl.formula import _TABLE, node_count, subformulas
+from ckltl.semantics import EvalContext, check_system
 
 from gen import gen_formula, gen_system, gen_universe
+from oracle import distinct_postorder, tree_size
 
 
 def tr(text):
@@ -272,10 +273,32 @@ def test_fo_nodes_are_hash_consed_and_immutable():
         with pytest.raises(AttributeError):
             delattr(node, field)
     assert repr(pred) == "parse_fo('P_p(x0)')"
-    # FO nodes share the unique table but are not formulas of the logic
-    for op in (desugar, to_source):
-        with pytest.raises(TypeError):
-            op(pred)
+    # FO nodes share the unique table but are not formulas of the logic:
+    # neither a leaf nor a sentence gets through the formula layer, and
+    # `print_fo` refuses formula nodes
+    u = universe_of([tr("| {p}")])
+    ctx = EvalContext.exact(s, u)
+    for node in (pred, fo):
+        for op in (desugar, to_source, lambda g: eval_at(ctx, u.traces[0], 0, g),
+                   lambda g: check_system(ctx, g)):
+            with pytest.raises(TypeError):
+                op(node)
+    with pytest.raises(TypeError, match="^not a formula node: FoOr$"):
+        to_source(fo)
+    for g, name in ((f, "Would"), (parse("p & X q"), "And"), (parse("p"), "Atom")):
+        with pytest.raises(TypeError, match=f"^not an FO node: {name}$"):
+            print_fo(g)
+
+
+def test_node_count_and_subformulas_agree_with_naive_recursion():
+    # FO sentences are counted and walked by the formula layer's toolkit
+    r = random.Random(212)
+    for _ in range(60):
+        s = gen_system(r)
+        f = desugar(gen_formula(r, depth=r.randint(1, 4)))
+        for g in (f, translate_at(f, s)):
+            assert node_count(g) == fo_node_count(g) == tree_size(g)
+            assert list(subformulas(g)) == distinct_postorder(g)
 
 
 def test_translations_leave_the_unique_table():

@@ -261,6 +261,16 @@ def test_from_dict_refuses_what_is_not_a_list_of_strings():
         system_from_dict(d)
 
 
+@pytest.mark.parametrize("bad", [5, None], ids=["number", "null"])
+def test_from_dict_refuses_agents_that_are_not_a_list(bad):
+    # iterating them used to raise a TypeError that named no field
+    d = system_to_dict(tiny_system())
+    d["agents"] = bad
+    with pytest.raises(ModelFormatError) as e:
+        system_from_dict(d)
+    assert str(e.value) == f"agents must be a list of agent entries, got {bad!r}"
+
+
 @pytest.mark.parametrize("keys, bad, what", [
     (("initial",), ["s0"], "initial"),
     (("states", 0, "id"), 0, "state id"),
