@@ -66,9 +66,11 @@ def _load_formula(args, system) -> Formula:
     src = args.formula
     if args.formula_file:
         try:
-            src = Path(args.formula_file).read_text()
+            src = Path(args.formula_file).read_text(encoding="utf-8")
         except OSError as e:
             raise InputError(f"cannot read formula file: {e}")
+        except UnicodeDecodeError as e:
+            raise InputError(f"bad formula file: {args.formula_file} is not UTF-8 text: {e}")
     try:
         f = parse(src)
     except ParseError as e:
@@ -87,7 +89,8 @@ def _build_universe(args, system) -> TraceUniverse:
     if args.trace:
         generated = [flag for flag, value in (("--universe-prefix", args.universe_prefix),
                                               ("--universe-loop", args.universe_loop),
-                                              ("--loop-states", args.loop_states))
+                                              ("--loop-states", args.loop_states),
+                                              ("--max-traces", args.max_traces))
                      if value is not None]
         if generated:
             raise InputError(f"give either --trace literals or {', '.join(generated)}, "
@@ -106,9 +109,10 @@ def _build_universe(args, system) -> TraceUniverse:
         raise InputError(
             "need --trace literals or both --universe-prefix and --universe-loop"
         )
+    max_traces = 100_000 if args.max_traces is None else args.max_traces
     for flag, value, least in (("--universe-prefix", args.universe_prefix, 0),
                                ("--universe-loop", args.universe_loop, 1),
-                               ("--max-traces", args.max_traces, 1)):
+                               ("--max-traces", max_traces, 1)):
         if value < least:
             raise InputError(f"{flag} must be at least {least}")
     loop_states = None
@@ -123,7 +127,7 @@ def _build_universe(args, system) -> TraceUniverse:
                 args.universe_prefix,
                 args.universe_loop,
                 loop_states=loop_states,
-                max_traces=args.max_traces,
+                max_traces=max_traces,
             )
     except (ValueError, SizeLimitExceeded) as e:
         raise InputError(str(e))
@@ -315,7 +319,8 @@ def _add_common(p: argparse.ArgumentParser, formula=False, universe=True,
         metavar="LIT",
         help='trace literal like "{p} ; {} | {q}"; repeat for more',
     )
-    p.add_argument("--max-traces", type=int, default=100_000)
+    p.add_argument("--max-traces", type=int, default=None, metavar="M",
+                   help="cap on generated traces (default 100000)")
     if context:  # only the subcommands that evaluate take a context's settings
         p.add_argument("--bounded", type=int, default=None, metavar="N")
         p.add_argument("--stabilization-cap", type=int, default=64)

@@ -254,7 +254,10 @@ def load_system(path) -> System:
     Raises :class:`ModelFormatError` on malformed input and
     :class:`InvariantViolation` when a structural rule fails.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

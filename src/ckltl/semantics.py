@@ -24,11 +24,13 @@ keys its tables by the node itself.  A trace set is the universe or a view
 of it (below): every set has the universe's traces, in universe order, and
 its shape.  A node's values on a set form one column, whose entry j packs a
 known mask and, above it, a value mask: bit k stands for universe trace k.
-Exact-mode columns span [0, P + (a+b)*L), and later positions fold back
-into the period; bounded columns span [0, N].  Each request carries the
-mask of traces it needs, so `&`, `|`, `->`, K and counterfactuals skip
-operands per trace.  Node evaluations are generators suspended on one
-explicit stack: nothing recurses per formula level or position.
+A column's (start, end) is the one place the two modes differ inside
+evaluation: (P + a*L, P + (a+b)*L) in exact mode, where later positions
+fold back into the period, and (None, N + 1) in bounded mode, whose columns
+span [0, N].  Each request carries the mask of traces it needs, so `&`,
+`|`, `->`, K and counterfactuals skip operands per trace.  Node evaluations
+are generators suspended on one explicit stack: nothing recurses per
+formula level or position.
 
 All trace quantifiers (knowledge, counterfactuals, system-level checks) range
 over one finite TraceUniverse.  Verdicts are therefore exact only relative to
@@ -249,22 +251,13 @@ class EvalContext:
     def _meet(self, f: Formula) -> tuple[int, int]:
         """Structural stabilization bound (a, b) of `f`: on the universe and
         its views, values repeat from P + a*L with period b*L, where P is the
-        universe's longest prefix and L the lcm of its loops.  The nodes of
-        `f` that the context has not met yet get theirs, children first, in
-        an iterative walk that stops at nodes met before."""
-        bounds, stack = self._bounds, [f]
-        while stack:
-            g = stack[-1]
+        universe's longest prefix and L the lcm of its loops.  Nodes of `f`
+        not met yet get theirs, in `subformulas` order (children first)."""
+        bounds = self._bounds
+        for g in subformulas(f):
             if g in bounds:
-                stack.pop()
                 continue
-            kids = children(g)
-            unmet = [c for c in kids if c not in bounds]
-            if unmet:
-                stack += unmet
-                continue
-            stack.pop()
-            kb = [bounds[c] for c in kids]
+            kb = [bounds[c] for c in children(g)]
             if type(g) in _CF_NODES:  # may meet a relation first
                 kb.append(bounds[self._rel(g.agent)[1]])
             elif type(g) not in self._OPS and type(g) not in _LEAVES:
@@ -289,11 +282,9 @@ class EvalContext:
                            lcm(*(len(u.loop) for u in traces)), [])
         return self._shape
 
-    def _loads(self, j: int, t: int, y: int) -> tuple:
-        """What traced atoms read at j in the row of (t, y): t's and y's
-        letters, whose propositions hold on every trace, then the universe's
-        proposition -> trace-mask dict, kept per position of [0, P + L),
-        where j folds."""
+    def _props(self, j: int) -> dict:
+        """The universe's proposition -> trace-mask dict at j, kept per
+        position of [0, P + L), where j folds."""
         traces, _, p, l, tab = self._uni()
         j = j if j < p + l else p + (j - p) % l
         while len(tab) <= j:
@@ -301,7 +292,13 @@ class EvalContext:
             for k, u in enumerate(traces):
                 for q in u.label_at(len(tab) - 1):
                     tab[-1][q] = tab[-1].get(q, 0) | 1 << k
-        return traces[t].label_at(j), traces[y].label_at(j), tab[j]
+        return tab[j]
+
+    def _loads(self, j: int, t: int, y: int) -> tuple:
+        """What traced atoms read at j in the row of (t, y): t's and y's
+        letters, whose propositions hold on every trace, then `_props`."""
+        traces = self.universe.traces
+        return traces[t].label_at(j), traces[y].label_at(j), self._props(j)
 
     def _indices(self, i: int, *traces: LassoTrace) -> list[int]:
         """Universe indices of `traces`, any presentation of a universe word;
@@ -352,8 +349,8 @@ class EvalContext:
             col = cols.get(g)
             if col is None:  # entries are added on request
                 a, b = self._bounds.get(g) or self._meet(g)
-                s, w = (None, None) if self.bound is not None else (  # no period
-                    p + a * l, p + (a + b) * l)
+                s, w = (None, self.bound + 1) if self.bound is not None else (
+                    p + a * l, p + (a + b) * l)  # bounded: no period
                 col = cols[g] = (bytearray() if n <= 4 else [], s, w)
             e, s, w = col
             if j >= len(e):
@@ -389,38 +386,23 @@ class EvalContext:
         if isinstance(f, (TrueConst, FalseConst)):
             return x if isinstance(f, TrueConst) else 0
         if view is None:
-            key = f.name if isinstance(f, Atom) else (f.name, f.trace_var)
-            traces = self.universe.traces
-            return sum(1 << k for k in _members(x) if key in traces[k].label_at(j))
+            return x & self._props(j).get(
+                f.name if isinstance(f, Atom) else (f.name, f.trace_var), 0)
         params, loads = self._rel(view[0])[0], self._loads(j, *view[1:])
         k = params.index(f.trace_var)
         return x & (loads[k].get(f.name, 0) if k == 2 else -(f.name in loads[k]))
-
-    def _horizon(self, t: LassoTrace, i: int, f: Formula) -> int:
-        """Scan horizon for the forward operator `f` from i on `t`: one
-        period past i and its periodic start, on the universe's shape; N + 1
-        in bounded mode.  Raises when an operand's window spans more loop
-        unrollings past the prefix (its a + b) than the cap."""
-        if self.bound is not None:
-            return self.bound + 1
-        for g in children(f):
-            if sum(self._bounds[g]) > self.stabilization_cap:
-                raise StabilizationCapExceeded(t, g, sum(self._bounds[g]),
-                                               self.stabilization_cap)
-        (a, b), (p, l) = self._bounds[f], self._uni()[2:4]
-        return max(i, p + a * l) + b * l
 
     # -- node evaluations: generators over (node, set size, column, j, needed mask)
 
     def _local(self, f, n, col, j, need):
         """Connectives, X and Y.  & and -> ask the right operand only where
-        the left holds, | only where it fails."""
+        the left holds, | only where it fails; X is false at a bounded end."""
         if isinstance(f, Not):
             v = need & ~(yield f.child, j, need)
         elif isinstance(f, Prev):
             v = (yield f.child, j - 1, need) if j else 0
         elif isinstance(f, Next):
-            v = (yield f.child, j + 1, need) if self.bound is None or j < self.bound else 0
+            v = (yield f.child, j + 1, need) if col[1] is not None or j + 1 < col[2] else 0
         elif isinstance(f, Iff):
             v = need & ~((yield f.left, j, need) ^ (yield f.right, j, need))
         else:
@@ -433,15 +415,17 @@ class EvalContext:
     def _temporal(self, f, n, col, j, need):
         """U, F, G pass backward down to j, and S, O, H forward up to j, from
         the nearest position whose value is known on `need`; else from the
-        boundary: N + 1 (bounded), the period (exact) or position -1."""
+        column's end (U, F, G) or position -1.  Exact mode raises when an
+        operand spans more loop unrollings past the prefix (a + b) than the cap."""
         (e, s, w), (l, r) = col, _operands(f)
         nxt = need if r is None else 0  # G, H: greatest fixpoint; the rest least
         d = 1 if isinstance(f, _TEMPORAL[:3]) else -1
-        end = -1 if d < 0 else self.bound + 1 if s is None else w
-        if d > 0:
-            if s is not None:  # checks the stabilization cap
-                self._horizon(self.universe.traces[next(_members(need))], j, f)
-            e.extend(bytes(max(0, end - len(e))))
+        end, cap = w if d > 0 else -1, self.stabilization_cap
+        for g in children(f) if d > 0 and s is not None else ():
+            if sum(self._bounds[g]) > cap:
+                t = self.universe.traces[next(_members(need))]
+                raise StabilizationCapExceeded(t, g, sum(self._bounds[g]), cap)
+        e.extend(bytes(max(0, end - len(e))))
         k = j + d
         while k != end and e[k] & need != need:
             k += d
@@ -661,6 +645,7 @@ def explain(ctx: EvalContext, t: LassoTrace, i: int, f: Formula,
         g, tr, j = step
         step = None
         v = ctx.value(tr, g, j)
+        _, s, w = ctx._sets[None][g]  # bounded: (None, N + 1)
         out.append(TrailEntry(to_source(g), format_trace(tr), j, v))
         if isinstance(g, Not):
             step = (g.child, tr, j)
@@ -669,7 +654,7 @@ def explain(ctx: EvalContext, t: LassoTrace, i: int, f: Formula,
             # consequent of a false implication
             step = (g.left if ctx.value(tr, g.left, j) == v else g.right, tr, j)
         elif isinstance(g, Next):
-            if ctx.bound is None or j < ctx.bound:
+            if s is not None or j + 1 < w:
                 step = (g.child, tr, j + 1)
         elif isinstance(g, Prev):
             if j > 0:
@@ -677,7 +662,7 @@ def explain(ctx: EvalContext, t: LassoTrace, i: int, f: Formula,
         elif isinstance(g, _TEMPORAL):
             l, r = _operands(g)  # the first position that decides, from j on
             future = isinstance(g, _TEMPORAL[:3])
-            ks = range(j, ctx._horizon(tr, j, g)) if future else range(j, -1, -1)
+            ks = range(j, w if s is None else max(j, s) + w - s) if future else range(j, -1, -1)
             if v and r is not None:
                 step = next((r, tr, k) for k in ks if ctx.value(tr, r, k))
             elif not v and l is not None and (future or r is None):

@@ -20,7 +20,7 @@ inclusion that the verdicts do not show.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .formula import (
@@ -155,13 +155,7 @@ class ProbeMember:
     second: Verdict
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "holds_first": self.holds_first,
-            "holds_second": self.holds_second,
-            "first": self.first.to_dict(),
-            "second": self.second.to_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -179,14 +173,7 @@ class ProbeReport:
     strictness_witnesses: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "first": self.first,
-            "second": self.second,
-            "members": [m.to_dict() for m in self.members],
-            "inclusion_consistent": self.inclusion_consistent,
-            "inclusion_counterexamples": list(self.inclusion_counterexamples),
-            "strictness_witnesses": list(self.strictness_witnesses),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

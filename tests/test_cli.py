@@ -220,6 +220,21 @@ def test_unreadable_model_file_exits_2(capsys, tmp_path):
     assert err.startswith("error: cannot read model file: ") and str(tmp_path) in err
 
 
+@pytest.mark.parametrize("kind", ["model", "formula-file"])
+def test_file_that_is_not_utf8_exits_2(model, capsys, tmp_path, kind):
+    # exited 3 with an internal UnicodeDecodeError before
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe{}")
+    if kind == "model":
+        argv, what = ["universe", "--model", str(bad), "--trace", "| {}"], "model"
+    else:
+        argv, what = ["check", "--model", model, "--formula-file", str(bad), *TRACES], "formula"
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad {what} file: {bad} is not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
 def test_unwritable_out_file_exits_2(model, capsys, tmp_path):
     # a missing directory: exited 3 with an internal FileNotFoundError before
     target = tmp_path / "missing" / "x.txt"
@@ -236,7 +251,9 @@ HIRING = str(Path(__file__).resolve().parents[1] / "fixtures" / "explainable.jso
     (["--universe-prefix", "2", "--universe-loop", "1", "--loop-states", "s0"],
      "--universe-prefix, --universe-loop, --loop-states"),
     (["--loop-states", "s0"], "--loop-states"),
-], ids=["bounds", "loop-states"])
+    # ignored before, although a cap below 1 is refused when generating
+    (["--max-traces", "0"], "--max-traces"),
+], ids=["bounds", "loop-states", "max-traces"])
 def test_trace_literals_and_generated_universe_do_not_mix(capsys, generated, flags):
     # the generation flags were dropped silently, and the one literal checked
     argv = ["check", "--model", HIRING, "--formula", "F offer", "--trace", "| {}", *generated]

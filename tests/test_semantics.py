@@ -371,6 +371,28 @@ def test_explain_crosses_traces_for_knowledge():
     assert steps[-1] == ("q", "| {q}", True)
 
 
+def test_bounded_explain_stays_in_the_window_and_matches_naive_oracle():
+    # bounded trails read the window's end off their columns: every step is
+    # the naive oracle's value at a position of [0, N], and a false X at N
+    # has no later position to show
+    r = random.Random(109)
+    x_at_end = 0
+    for _ in range(300):
+        s, u = gen_system(r), gen_universe(r)
+        f = gen_formula(r, depth=r.randint(1, 5))
+        n = r.randint(0, 6)
+        t, i = r.choice(u.traces), r.randint(0, n)
+        trail = explain(EvalContext.bounded(s, u, n), t, i, f)
+        for k, e in enumerate(trail):
+            g, x = parse(e.formula), u.traces[u.index(parse_trace_literal(e.trace))]
+            assert 0 <= e.position <= n, (f, n, e)
+            assert e.value == naive(s, u, n, x, g, e.position), (f, n, e)
+            if isinstance(g, Next) and not e.value and e.position == n:
+                assert k == len(trail) - 1, (f, n, trail)
+                x_at_end += 1
+    assert x_at_end > 0
+
+
 def test_library_calls_leave_no_reference_cycles():
     # every object these calls make is freed by reference counting alone, so
     # a context, domain or universe never waits for the cyclic collector
