@@ -14,10 +14,12 @@ equal subformulas are one object, equality and hashing are identity, and
 `parse_fo(print_fo(f)) is f`.  They are not `Formula`s: `desugar` and
 `to_source` reject them.  Their operands are registered in the formula
 layer's children table, so `formula.children`, `subformulas` and
-`node_count` walk and count FO sentences too, and `print_fo` prints through
-`formula.render`, the printer loop `to_source` uses.  Counting, free
-variables, printing and parsing are iterative; only the translator and the
-evaluator recurse, once per level of their input.
+`node_count` walk and count FO sentences too.  `print_fo` prints through
+`formula.render`, the printer loop of `to_source`, and `parse_fo` reads
+through `formula.read`, the parse loop of `parse`, in which a quantifier is
+a prefix operator looser than every connective.  Counting, free variables,
+printing and parsing are iterative; only the translator and the evaluator
+recurse, once per level of their input.
 
 Amendment: in both counterfactual cases the inner comparison variable (the
 universally quantified trace the conditional's guarantee ranges over) carries
@@ -42,7 +44,6 @@ from .formula import (
     Know,
     Next,
     Not,
-    ParseError,
     Prev,
     Since,
     TracedAtom,
@@ -57,6 +58,7 @@ from .formula import (
     children,
     desugar,
     node_count,
+    read,
     render,
     subformulas,
 )
@@ -537,126 +539,67 @@ def _is_fo_token(tok: str) -> bool:
     return tok in _FO_PUNCT or _is_var(tok)
 
 
-class _FoParser:
-    __slots__ = ("text", "toks", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _FO_TOKEN.findall(text, 0, _scan_end(text)) + [""]  # "": end of input
-        self.pos = 0
-
-    def error(self, message: str) -> ParseError:
-        return _syntax_error(self.text, _FO_TOKEN, _is_fo_token, self.pos, message)
-
-    def expect(self, tok: str) -> None:
-        t = self.toks[self.pos]
-        if t != tok:
-            raise self.error(f"expected {tok!r}, found {t!r}")
-        self.pos += 1
-
-    def variable(self) -> str:
-        t = self.toks[self.pos]
-        if not _is_var(t):
-            raise self.error("expected a variable name")
-        self.pos += 1
-        return t
-
-    def atom(self) -> FoFormula:
-        """A predicate or a comparison of two variables."""
-        t = self.toks[self.pos]
-        node = _CALLS.get(t)
-        if node is not None:
-            self.pos += 1
-            self.expect("(")
-            args = [self.variable()]
-            for _ in node.__slots__[1:]:
-                self.expect(",")
-                args.append(self.variable())
-            self.expect(")")
-            return node(*args)
-        if t.startswith("P_") and len(t) > 2:
-            self.pos += 1
-            self.expect("(")
-            if self.toks[self.pos] == "tr":
-                self.pos += 1
-                self.expect("(")
-                a = self.variable()
-                for tok in (")", ",", "pos", "("):
-                    self.expect(tok)
-                b = self.variable()
-                self.expect(")")
-            else:
-                a = b = self.variable()
-            self.expect(")")
-            return FoPred(t[2:], a, b)
-        if _is_var(t):
-            self.pos += 1
-            node = _COMPARE.get(self.toks[self.pos])
-            if node is None:
-                raise self.error(f"expected '<' or '=' after variable {t!r}")
-            self.pos += 1
-            return node(t, self.variable())
-        raise self.error(f"unexpected token {t!r}")
+_fo_error = partial(_syntax_error, _FO_TOKEN, _is_fo_token)  # (text, k, message)
 
 
-def _fold(args: list, ops: list, prec: int, right: bool) -> None:
-    """Apply the pending operators that bind before an operator of level
-    `prec` (associating right when `right`) to the operands they join."""
-    while ops and (ops[-1][0] > prec or (ops[-1][0] == prec and not right)):
-        node = ops.pop()[1]
-        b = args.pop()
-        args[-1] = node(args[-1], b)
+def _match(text: str, toks: list[str], k: int, shape: tuple) -> tuple[list[str], int]:
+    """Read `shape` from token `k` on, a variable where it has None and that
+    token elsewhere: the variables, and where they end."""
+    names = []
+    for want in shape:
+        t = toks[k]
+        if want is None:
+            if not _is_var(t):
+                raise _fo_error(text, k, "expected a variable name")
+            names.append(t)
+        elif t != want:
+            raise _fo_error(text, k, f"expected {want!r}, found {t!r}")
+        k += 1
+    return names, k
+
+
+_PRED = ("(", None, ")")
+_PRED_TR = ("(", "tr", "(", None, ")", ",", "pos", "(", None, ")", ")")
+
+
+def _bound(text: str, toks: list[str], k: int) -> tuple[str, int]:
+    """The variable the quantifier at token `k` binds, and where it ends."""
+    (var,), end = _match(text, toks, k + 1, (None, "."))
+    return var, end
+
+
+# prefix operators: precedence, node[, variable reader]
+_PREFIXES = {"!": (_P_ATOM, FoNot), **{t: (_P_QUANT, n, _bound) for t, n in _QUANTS.items()}}
+
+
+def _fo_atom(text: str, toks: list[str], k: int) -> tuple[FoFormula, int]:
+    """A predicate or a comparison of two variables."""
+    t = toks[k]
+    node = _CALLS.get(t)
+    if node is not None:
+        more = len(node.__slots__) - 1  # variables after the first
+        names, end = _match(text, toks, k + 1, ("(", None) + (",", None) * more + (")",))
+        return node(*names), end
+    if t.startswith("P_") and len(t) > 2:
+        tr = toks[k + 1] == "(" and toks[k + 2] == "tr"
+        names, end = _match(text, toks, k + 1, _PRED_TR if tr else _PRED)
+        return FoPred(t[2:], names[0], names[-1]), end
+    if _is_var(t):
+        node = _COMPARE.get(toks[k + 1])
+        if node is None:
+            raise _fo_error(text, k + 1, f"expected '<' or '=' after variable {t!r}")
+        (var,), end = _match(text, toks, k + 2, (None,))
+        return node(t, var), end
+    raise _fo_error(text, k, f"unexpected token {t!r}")
 
 
 def parse_fo(text: str) -> FoFormula:
     """Parse the text `print_fo` writes.
 
     A sentence is a run of quantifier prefixes, then operands joined by the
-    binary connectives, folded by precedence over `_BINARY`; an operand is a
-    run of `!` before a parenthesized sentence or an atom.  One loop does it
-    all with explicit stacks, so no input is too deep or too wide for it.
-    Raises :class:`ParseError` with line/column on malformed input."""
-    p = _FoParser(text)
-    toks = p.toks
-    outer = []  # enclosing sentences: (quantifiers, operands, operators, negations)
-    quants: list = []
-    args: list[FoFormula] = []
-    ops: list[tuple] = []
-    while True:  # a sentence starts
-        while toks[p.pos] in _QUANTS:
-            node = _QUANTS[toks[p.pos]]
-            p.pos += 1
-            quants.append(partial(node, p.variable()))
-            p.expect(".")
-        while True:  # an operand starts
-            nots = 0
-            while toks[p.pos] == "!":
-                p.pos += 1
-                nots += 1
-            if toks[p.pos] == "(":
-                p.pos += 1
-                outer.append((quants, args, ops, nots))
-                quants, args, ops = [], [], []
-                break
-            f = p.atom()
-            while True:  # an operand ends
-                for _ in range(nots):
-                    f = FoNot(f)
-                args.append(f)
-                t = toks[p.pos]
-                op = _BINARY.get(t)
-                if op is not None:
-                    p.pos += 1
-                    _fold(args, ops, op[0], op[2])
-                    ops.append(op)
-                    break
-                _fold(args, ops, -1, False)  # the sentence ends
-                f = args.pop()
-                while quants:
-                    f = quants.pop()(f)
-                if not outer:
-                    if t:
-                        raise p.error(f"trailing input {t!r}")
-                    return f
-                p.expect(")")
-                quants, args, ops, nots = outer.pop()
+    binary connectives of `_BINARY`; an operand is a run of `!` before a
+    parenthesized sentence or an atom.  Raises :class:`ParseError` with
+    line/column on malformed input."""
+    toks = _FO_TOKEN.findall(text, 0, _scan_end(text)) + [""]  # "": end of input
+    return read(text, toks, _PREFIXES, _fo_atom, _BINARY, _fo_error,
+                lambda t: f"expected ')', found {t!r}", lambda t: f"trailing input {t!r}")

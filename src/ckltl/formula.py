@@ -24,11 +24,13 @@ that pass ``isalnum()`` or are ``_``; the keywords above are not identifiers.
 No position is kept per token: a :class:`ParseError` computes its 1-based line
 and column from the token's offset when it is raised.
 
-The parser is one loop over the tokens with a stack of pending operators,
-ordered by one precedence table, ``_INFIX_OPS``: the binary connectives of
-``_BINARY`` (precedence, node class, right associativity), which the printer
-shares, then ``U``/``S`` and the counterfactuals.  It does not recurse, so
-no nesting is too deep for it.
+The parser is `read`, one loop over the tokens with a stack of pending
+operators, which `parse` and `foe.parse_fo` share.  Each supplies its
+operand reader and its tables of prefix and infix operators, here
+``_PREFIXES`` and ``_INFIX_OPS``: the binary connectives of ``_BINARY``
+(precedence, node class, right associativity), which the printer shares,
+then ``U``/``S`` and the counterfactuals.  It does not recurse, so no
+nesting is too deep for it.
 
 Counterfactual operators do not associate: nesting one under another requires
 parentheses.  A traced atom ``p@pi`` reads proposition ``p`` on the trace bound
@@ -55,7 +57,8 @@ while an equal, checked one lives is not checked again.
 The first-order nodes of `foe` subclass `HashConsed` too and share the table,
 but they are not `Formula`s: `desugar` and `to_source` reject them.  One
 toolkit serves both: `foe` registers its operands in `_CHILDREN`, which
-`children`, `subformulas` and `node_count` read, and prints through `render`.
+`children`, `subformulas` and `node_count` read, prints through `render`
+and parses through `read`.
 Printing, desugaring, counting and traversal are iterative postorders over
 the DAG: no formula is too deep or too wide for them.
 """
@@ -67,7 +70,6 @@ import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from typing import Iterator
 
 
@@ -464,6 +466,11 @@ def _is_ident(tok: str) -> bool:
     return tok not in _KEYWORDS and (tok[:1].isalpha() or tok[:1] == "_")
 
 
+def _is_name(text: str) -> bool:
+    """Whether formulas can write `text` as a name: it is one identifier token."""
+    return _TOKEN.findall(text) == [text] and _is_ident(text)
+
+
 def _is_token(tok: str) -> bool:
     return tok in _PUNCT or tok in _KEYWORDS or _is_ident(tok)
 
@@ -472,7 +479,7 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _syntax_error(text: str, token: re.Pattern, valid, k: int, message: str) -> ParseError:
+def _syntax_error(token: re.Pattern, valid, text: str, k: int, message: str) -> ParseError:
     """`message` at the `k`-th match of `token` in `text`, whose position is
     found only now.  The first token that `valid` rejects, anywhere in the
     text, is reported instead as an unexpected character, as a tokenizer that
@@ -514,27 +521,102 @@ _PREFIX_OPS = {
     "O": Once,
     "H": Historically,
 }
-# every infix operator: precedence, node, right associative.  Counterfactuals
-# do not associate; marked right associative, a pending one stays on the
-# stack when the next arrives, for the parser to refuse.
-_INFIX_OPS = {**_BINARY, **{t: (_P_CF, n, True) for t, n in _CF_OPS.items()},
+
+
+_error = partial(_syntax_error, _TOKEN, _is_token)  # (text, k, message)
+
+
+def _agent(text: str, toks: list[str], k: int) -> tuple[str, int]:
+    """The agent of the `[ name ]` after the operator at token `k`, and where
+    it ends."""
+    if toks[k + 1] != "[":
+        raise _error(text, k + 1, f"expected '[', found {toks[k + 1] or 'end of input'!r}")
+    if not _is_ident(toks[k + 2]):
+        raise _error(text, k + 2, "expected an agent name")
+    if toks[k + 3] != "]":
+        raise _error(text, k + 3, f"expected ']', found {toks[k + 3] or 'end of input'!r}")
+    return toks[k + 2], k + 4
+
+
+def _cf_agent(text: str, toks: list[str], k: int, pending: int) -> tuple[str, int]:
+    """`_agent` of a counterfactual; one pending below it, kept there by
+    right associativity, is refused."""
+    if pending == _P_CF:
+        raise _error(text, k, "counterfactual operators do not associate; parenthesize")
+    return _agent(text, toks, k)
+
+
+# every prefix operator: precedence, node[, agent reader]
+_PREFIXES = {**{t: (_P_UNARY, n) for t, n in _PREFIX_OPS.items()}, "K": (_P_UNARY, Know, _agent)}
+# every infix operator: precedence, node, right associative[, agent reader]
+_INFIX_OPS = {**_BINARY, **{t: (_P_CF, n, True, _cf_agent) for t, n in _CF_OPS.items()},
               **{t: (_P_UNTIL, n, True) for t, n in _UNTIL_OPS.items()}}
 _OPEN = (-1, None)  # an open parenthesis, or the bottom of the operator stack
 
 
-def _error(text: str, k: int, message: str) -> ParseError:
-    return _syntax_error(text, _TOKEN, _is_token, k, message)
+def read(text: str, toks: list[str], prefix: dict, operand, infix: dict, error, close, trailing):
+    """The node that the tokens `toks` of `text`, ended by "", spell.
 
+    Operands are read each after its prefix operators, with the infix
+    operator after each.  `ops` holds the pending operators as (precedence,
+    one-operand constructor), innermost last, a binary one with its left
+    operand bound; one applies once an operand is complete and the next
+    token binds no tighter.  Precedences are at least 0, higher binding
+    tighter.  A tight prefix operator, above every infix one, applies to its
+    operand.  A loose one, below them all, applies to the end of its
+    sentence, so it is read only where a sentence starts: first, after `(`
+    or after a loose prefix; elsewhere its token is an operand's.
 
-def _agent(text: str, toks: list[str], k: int) -> str:
-    """The agent of the `[ name ]` that starts at token `k`."""
-    if toks[k] != "[":
-        raise _error(text, k, f"expected '[', found {toks[k] or 'end of input'!r}")
-    if not _is_ident(toks[k + 1]):
-        raise _error(text, k + 1, "expected an agent name")
-    if toks[k + 2] != "]":
-        raise _error(text, k + 2, f"expected ']', found {toks[k + 2] or 'end of input'!r}")
-    return toks[k + 1]
+    `prefix` maps an operator token to (precedence, node) and, for one
+    followed by an argument, `arg(text, toks, k)`, which reads it after the
+    operator at token `k` as (argument, end).  `infix` maps one to
+    (precedence, node, right associative) and, likewise, `arg(text, toks,
+    k, pending)`, also given the precedence of the operator pending below.
+    `operand(text, toks, k)` reads an operand without parentheses as (node,
+    end).  `error(text, k, message)` is the error at token `k`, and
+    `close(t)` and `trailing(t)` its message where token `t` stands for a
+    missing `)` or follows the whole text."""
+    lowest = min(op[0] for op in infix.values())
+    ops = [_OPEN]
+    pos = 0
+    while True:
+        t = toks[pos]
+        if t == "(":
+            ops.append(_OPEN)
+            pos += 1
+            continue
+        op = prefix.get(t)
+        if op is not None and (op[0] >= lowest or ops[-1][0] < lowest):
+            if len(op) > 2:
+                arg, pos = op[2](text, toks, pos)
+                ops.append((op[0], partial(op[1], arg)))
+            else:
+                ops.append(op)
+                pos += 1
+            continue
+        f, pos = operand(text, toks, pos)
+        while True:  # `f` is complete: apply what binds tighter than the next token
+            t = toks[pos]
+            op = infix.get(t)
+            bar = op[0] + op[2] if op else 0  # pending operators this tight or tighter apply
+            while ops[-1][0] >= bar:
+                f = ops.pop()[1](f)
+            if op:
+                break
+            if len(ops) == 1:
+                if t:
+                    raise error(text, pos, trailing(t))
+                return f
+            if t != ")":
+                raise error(text, pos, close(t))
+            ops.pop()
+            pos += 1
+        if len(op) > 3:
+            arg, pos = op[3](text, toks, pos, ops[-1][0])
+            ops.append((op[0], partial(op[1], arg, f)))
+        else:
+            ops.append((op[0], partial(op[1], f)))
+            pos += 1
 
 
 def parse(text: str) -> Formula:
@@ -548,70 +630,25 @@ def parse(text: str) -> Formula:
 
 
 def _parse(text: str) -> Formula:
-    """Read operands, each after its prefix operators, and the infix operator
-    after each.  `ops` holds the pending operators as (precedence,
-    constructor), innermost last, and `lefts` the left operands of the infix
-    ones; an operator is applied once an operand is complete and no operator
-    after it binds tighter."""
     toks = _TOKEN.findall(text, 0, _scan_end(text)) + [""]  # "": end of input
-    ops, lefts = [_OPEN], []
-    pos = depth = 0
-    while True:
-        t = toks[pos]
-        pos += 1
-        if t in _PREFIX_OPS:
-            ops.append((_P_UNARY, _PREFIX_OPS[t]))
-            continue
-        if t == "K":
-            ops.append((_P_UNARY, partial(Know, _agent(text, toks, pos))))
-            pos += 3
-            continue
-        if t == "(":
-            ops.append(_OPEN)
-            depth += 1
-            continue
-        if t == "true":
-            f = TrueConst()
-        elif t == "false":
-            f = FalseConst()
-        elif not _is_ident(t):
-            raise _error(text, pos - 1, f"expected a formula, found {t or 'end of input'!r}")
-        elif toks[pos] != "@":
-            f = Atom(t)
-        elif _is_ident(toks[pos + 1]):
-            f = TracedAtom(t, toks[pos + 1])
-            pos += 2
-        else:
-            raise _error(text, pos + 1, "expected a trace variable after '@'")
-        while True:  # `f` is complete: apply what binds tighter than the next token
-            while ops[-1][0] == _P_UNARY:
-                f = ops.pop()[1](f)
-            t = toks[pos]
-            op = _INFIX_OPS.get(t)
-            bar = op[0] + op[2] if op else 0  # pending operators this tight or tighter apply
-            while ops[-1][0] >= bar:
-                f = ops.pop()[1](lefts.pop(), f)
-            if op:
-                break
-            if t == ")" and depth:
-                ops.pop()
-                depth -= 1
-                pos += 1
-            elif depth:
-                raise _error(text, pos, f"expected ')', found {t or 'end of input'!r}")
-            elif t:
-                raise _error(text, pos, f"unexpected trailing input {t!r}")
-            else:
-                return f
-        prec, node, _ = op
-        if prec == _P_CF:
-            if ops[-1][0] == _P_CF:
-                raise _error(text, pos, "counterfactual operators do not associate; parenthesize")
-            node = partial(node, _agent(text, toks, pos + 1))
-            pos += 3
-        ops.append((prec, node))
-        lefts.append(f)
-        pos += 1
+    return read(text, toks, _PREFIXES, _atom, _INFIX_OPS, _error,
+                lambda t: f"expected ')', found {t or 'end of input'!r}",
+                lambda t: f"unexpected trailing input {t!r}")
+
+
+def _atom(text: str, toks: list[str], k: int) -> tuple[Formula, int]:
+    t = toks[k]
+    if t == "true":
+        return TrueConst(), k + 1
+    if t == "false":
+        return FalseConst(), k + 1
+    if not _is_ident(t):
+        raise _error(text, k, f"expected a formula, found {t or 'end of input'!r}")
+    if toks[k + 1] != "@":
+        return Atom(t), k + 1
+    if _is_ident(toks[k + 2]):
+        return TracedAtom(t, toks[k + 2]), k + 3
+    raise _error(text, k + 2, "expected a trace variable after '@'")
 
 
 # ---------------------------------------------------------------------------
@@ -788,27 +825,3 @@ def disjoin(parts: list[Formula]) -> Formula:
     for g in parts[1:]:
         f = Or(f, g)
     return f
-
-
-def build_minimal_antecedent(
-    conjuncts: list[Formula], consequent: Formula, agent: str
-) -> Formula:
-    """Assert that the whole conjunction could lead to the consequent while no
-    proper nonempty sub-conjunction could::
-
-        (c1 & ... & cn MIGHT[a] psi)
-          & !(S MIGHT[a] psi)   for every nonempty proper subset S
-
-    Subsets are enumerated by ascending size, then by index order, so the
-    output is deterministic.  The result contains exactly 2^n - 1 MIGHT
-    occurrences for n conjuncts.
-    """
-    n = len(conjuncts)
-    if n == 0:
-        raise ValueError("need at least one conjunct")
-    parts: list[Formula] = [Might(agent, conjoin(conjuncts), consequent)]
-    for size in range(1, n):
-        for idxs in combinations(range(n), size):
-            sub = conjoin([conjuncts[i] for i in idxs])
-            parts.append(Not(Might(agent, sub, consequent)))
-    return conjoin(parts)

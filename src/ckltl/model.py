@@ -26,6 +26,7 @@ from .formula import (
     RelationalFormula,
     RelationalFormulaError,
     TracedAtom,
+    _is_name,
     conjoin,
     memo,
     parse,
@@ -81,6 +82,8 @@ class KripkeStructure:
         ap_set = set(self.aps)
         if len(ap_set) != len(self.aps):
             problems.append("duplicate propositions")
+        problems += [f"proposition {p!r} is not a formula identifier"
+                     for p in self.aps if not _is_name(p)]
         for s in self.states:
             succ = self.transitions.get(s, ())
             if not succ:
@@ -132,6 +135,10 @@ class System:
         agent_set = set(self.agents)
         if len(agent_set) != len(self.agents):
             problems.append("duplicate agent names")
+        problems += [f"agent name {a!r} is not a formula identifier"
+                     for a in self.agents if not _is_name(a)]
+        problems += [f"agent {a!r}: similarity parameter {v!r} is not a formula identifier"
+                     for a, rf in self.similarity.items() for v in rf.params if not _is_name(v)]
         for mapping, what in ((self.observation, "observation"), (self.similarity, "similarity")):
             if set(mapping) != agent_set:
                 problems.append(

@@ -182,9 +182,13 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         assert err.startswith(f"error: {flag} "), (argv, err)
     assert run(capsys, [*validate, "--bounded", "1", "--position", "1"])[0] == 0
     # a bad model file: the message names the field and its state or agent,
-    # or the structural rule it breaks; the last eight exited 3 with an
-    # internal error (InvariantViolation, AttributeError or TypeError) before
+    # or the structural rule it breaks; the first two loaded before, though
+    # no formula can name that proposition or agent, and the last eight
+    # exited 3 with an internal error (InvariantViolation, AttributeError or
+    # TypeError)
     for keys, bad, detail in (
+        (("aps",), ["p", "q", "x y"], "proposition 'x y' is not a formula identifier"),
+        (("agents", 0, "name"), "K", "agent name 'K' is not a formula identifier"),
         (("agents", 0, "observes"), "pq",
          "agent 'a': observes must be a list of strings, got 'pq'"),
         (("agents", 0, "similarity", "formula"), "K[a] p@pi",

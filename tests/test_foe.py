@@ -5,6 +5,7 @@ import gc
 import hashlib
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -20,12 +21,16 @@ from ckltl import (
     universe_of,
 )
 from ckltl.foe import (
+    FoAnd,
     FoDomain,
     FoEq,
+    FoExists,
     FoForall,
+    FoIff,
     FoImplies,
     FoMin,
     FoNot,
+    FoOr,
     FoPred,
     UnsupportedNode,
     eval_fo,
@@ -223,6 +228,79 @@ def test_parse_fo_error_positions(text, message, line, col):
     with pytest.raises(ParseError) as info:
         parse_fo(text)
     assert (str(info.value), info.value.line, info.value.col) == (message, line, col)
+
+
+# pieces of FO token strings for the outcome digest: tokens, near-tokens and
+# characters no token starts with
+FO_PIECES = ["forall x.", "exists y.", "forall", "exists", "x", "y", "x0", ".", ",",
+             "(", "(", ")", ")", "!", "&", "|", "->", "<->", "<", "=", "<-", "$", "1",
+             "P_p(tr(x), pos(y))", "P_q(x)", "P_", "E(x, y)", "succ(x, y)", "min(x)",
+             "tr", "pos", "\n", "é"]
+
+
+def _fo_token_strings(r: random.Random, n: int):
+    """Printed translations, half of them unedited and the rest with tokens
+    dropped or inserted, and random runs of pieces, joined by a space or,
+    now and then, by nothing.  Few formulas have a counterfactual, whose
+    translation inlines similarity formulas and is long."""
+    systems = [gen_system(r) for _ in range(4)]
+    for _ in range(n):
+        if r.random() < 0.6:
+            cf = int(r.random() < 0.03)
+            f = desugar(gen_formula(r, depth=r.randint(1, 3), cf=cf))
+            toks = print_fo(translate_at(f, r.choice(systems))).split(" ")
+            for _ in range(r.choice((0, 0, 0, 1, 2))):
+                k = r.randrange(len(toks) + 1)
+                if r.random() < 0.5 and k < len(toks):
+                    del toks[k]
+                else:
+                    toks.insert(k, r.choice(FO_PIECES))
+            sep = " "
+        else:
+            toks = [r.choice(FO_PIECES) for _ in range(r.randint(0, 12))]
+            sep = "" if r.random() < 0.2 else " "
+        yield sep.join(toks)
+
+
+def test_parse_fo_outcomes_are_pinned():
+    # the text or the error and position `parse_fo` gives for each seeded
+    # string, hashed; the digest was recorded before the parser was rewritten
+    h = hashlib.sha256()
+    parsed = 0
+    for text in _fo_token_strings(random.Random(20261020), 20_000):
+        try:
+            got = print_fo(parse_fo(text))
+            parsed += 1
+        except ParseError as e:
+            got = f"{e}|{e.line}|{e.col}"
+        h.update(got.encode() + b"\n")
+    assert parsed > 5_000
+    assert h.hexdigest() == "2f2b9b43abd196ac97bcef0a9135449b6613cbb45027d74491c16889775c1482"
+
+
+def test_parse_fo_any_nesting_depth():
+    leaf = FoEq("x", "y")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert parse_fo("(" * 20_000 + "x = y" + ")" * 20_000) is leaf
+        f = leaf
+        for _ in range(20_000):
+            f = FoNot(f)
+        assert parse_fo("!" * 20_000 + "x = y") is f
+        f = leaf
+        for i in range(2_000):
+            f = (FoForall if i % 3 else FoExists)(f"v{i}", f)
+        assert parse_fo(print_fo(f)) is f
+        for node in (FoAnd, FoOr, FoImplies, FoIff):
+            for right in (True, False):
+                f = FoPred("p", "x", "x")
+                for j in range(1, 5_000):
+                    g = FoPred(f"p{j}", "x", "x")
+                    f = node(g, f) if right else node(f, g)
+                assert parse_fo(print_fo(f)) is f, (node, right)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_parse_fo_keywords_are_variables_outside_their_position():

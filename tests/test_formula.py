@@ -38,7 +38,6 @@ from ckltl import (
     Would,
     build_gce,
     build_ice,
-    build_minimal_antecedent,
     conjoin,
     desugar,
     disjoin,
@@ -403,23 +402,6 @@ def test_relational_formula_is_checked_once_while_an_equal_one_lives(monkeypatch
     del first, again
     gc.collect()
     assert (RelationalFormula, params, body) not in _TABLE
-
-
-def test_build_minimal_antecedent_counts():
-    conjuncts = [Atom("p"), Atom("q"), Atom("s")]
-    f = build_minimal_antecedent(conjuncts, Atom("x"), "a")
-    might_count = sum(1 for g in subformulas(f) if isinstance(g, Might))
-    assert might_count == 2**3 - 1
-
-
-def test_build_minimal_antecedent_single():
-    f = build_minimal_antecedent([Atom("p")], Atom("x"), "a")
-    assert f == Might("a", Atom("p"), Atom("x"))
-
-
-def test_build_minimal_antecedent_empty():
-    with pytest.raises(ValueError):
-        build_minimal_antecedent([], Atom("x"), "a")
 
 
 # ---------------------------------------------------------------------------

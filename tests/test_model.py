@@ -210,6 +210,35 @@ def test_save_and_load(tmp_path):
     assert system_to_dict(s2) == system_to_dict(s)
 
 
+@pytest.mark.parametrize("name,ok", [("a-b", False), ("x y", False), ("U", False),
+                                     ("true", False), ("a_b", True), ("é", True)])
+def test_a_system_that_validates_loads_back(tmp_path, name, ok):
+    # one that names a proposition formulas cannot write used to validate and
+    # save, and its file was refused on loading: for `a-b`, as "agent 'a':
+    # bad similarity formula: unexpected character '-'"
+    kripke = KripkeStructure(("s0",), "s0", {"s0": ("s0",)}, (name, "q"), {"s0": frozenset()})
+    s = System(kripke, ("a",), {"a": frozenset()}, {"a": subset_similarity((name, "q"))})
+    assert s.validate() == ([] if ok else [f"proposition {name!r} is not a formula identifier"])
+    path = tmp_path / "m.json"
+    save_system(s, path)
+    if ok:
+        assert system_to_dict(load_system(path)) == system_to_dict(s)
+    else:
+        with pytest.raises((ModelFormatError, InvariantViolation)):
+            load_system(path)
+
+
+def test_validation_names_agents_and_parameters_formulas_cannot_write():
+    s = tiny_system()
+    sim = subset_similarity(("p",), ("pi", "pi 1", "pi2"))
+    bad = System(s.kripke, ("a", "WOULD"), {"a": frozenset(), "WOULD": frozenset()},
+                 {"a": sim, "WOULD": s.similarity_of("a")})
+    assert bad.validate() == [
+        "agent name 'WOULD' is not a formula identifier",
+        "agent 'a': similarity parameter 'pi 1' is not a formula identifier",
+    ]
+
+
 def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
