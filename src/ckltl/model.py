@@ -30,6 +30,7 @@ from .formula import (
     conjoin,
     memo,
     parse,
+    subformulas,
     to_source,
 )
 
@@ -139,6 +140,10 @@ class System:
                      for a in self.agents if not _is_name(a)]
         problems += [f"agent {a!r}: similarity parameter {v!r} is not a formula identifier"
                      for a, rf in self.similarity.items() for v in rf.params if not _is_name(v)]
+        problems += [f"agent {a!r}: similarity proposition {q!r} is not a formula identifier"
+                     for a, rf in self.similarity.items()
+                     for q in sorted({g.name for g in subformulas(rf.formula)
+                                      if isinstance(g, TracedAtom)}) if not _is_name(q)]
         for mapping, what in ((self.observation, "observation"), (self.similarity, "similarity")):
             if set(mapping) != agent_set:
                 problems.append(

@@ -24,13 +24,18 @@ keys its tables by the node itself.  A trace set is the universe or a view
 of it (below): every set has the universe's traces, in universe order, and
 its shape.  A node's values on a set form one column, whose entry j packs a
 known mask and, above it, a value mask: bit k stands for universe trace k.
-A column's (start, end) is the one place the two modes differ inside
-evaluation: (P + a*L, P + (a+b)*L) in exact mode, where later positions
-fold back into the period, and (None, N + 1) in bounded mode, whose columns
-span [0, N].  Each request carries the mask of traces it needs, so `&`,
-`|`, `->`, K and counterfactuals skip operands per trace.  Node evaluations
-are generators suspended on one explicit stack: nothing recurses per
-formula level or position.
+A column's (start, end) and the window W (below) are the places the two
+modes differ inside evaluation: (P + a*L, P + (a+b)*L) in exact mode, where
+later positions fold back into the period, and (None, N + 1) in bounded
+mode, whose columns span [0, N].  Each request carries the mask of traces
+it needs, so `&`, `|`, `->`, K and counterfactuals skip operands per trace.
+Node evaluations are generators suspended on one explicit stack: nothing
+recurses per formula level or position.
+
+At its first query a context reads each universe trace's letters on the
+window [0, W), W = P + L exact and min(N + 1, P + L) bounded, into one table,
+with each window position's proposition masks; later positions repeat one
+inside.  Atoms, similarity cells and observation partitions read only it.
 
 All trace quantifiers (knowledge, counterfactuals, system-level checks) range
 over one finite TraceUniverse.  Verdicts are therefore exact only relative to
@@ -138,7 +143,8 @@ def _all_positions_bodies(rel: Formula) -> tuple[Formula, ...] | None:
 
 def _cell(params: tuple[str, str, str], nodes: tuple, loads: tuple) -> int:
     """Trace mask of the root of `nodes` (see `_all_positions_bodies`) at one
-    position, given the loads there (see `EvalContext._loads`).  Masks are
+    position, given the loads there: t's and y's letters, whose propositions
+    hold on every trace, and the window table's proposition masks.  Masks are
     ints read as trace masks (bit k = value on universe trace k); negative
     ints stand for masks with every high bit set, so negation is `~`."""
     v: dict[Formula, int] = {}
@@ -275,30 +281,20 @@ class EvalContext:
         return bounds[f]
 
     def _uni(self) -> tuple:
-        """Universe traces, size, longest prefix P, loop lcm L and mask table, made lazily."""
+        """Universe size, longest prefix P, loop lcm L and the window table."""
         if self._shape is None:
             traces = self.universe.traces
-            self._shape = (traces, len(traces), max((len(u.prefix) for u in traces), default=0),
-                           lcm(*(len(u.loop) for u in traces)), [])
+            p = max((len(u.prefix) for u in traces), default=0)
+            l = lcm(*(len(u.loop) for u in traces))
+            w = p + l if self.bound is None else min(self.bound + 1, p + l)
+            words = [tuple(map(u.label_at, range(w))) for u in traces]
+            props = [{} for _ in range(w)]
+            for k, word in enumerate(words):
+                for tab, letter in zip(props, word):
+                    for q in letter:
+                        tab[q] = tab.get(q, 0) | 1 << k
+            self._shape = (len(traces), p, l, words, props)
         return self._shape
-
-    def _props(self, j: int) -> dict:
-        """The universe's proposition -> trace-mask dict at j, kept per
-        position of [0, P + L), where j folds."""
-        traces, _, p, l, tab = self._uni()
-        j = j if j < p + l else p + (j - p) % l
-        while len(tab) <= j:
-            tab.append({})
-            for k, u in enumerate(traces):
-                for q in u.label_at(len(tab) - 1):
-                    tab[-1][q] = tab[-1].get(q, 0) | 1 << k
-        return tab[j]
-
-    def _loads(self, j: int, t: int, y: int) -> tuple:
-        """What traced atoms read at j in the row of (t, y): t's and y's
-        letters, whose propositions hold on every trace, then `_props`."""
-        traces = self.universe.traces
-        return traces[t].label_at(j), traces[y].label_at(j), self._props(j)
 
     def _indices(self, i: int, *traces: LassoTrace) -> list[int]:
         """Universe indices of `traces`, any presentation of a universe word;
@@ -343,7 +339,7 @@ class EvalContext:
         A node evaluation is a generator that fills its column and yields
         (node, position, mask) requests for operand values; it waits on one
         explicit stack while an operand's evaluation runs."""
-        cols, (_, n, p, l, _), ops = self._sets.setdefault(view, {}), self._uni(), self._OPS
+        cols, (n, p, l, _, _), ops = self._sets.setdefault(view, {}), self._uni(), self._OPS
         stack, asks, g, j, x = [], 0, f, i, m
         while True:
             col = cols.get(g)
@@ -380,17 +376,16 @@ class EvalContext:
                 return got
 
     def _leaf(self, f: Formula, view: tuple | None, j: int, x: int) -> int:
-        """Value mask of an atom or constant at j on the traces of x.  In a
-        view, which holds only a relation's nodes, a traced atom reads the
-        loads of the agent's parameter it names, as in a cell."""
+        """Value mask of an atom or constant at j (folded into the window) on
+        the traces of x; a view's traced atom is a one-node cell of t and y."""
         if isinstance(f, (TrueConst, FalseConst)):
             return x if isinstance(f, TrueConst) else 0
+        _, p, l, words, props = self._uni()
+        j = j if j < len(props) else p + (j - p) % l
         if view is None:
-            return x & self._props(j).get(
-                f.name if isinstance(f, Atom) else (f.name, f.trace_var), 0)
-        params, loads = self._rel(view[0])[0], self._loads(j, *view[1:])
-        k = params.index(f.trace_var)
-        return x & (loads[k].get(f.name, 0) if k == 2 else -(f.name in loads[k]))
+            return x & props[j].get(f.name if isinstance(f, Atom) else (f.name, f.trace_var), 0)
+        agent, t, y = view
+        return x & _cell(self._rel(agent)[0], (f,), (words[t][j], words[y][j], props[j]))
 
     # -- node evaluations: generators over (node, set size, column, j, needed mask)
 
@@ -510,20 +505,20 @@ class EvalContext:
 
     def _partition(self, agent: str, j: int) -> list[int]:
         """Classes (universe masks) of the traces that the agent cannot tell
-        apart on positions 0..j, refined position by position (synchronous
-        perfect recall).  Observations that ever diverge do so below P + L,
-        so the partition is final from there."""
-        traces, n, p, l = self._uni()[:4]
+        apart on positions 0..j, refined position by position on the window
+        table's letters (synchronous perfect recall).  Observations that ever
+        diverge do so below P + L, so the partition is final past the window."""
+        n, _, _, words, props = self._uni()
         parts = self._parts.setdefault(agent, [])
-        obs = self.system.observation_of(agent)
-        while len(parts) <= min(j, p + l - 1):
+        obs, last = self.system.observation_of(agent), min(j, len(props) - 1)
+        while len(parts) <= last:
             i, split = len(parts), {}
             for c, cls in enumerate(parts[-1] if parts else [(1 << n) - 1]):
                 for k in _members(cls):
-                    key = (c, traces[k].label_at(i) & obs)
+                    key = (c, words[k][i] & obs)
                     split[key] = split.get(key, 0) | 1 << k
             parts.append(list(split.values()))
-        return parts[min(j, p + l - 1)]
+        return parts[last]
 
     def similarity_holds(self, agent: str, t_ref: LassoTrace, t1: LassoTrace,
                          t2: LassoTrace, i: int) -> bool:
@@ -540,28 +535,25 @@ class EvalContext:
         relation accepts (t, y, x) at i; t, y and x are universe indices.
 
         A relation of the all-positions shape does not depend on i: its row
-        is the AND, over a window, of one cell per position j, the bodies'
-        mask at j where t and y load their own letters and x the universe's
-        proposition masks.  A cell depends on j and the two letters only,
-        and is kept under them; the AND stops once nothing of `need` is
-        left.  Exact mode: window [0, P + L).  Bounded mode: [0, min(N + 1,
-        P + L)).  Every later position repeats one inside.  Accessibility
-        rows (t = y) are kept whole, per t.  Any other relation is evaluated
-        on `need` in the view of (t, y), which binds the agent's reference
-        and nearer parameters to t and y."""
+        is the AND, over the window, of one cell per position j, the bodies'
+        mask at j where t and y load their letters from the window table and
+        x its proposition masks.  A cell depends on j and the two letters
+        only, and is kept under them; the AND stops once nothing of `need` is
+        left.  Accessibility rows (t = y) are kept whole, per t.  Any other
+        relation is evaluated on `need` in the view of (t, y), which binds the
+        agent's reference and nearer parameters to t and y."""
         params, rel, nodes, memo = self._rel(agent)
         if nodes is None:
             return self._eval(rel, (agent, t, y), i, need)
         if t == y and t in memo:
             return memo[t] & need
-        traces, n, p, l, _ = self._uni()
-        w = p + l if self.bound is None else min(self.bound + 1, p + l)
-        row, lt, ly = (1 << n) - 1 if t == y else need, traces[t], traces[y]
-        for j in range(w):
-            key = (j, lt.label_at(j), ly.label_at(j))
+        n, _, _, words, props = self._uni()
+        row = (1 << n) - 1 if t == y else need
+        for j, (a, b, tab) in enumerate(zip(words[t], words[y], props)):
+            key = (j, a, b)
             cell = memo.get(key)
             if cell is None:
-                cell = memo[key] = _cell(params, nodes, self._loads(j, t, y))
+                cell = memo[key] = _cell(params, nodes, (a, b, tab))
             row &= cell
             if not row:
                 break

@@ -13,7 +13,7 @@ from ckltl import RelationalFormula, System, cli, desugar, parse, save_system
 from ckltl.cli import build_parser, main
 from ckltl.foe import print_fo, translate
 
-from test_semantics import cf_fixture
+from test_semantics import cf_fixture, differ_fixture
 
 
 @pytest.fixture
@@ -222,6 +222,14 @@ def test_unreadable_model_file_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, ["universe", "--model", str(tmp_path), "--trace", "| {}"])
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot read model file: ") and str(tmp_path) in err
+
+
+def test_unreadable_formula_file_exits_2(model, capsys, tmp_path):
+    code, out, err = run(capsys, ["check", "--model", model, "--formula-file", str(tmp_path),
+                                  *TRACES])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read formula file: ") and str(tmp_path) in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", ["model", "formula-file"])
@@ -474,6 +482,21 @@ def test_validate_flags_bad_relation(capsys, tmp_path):
     assert kinds <= {"irreflexive", "intransitive", "minimum"}
 
 
+def test_validate_reports_an_intransitive_relation(capsys, tmp_path):
+    s, _ = differ_fixture()
+    path = tmp_path / "differ.json"
+    save_system(s, path)
+    code, out, err = run(capsys, ["validate", "--model", str(path),
+                                  "--trace", "| {}", "--trace", "| {p}"])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "[a] from | {} @ 0: 3 violations", "  irreflexive: | {p}",
+        "  intransitive: | {}, | {p}, | {}", "  intransitive: | {p}, | {}, | {p}",
+        "[a] from | {p} @ 0: 3 violations", "  irreflexive: | {}",
+        "  intransitive: | {}, | {p}, | {}", "  intransitive: | {p}, | {}, | {p}",
+    ]
+
+
 def test_universe_listing(model, capsys):
     code, out, _ = run(
         capsys,
@@ -511,6 +534,22 @@ def test_demo_explainable(capsys):
     assert "ICE@1 for the applicant: not satisfied" in out
     assert "counterexample: | {}" in out
     assert "failing: 1 of 37" in out
+
+
+@pytest.mark.parametrize("variant, states, second, failing", [
+    ("restricted", 25, "GCE@1 over both agents' attributes", 9),
+    ("gender-frozen", 37, "ECE@1 judged by the recruiter", 19),
+])
+def test_demo_variants_with_a_second_requirement(capsys, variant, states, second, failing):
+    code, out, err = run(capsys, ["demo", variant])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"variant: {variant}", f"states: {states}", f"universe: {states} traces",
+        "ICE@1 for the applicant: not satisfied",
+        "  counterexample: | {}", f"  failing: {failing} of {states}",
+        f"{second}: not satisfied",
+        "  counterexample: | {}", f"  failing: 1 of {states}",
+    ]
 
 
 def test_demo_json_deterministic(capsys):

@@ -215,17 +215,21 @@ def test_save_and_load(tmp_path):
 def test_a_system_that_validates_loads_back(tmp_path, name, ok):
     # one that names a proposition formulas cannot write used to validate and
     # save, and its file was refused on loading: for `a-b`, as "agent 'a':
-    # bad similarity formula: unexpected character '-'"
-    kripke = KripkeStructure(("s0",), "s0", {"s0": ("s0",)}, (name, "q"), {"s0": frozenset()})
-    s = System(kripke, ("a",), {"a": frozenset()}, {"a": subset_similarity((name, "q"))})
-    assert s.validate() == ([] if ok else [f"proposition {name!r} is not a formula identifier"])
-    path = tmp_path / "m.json"
-    save_system(s, path)
-    if ok:
-        assert system_to_dict(load_system(path)) == system_to_dict(s)
-    else:
-        with pytest.raises((ModelFormatError, InvariantViolation)):
-            load_system(path)
+    # bad similarity formula: unexpected character '-'"; so did one whose
+    # relation alone names it, undeclared (`aps` ("q",) only)
+    bad = [f"proposition {name!r} is not a formula identifier",
+           f"agent 'a': similarity proposition {name!r} is not a formula identifier"]
+    for aps, problems in (((name, "q"), bad), (("q",), bad[1:])):
+        kripke = KripkeStructure(("s0",), "s0", {"s0": ("s0",)}, aps, {"s0": frozenset()})
+        s = System(kripke, ("a",), {"a": frozenset()}, {"a": subset_similarity((name, "q"))})
+        assert s.validate() == ([] if ok else problems)
+        path = tmp_path / "m.json"
+        save_system(s, path)
+        if ok:
+            assert system_to_dict(load_system(path)) == system_to_dict(s)
+        else:
+            with pytest.raises((ModelFormatError, InvariantViolation)):
+                load_system(path)
 
 
 def test_validation_names_agents_and_parameters_formulas_cannot_write():
@@ -248,6 +252,14 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"states": []}))
     with pytest.raises(ModelFormatError):
         load_system(path)
+
+
+def test_from_dict_rejects_repeated_and_malformed_agents():
+    d = system_to_dict(tiny_system())
+    with pytest.raises(InvariantViolation, match="^duplicate agent names$"):
+        system_from_dict({**d, "agents": d["agents"] * 2})
+    with pytest.raises(ModelFormatError, match="^malformed agent entry: "):
+        system_from_dict({**d, "agents": [5]})
 
 
 def test_from_dict_rejects_bad_similarity():

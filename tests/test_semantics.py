@@ -611,6 +611,8 @@ def test_position_and_mode_validation():
     for make, bound in ((EvalContext.bounded, -1), (EvalContext.bounded, None), (EvalContext, -1)):
         with pytest.raises(ValueError, match=f"needs a bound >= 0, got {bound}"):
             make(s, u, bound)
+    with pytest.raises(ValueError, match="^stabilization cap must be positive$"):
+        EvalContext(s, u, None, 0)
     with pytest.raises(ValueError):
         eval_at(exact, tr("| {p} ; {p,q}"), 0, parse("p"))  # foreign trace
 
@@ -643,6 +645,33 @@ def test_validate_similarity_flags_bad_relation():
     assert not report.ok
     kinds = {v.kind for v in report.violations}
     assert "irreflexive" in kinds or "minimum" in kinds
+
+
+def differ_fixture():
+    """`| {}` and `| {p}`, under a relation of the all-positions shape whose
+    body holds where the near and far traces differ on p: written with `|`
+    and a constant, irreflexive and intransitive."""
+    s, _ = cf_fixture()
+    body = "((p@pi1 & !p@pi2) | (!p@pi1 & p@pi2) | false)"
+    differ = RelationalFormula(("pi", "pi1", "pi2"), parse(f"G {body} & H {body}"))
+    return System(s.kripke, ("a",), s.observation, {"a": differ}), universe_of(
+        [tr("| {}"), tr("| {p}")])
+
+
+def test_validate_similarity_reports_intransitive_rows():
+    s, u = differ_fixture()
+    e, p = map(format_trace, u.traces)
+    for n in (0, 2):
+        bounded = EvalContext.bounded(s, u, n)
+        assert_routes_agree(bounded, "a", u.traces, range(n + 1), oracle_universe=u)
+    ctx = EvalContext.exact(s, u)
+    assert_routes_agree(ctx, "a", u.traces, (0, 1, 3))
+    intransitive = [("intransitive", (e, p, e)), ("intransitive", (p, e, p))]
+    for t, other in zip(u.traces, (p, e)):
+        report = validate_similarity(ctx, "a", t, 0)
+        assert [(v.kind, v.traces) for v in report.violations] == [
+            ("irreflexive", (other,)), *intransitive]
+    assert views(ctx) == 0  # every row came from cells
 
 
 # ---------------------------------------------------------------------------

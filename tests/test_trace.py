@@ -276,6 +276,13 @@ def test_generate_universe_size_cap_and_empty_warning():
     assert len(u) == 0
 
 
+def test_generate_universe_refuses_negative_bounds():
+    k = two_state_kripke()
+    for max_prefix, max_loop in ((-1, 1), (1, 0)):
+        with pytest.raises(ValueError, match="^need max_prefix >= 0 and max_loop >= 1$"):
+            generate_universe(k, max_prefix, max_loop)
+
+
 def test_generate_universe_refuses_a_cap_below_one():
     k = two_state_kripke()
     for cap in (0, -1):
