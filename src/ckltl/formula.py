@@ -452,6 +452,7 @@ _KEYWORDS = frozenset(
 # single characters outside `_PUNCT` are tokens no rule accepts; the first of
 # them is reported as an unexpected character.
 _TOKEN = re.compile(r"[ \t\r\n]*(<->|->|[()\[\]@!&|]|\w+|[^ \t\r\n])")
+_WORD = re.compile(r"\w+")
 _PUNCT = frozenset(["<->", "->", "(", ")", "[", "]", "@", "!", "&", "|"])
 _SPACE = " \t\r\n"
 
@@ -468,7 +469,7 @@ def _is_ident(tok: str) -> bool:
 
 def _is_name(text: str) -> bool:
     """Whether formulas can write `text` as a name: it is one identifier token."""
-    return _TOKEN.findall(text) == [text] and _is_ident(text)
+    return _WORD.fullmatch(text) is not None and _is_ident(text)
 
 
 def _is_token(tok: str) -> bool:
@@ -753,8 +754,11 @@ class RelationalFormula:
     one is its one check: traced atoms over the parameters, constants,
     boolean connectives and temporal operators only, no Know, counterfactual
     or plain atom, else :class:`RelationalFormulaError` lists every offending
-    node.  An equal relation built while a checked one lives is not walked
-    again (see `memo`)."""
+    node.  The check also sets `props`, the names of the traced propositions,
+    deduplicated and sorted, which `System.validate` reads; it is not a
+    field, so it stays out of `==`, `hash` and `repr`.  An equal relation
+    built while a checked one lives is not walked again: it takes `props`
+    from the relation `memo` returns."""
 
     params: tuple[str, str, str]
     formula: Formula
@@ -762,10 +766,11 @@ class RelationalFormula:
     def __post_init__(self):
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"duplicate trace parameters: {self.params!r}")
-        memo((RelationalFormula, self.params, self.formula), self._checked)
+        checked = memo((RelationalFormula, self.params, self.formula), self._checked)
+        object.__setattr__(self, "props", checked.props)
 
     def _checked(self) -> RelationalFormula:
-        params, violations = self.params, []
+        params, violations, names = self.params, [], set()
         # preorder, left operand first; a path is "root" or (parent path,
         # step), rendered only for a violation
         stack: list[tuple[Formula, object]] = [(self.formula, "root")]
@@ -773,6 +778,7 @@ class RelationalFormula:
             g, path = stack.pop()
             cls = type(g)
             if cls is TracedAtom:
+                names.add(g.name)
                 if g.trace_var not in params:
                     violations.append(RelationalViolation(
                         "undeclared-trace-variable", g.trace_var, _path_text(path)))
@@ -791,6 +797,7 @@ class RelationalFormula:
                 stack.append((kids[0], (path, ".left")))
         if violations:
             raise RelationalFormulaError(violations)
+        object.__setattr__(self, "props", tuple(sorted(names)))
         return self
 
 

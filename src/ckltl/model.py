@@ -30,7 +30,6 @@ from .formula import (
     conjoin,
     memo,
     parse,
-    subformulas,
     to_source,
 )
 
@@ -132,6 +131,8 @@ class System:
             raise UnknownAgentError(agent) from None
 
     def validate(self) -> list[str]:
+        """Every broken invariant, as messages.  A relation's propositions
+        are the `props` its check recorded: no relation's nodes are walked."""
         problems = self.kripke.validate()
         agent_set = set(self.agents)
         if len(agent_set) != len(self.agents):
@@ -141,9 +142,7 @@ class System:
         problems += [f"agent {a!r}: similarity parameter {v!r} is not a formula identifier"
                      for a, rf in self.similarity.items() for v in rf.params if not _is_name(v)]
         problems += [f"agent {a!r}: similarity proposition {q!r} is not a formula identifier"
-                     for a, rf in self.similarity.items()
-                     for q in sorted({g.name for g in subformulas(rf.formula)
-                                      if isinstance(g, TracedAtom)}) if not _is_name(q)]
+                     for a, rf in self.similarity.items() for q in rf.props if not _is_name(q)]
         for mapping, what in ((self.observation, "observation"), (self.similarity, "similarity")):
             if set(mapping) != agent_set:
                 problems.append(
@@ -197,10 +196,11 @@ def system_to_dict(system: System) -> dict:
     }
 
 
-def _strings(value, what: str) -> tuple[str, ...]:
-    """`value`, a JSON list of strings, as a tuple; a string is refused too."""
+def _strings(value, what: str, *args) -> tuple[str, ...]:
+    """`value`, a JSON list of strings, as a tuple; a string is refused too.
+    The message names `what.format(*args)`, built only when it is raised."""
     if not (isinstance(value, list) and all(map(str.__instancecheck__, value))):
-        raise ModelFormatError(f"{what} must be a list of strings, got {value!r}")
+        raise ModelFormatError(f"{what.format(*args)} must be a list of strings, got {value!r}")
     return tuple(value)
 
 
@@ -215,10 +215,10 @@ def system_from_dict(data: dict) -> System:
         aps = _strings(data["aps"], "aps")
         state_items = data["states"]
         states = tuple(_string(item["id"], "state id") for item in state_items)
-        labels = {s: frozenset(_strings(item["labels"], f"state {s!r}: labels"))
+        labels = {s: frozenset(_strings(item["labels"], "state {!r}: labels", s))
                   for s, item in zip(states, state_items)}
         initial = _string(data["initial"], "initial")
-        transitions = {s: _strings(ts, f"state {s!r}: transitions")
+        transitions = {s: _strings(ts, "state {!r}: transitions", s)
                        for s, ts in data["transitions"].items()}
         agent_items = data["agents"]
         if not isinstance(agent_items, list):
@@ -233,7 +233,7 @@ def system_from_dict(data: dict) -> System:
     for item in agent_items:
         try:
             name = _string(item["name"], "agent name")
-            obs = frozenset(_strings(item["observes"], f"agent {name!r}: observes"))
+            obs = frozenset(_strings(item["observes"], "agent {!r}: observes", name))
             params = item["similarity"]["params"]
             formula_text = _string(item["similarity"]["formula"],
                                    f"agent {name!r}: similarity formula")

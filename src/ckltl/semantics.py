@@ -288,11 +288,18 @@ class EvalContext:
             l = lcm(*(len(u.loop) for u in traces))
             w = p + l if self.bound is None else min(self.bound + 1, p + l)
             words = [tuple(map(u.label_at, range(w))) for u in traces]
-            props = [{} for _ in range(w)]
+            # per position, each (shared) letter's traces first; then each
+            # letter's mask is ORed into its propositions once
+            at = [{} for _ in range(w)]
             for k, word in enumerate(words):
-                for tab, letter in zip(props, word):
+                bit = 1 << k
+                for masks, letter in zip(at, word):
+                    masks[letter] = masks.get(letter, 0) | bit
+            props = [{} for _ in range(w)]
+            for tab, masks in zip(props, at):
+                for letter, m in masks.items():
                     for q in letter:
-                        tab[q] = tab.get(q, 0) | 1 << k
+                        tab[q] = tab.get(q, 0) | m
             self._shape = (len(traces), p, l, words, props)
         return self._shape
 

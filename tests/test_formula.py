@@ -52,7 +52,7 @@ from ckltl.hiring import hiring_vocabulary
 from ckltl.specs import AttributeVocabulary
 
 from gen import gen_formula
-from oracle import parse_reference
+from oracle import is_name_reference, parse_reference
 
 
 def test_parse_atoms_and_constants():
@@ -162,6 +162,19 @@ def test_identifier_characters():
     assert parse("é & p") == And(Atom("é"), Atom("p"))
     assert parse("x² | _") == Or(Atom("x²"), Atom("_"))
     assert parse("p1@pi_2") == TracedAtom("p1", "pi_2")
+
+
+def test_is_name_matches_the_tokenizer_reference():
+    # one `\w+` fullmatch and `_is_ident` against the whole tokenizer
+    corpus = ["", "_", "é", "a b", " a", "a ", "a\n", "\ta", "a-b", "a@b", "a->b",
+              "1a", "a1", "_1", "x²", "²", "٣", "a٣", "٣a", "Ⅻ", "aⅫ", "<->", "(",
+              *formula._KEYWORDS, "Ua", "trueish", "K[a]"]
+    r = random.Random(2511)
+    alphabet = "ab_Z19 \t\n-@!()é²٣Ⅻ\u00a0"
+    corpus += ["".join(r.choices(alphabet, k=r.randint(0, 5))) for _ in range(3000)]
+    assert any(map(is_name_reference, corpus)) and not all(map(is_name_reference, corpus))
+    for text in corpus:
+        assert formula._is_name(text) == is_name_reference(text), repr(text)
 
 
 def test_nesting_depth_within_default_recursion_limit():

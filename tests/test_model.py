@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from ckltl import formula
 from ckltl.model import SIM_PARAMS
 
 from gen import gen_system
+from oracle import tree_preorder
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -296,6 +298,11 @@ def test_from_dict_refuses_what_is_not_a_list_of_strings():
         with pytest.raises(ModelFormatError) as e:
             system_from_dict(d)
         assert str(e.value) == f"{what} must be a list of strings, got {bad!r}"
+    # the field's name is formatted only for the message; braces in an id stay
+    d = json.loads(json.dumps(system_to_dict(tiny_system())).replace('"s0"', '"s{0}"'))
+    d["transitions"]["s{0}"] = "s1"
+    with pytest.raises(ModelFormatError, match=r"^state 's\{0\}': transitions must be"):
+        system_from_dict(d)
     d = system_to_dict(tiny_system())
     d["transitions"] = [["s0", "s1"]]
     with pytest.raises(ModelFormatError, match="malformed model file"):
@@ -345,6 +352,66 @@ def test_equal_relations_are_checked_once_while_one_lives(monkeypatch):
     rel = systems[0].similarity_of("a")
     assert all(s.similarity_of(a) == rel for s in systems for a in s.agents)
     assert walked.count(rel.formula) == 1
+
+
+def test_loading_walks_each_distinct_relation_once(monkeypatch, tmp_path):
+    # loading the four hiring fixtures in a row, each system kept alive: the
+    # nodes walked through the children table are one check per distinct
+    # relation (the check stops at traced atoms), and `validate` walks none.
+    # The parameters are renamed so that no relation built elsewhere is alive.
+    walked, children = [], formula.children
+    monkeypatch.setattr(formula, "children", lambda f: walked.append(f) or children(f))
+    reads = []
+
+    class Reads(dict):  # every walk of the node toolkit reads the table
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(formula, "_CHILDREN", Reads(formula._CHILDREN))
+    systems, relations, expected = [], set(), Counter()
+    for name in ("explainable.json", "unexplainable.json", "gender_frozen.json",
+                 "restricted.json"):
+        path = tmp_path / name
+        path.write_text((FIXTURES / name).read_text().replace("pi", "load_pi"))
+        systems.append(load_system(path))
+        for rf in systems[-1].similarity.values():
+            if (rf.params, rf.formula) not in relations:
+                relations.add((rf.params, rf.formula))
+                expected.update(g for g in tree_preorder(rf.formula)
+                                if not isinstance(g, TracedAtom))
+        assert Counter(walked) == expected and len(reads) == len(walked), name
+    assert 1 < len(relations) < sum(len(s.agents) for s in systems)
+    walked.clear()
+    reads.clear()
+    assert [s.validate() for s in systems] == [[]] * 4
+    assert walked == reads == []
+    # the names the check recorded are those of a walk of the relation
+    for rf in (rf for s in systems for rf in s.similarity.values()):
+        assert rf.props == tuple(sorted({g.name for g in formula.subformulas(rf.formula)
+                                         if isinstance(g, TracedAtom)}))
+
+
+def test_an_equal_relation_takes_its_names_from_the_checked_one(monkeypatch):
+    # the second relation is a hit in the unique table and is not walked, yet
+    # `validate` reports its unwritable names with the exact messages
+    walked, children = [], formula.children
+    monkeypatch.setattr(formula, "children", lambda f: walked.append(f) or children(f))
+    body = And(Globally(TracedAtom("a-b", "pi1")), Historically(TracedAtom("U", "memo_pi")))
+    params = ("memo_pi", "pi1", "pi2")
+    first = RelationalFormula(params, body)
+    assert walked
+    walked.clear()
+    second = RelationalFormula(params, body)
+    assert walked == [] and second is not first and second == first
+    assert second.props == first.props == ("U", "a-b")
+    assert "props" not in repr(second) and hash(second) == hash(first)
+    kripke = KripkeStructure(("s0",), "s0", {"s0": ("s0",)}, ("q",), {"s0": frozenset()})
+    system = System(kripke, ("a",), {"a": frozenset()}, {"a": second})
+    assert system.validate() == [
+        "agent 'a': similarity proposition 'U' is not a formula identifier",
+        "agent 'a': similarity proposition 'a-b' is not a formula identifier",
+    ]
 
 
 def test_from_dict_rejects_invariant_violations():

@@ -61,7 +61,7 @@ from ckltl.hiring import (
 from ckltl.model import SIM_PARAMS, KripkeStructure
 
 from gen import gen_formula, gen_system, gen_temporal, gen_trace, gen_universe
-from oracle import naive
+from oracle import naive, window_reference
 
 
 def tr(text):
@@ -438,6 +438,32 @@ def test_stabilization_cap_trips_on_deep_past_nesting():
     # evaluating the bare past body at a fixed position never needs the cap:
     # the engine just walks the recurrence left of the position
     eval_at(ctx, t, 1, f.child)
+
+
+def test_window_table_matches_a_per_trace_reference():
+    # `_uni` groups each position's traces by their shared letter before it
+    # ORs masks into propositions; the reference sets one bit per trace and
+    # proposition.  Exact and bounded contexts, bound 0, windows that end
+    # before and past P + L, universes wider than one 30-bit int digit
+    r = random.Random(2507)
+    empty_letters = 0
+    for case in range(40):
+        u = gen_universe(r, max_traces=r.choice((6, 80)), max_prefix=4)
+        if case % 4 == 0:  # a trace that is the empty letter everywhere
+            u = universe_of(u.traces + (LassoTrace((), (frozenset(),)),))
+        s, traces = gen_system(r), u.traces
+        p = max(len(t.prefix) for t in traces)
+        l = lcm(*(len(t.loop) for t in traces))
+        for bound in (None, 0, r.randrange(p + l), p + l + r.randrange(3)):
+            w = p + l if bound is None else min(bound + 1, p + l)
+            n, p2, l2, words, props = EvalContext(s, u, bound)._uni()
+            assert (n, p2, l2) == (len(traces), p, l)
+            assert words == [tuple(t.label_at(j) for j in range(w)) for t in traces]
+            assert props == window_reference(traces, w), (case, bound)
+            empty_letters += sum(not a for word in words for a in word)
+    assert empty_letters
+    n, _, _, words, props = EvalContext(s, universe_of([]), 2)._uni()
+    assert (n, words, props) == (0, [], [{}])
 
 
 def test_wide_bounded_window_past_operators_reach_position_0():
