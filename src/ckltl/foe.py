@@ -6,7 +6,9 @@ the same trace only; `E` relates equal positions across traces; `succ` and
 `min` are kept as first-class sugar.  The translation is linear in the input
 size (plus the inlined similarity formulas) and the bounded evaluator here is
 deliberately brute force: it serves as an independent oracle for the direct
-semantics engine, so it shares no code with it.
+semantics engine, so it shares no code with it.  It ranges over integer
+points, one per (universe trace, position) pair, so a variable bound to any
+lasso presentation of a universe word evaluates as that word.
 
 FO nodes are hash-consed like formula nodes: they subclass
 `formula.HashConsed` and live in the same weak unique table, so structurally
@@ -342,7 +344,10 @@ def translate_at(f: Formula, system: System, *, faithful: bool = False) -> FoFor
 
 @dataclass(frozen=True)
 class FoDomain:
-    """Finite evaluation domain: the universe's traces at positions 0..n."""
+    """Finite evaluation domain: the universe's traces at positions 0..n, as
+    integer points.  Point `k * (n + 1) + i` is universe trace k at position
+    i, so the same trace is the same point whatever lasso presentation names
+    it, and `<`, `=`, `succ`, `E` and `min` are integer arithmetic."""
 
     universe: TraceUniverse
     n: int
@@ -350,11 +355,6 @@ class FoDomain:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("bound must be >= 0")
-
-    def points(self):
-        for t in self.universe:
-            for i in range(self.n + 1):
-                yield (t, i)
 
 
 def eval_fo(
@@ -366,7 +366,8 @@ def eval_fo(
     memoized per assignment of their free variables.
 
     Every environment entry must name a point of the domain: a trace of its
-    universe (any lasso presentation of it) at a position within the bound."""
+    universe (any lasso presentation of it; all evaluate alike) at a
+    position within the bound."""
     for v, (t, i) in (env or {}).items():
         if not 0 <= i <= dom.n:
             raise ValueError(f"{v}: position {i} outside the domain [0, {dom.n}]")
@@ -376,15 +377,17 @@ def eval_fo(
     missing = ev.fv(f) - set(env or {})
     if missing:
         raise ValueError(f"unbound variables: {sorted(missing)}")
-    return ev.ev(f, dict(env or {}))
+    tix = dom.universe.index
+    return ev.ev(f, {v: tix(t) * ev.w + i for v, (t, i) in (env or {}).items()})
 
 
 class _FoEvaluator:
-    """State of one `eval_fo` call: free-variable sets and the quantifier
-    memo."""
+    """State of one `eval_fo` call: the letter of every point, free-variable
+    sets and the quantifier memo.  Environments map variables to points."""
 
     def __init__(self, dom: FoDomain):
-        self.dom = dom
+        self.w = w = dom.n + 1  # points per trace
+        self.letters = [t.label_at(i) for t in dom.universe for i in range(w)]
         self.fv_cache: dict[FoFormula, frozenset[str]] = {}
         self.memo: dict[tuple, bool] = {}
 
@@ -410,14 +413,10 @@ class _FoEvaluator:
                 cache[g] = out
         return cache[node]
 
-    def ev(self, node: FoFormula, env: dict) -> bool:
-        ev = self.ev
+    def ev(self, node: FoFormula, env: dict[str, int]) -> bool:
+        ev, w = self.ev, self.w
         if isinstance(node, (FoExists, FoForall)):
-            tix = self.dom.universe.index
-            key = (
-                node,
-                tuple(sorted((v, tix(env[v][0]), env[v][1]) for v in self.fv(node))),
-            )
+            key = (node, tuple(sorted((v, env[v]) for v in self.fv(node))))
             got = self.memo.get(key)
             if got is None:
                 got = self.quant(node, env)
@@ -433,38 +432,28 @@ class _FoEvaluator:
             return not ev(node.left, env) or ev(node.right, env)
         if isinstance(node, FoIff):
             return ev(node.left, env) == ev(node.right, env)
-        if isinstance(node, FoPred):
-            t = env[node.trace_of][0]
-            i = env[node.pos_of][1]
-            return node.name in t.label_at(i)
-        if isinstance(node, FoLess):
-            (t1, i1), (t2, i2) = env[node.left], env[node.right]
-            return t1 == t2 and i1 < i2
-        if isinstance(node, FoEq):
-            (t1, i1), (t2, i2) = env[node.left], env[node.right]
-            return t1 == t2 and i1 == i2
-        if isinstance(node, FoEqualLevel):
-            return env[node.left][1] == env[node.right][1]
-        if isinstance(node, FoSucc):
-            (t1, i1), (t2, i2) = env[node.left], env[node.right]
-            return t1 == t2 and i2 == i1 + 1
+        if isinstance(node, FoPred):  # trace of one point, position of another
+            a = env[node.trace_of]
+            return node.name in self.letters[a - a % w + env[node.pos_of] % w]
         if isinstance(node, FoMin):
-            return env[node.var][1] == 0
-        raise TypeError(f"not an FO node: {node!r}")
+            return env[node.var] % w == 0
+        a, b = env[node.left], env[node.right]
+        if isinstance(node, FoLess):
+            return a < b and a // w == b // w
+        if isinstance(node, FoEq):
+            return a == b
+        if isinstance(node, FoEqualLevel):
+            return a % w == b % w
+        return b == a + 1 and b % w != 0  # FoSucc: `fv` has rejected the rest
 
     def quant(self, node, env) -> bool:
         sub = dict(env)
-        if isinstance(node, FoExists):
-            for pt in self.dom.points():
-                sub[node.var] = pt
-                if self.ev(node.body, sub):
-                    return True
-            return False
-        for pt in self.dom.points():
-            sub[node.var] = pt
-            if not self.ev(node.body, sub):
-                return False
-        return True
+        stop = isinstance(node, FoExists)  # the body value that decides
+        for p in range(len(self.letters)):
+            sub[node.var] = p
+            if self.ev(node.body, sub) == stop:
+                return stop
+        return not stop
 
 
 # ---------------------------------------------------------------------------

@@ -754,11 +754,13 @@ class RelationalFormula:
     one is its one check: traced atoms over the parameters, constants,
     boolean connectives and temporal operators only, no Know, counterfactual
     or plain atom, else :class:`RelationalFormulaError` lists every offending
-    node.  The check also sets `props`, the names of the traced propositions,
-    deduplicated and sorted, which `System.validate` reads; it is not a
-    field, so it stays out of `==`, `hash` and `repr`.  An equal relation
-    built while a checked one lives is not walked again: it takes `props`
-    from the relation `memo` returns."""
+    node.  The check walks the formula's DAG: a node shared by several
+    operands is visited once, so an offending shared node is listed once, at
+    its first path in preorder.  The check also sets `props`, the names of
+    the traced propositions, deduplicated and sorted, which `System.validate`
+    reads; it is not a field, so it stays out of `==`, `hash` and `repr`.  An
+    equal relation built while a checked one lives is not walked again: it
+    takes `props` from the relation `memo` returns."""
 
     params: tuple[str, str, str]
     formula: Formula
@@ -770,12 +772,16 @@ class RelationalFormula:
         object.__setattr__(self, "props", checked.props)
 
     def _checked(self) -> RelationalFormula:
-        params, violations, names = self.params, [], set()
-        # preorder, left operand first; a path is "root" or (parent path,
-        # step), rendered only for a violation
+        params, violations, names, seen = self.params, [], set(), set()
+        # preorder, left operand first, each distinct node at its first path;
+        # a path is "root" or (parent path, step), rendered only for a
+        # violation
         stack: list[tuple[Formula, object]] = [(self.formula, "root")]
         while stack:
             g, path = stack.pop()
+            if g in seen:
+                continue
+            seen.add(g)
             cls = type(g)
             if cls is TracedAtom:
                 names.add(g.name)

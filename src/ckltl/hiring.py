@@ -88,14 +88,6 @@ def build_hiring_kripke(include_accounting_for_applicant: bool = True) -> Kripke
     return KripkeStructure(all_states, START, transitions, APS, labels)
 
 
-def observation_maps() -> tuple[dict, dict]:
-    """(full, limited): full gives both agents every proposition; limited
-    restricts each agent to its own attributes plus `offer`."""
-    full = {ag: frozenset(APS) for ag in AGENTS}
-    limited = {ag: frozenset(ATTRIBUTES[ag]) | {OFFER} for ag in AGENTS}
-    return full, limited
-
-
 def _gender_freeze(params: tuple[str, str, str] = SIM_PARAMS):
     """Both compared traces must agree with the reference on the applicant's
     gender at every position, future and past."""
@@ -120,42 +112,35 @@ def gender_frozen_similarity() -> RelationalFormula:
     return RelationalFormula(base.params, And(base.formula, _gender_freeze(base.params)))
 
 
-def similarity_maps() -> tuple[dict, dict]:
-    """(plain, frozen): plain gives both agents subset similarity; frozen
-    swaps the applicant's for the gender-frozen variant."""
+def _hiring(limited: bool = False, frozen: bool = False,
+            include_accounting_for_applicant: bool = True) -> System:
+    """The recipe of every variant: both agents observe every proposition,
+    or (`limited`) each only its own attributes plus `offer`; both compare
+    by subset similarity, the applicant by the gender-frozen variant when
+    `frozen`."""
+    if limited:
+        obs = {ag: frozenset(ATTRIBUTES[ag]) | {OFFER} for ag in AGENTS}
+    else:
+        obs = {ag: frozenset(APS) for ag in AGENTS}
     sigma = attribute_similarity()
-    plain = {ag: sigma for ag in AGENTS}
-    frozen = {APPLICANT: gender_frozen_similarity(), RECRUITER: sigma}
-    return plain, frozen
+    sim = {APPLICANT: gender_frozen_similarity() if frozen else sigma, RECRUITER: sigma}
+    return System(build_hiring_kripke(include_accounting_for_applicant), AGENTS, obs, sim)
 
 
 def build_explainable() -> System:
-    full, _ = observation_maps()
-    plain, _ = similarity_maps()
-    return System(build_hiring_kripke(), AGENTS, full, plain)
+    return _hiring()
 
 
 def build_unexplainable() -> System:
-    _, limited = observation_maps()
-    plain, _ = similarity_maps()
-    return System(build_hiring_kripke(), AGENTS, limited, plain)
+    return _hiring(limited=True)
 
 
 def build_restricted() -> System:
-    full, _ = observation_maps()
-    plain, _ = similarity_maps()
-    return System(
-        build_hiring_kripke(include_accounting_for_applicant=False),
-        AGENTS,
-        full,
-        plain,
-    )
+    return _hiring(include_accounting_for_applicant=False)
 
 
 def build_gender_frozen() -> System:
-    full, _ = observation_maps()
-    _, frozen = similarity_maps()
-    return System(build_hiring_kripke(), AGENTS, full, frozen)
+    return _hiring(frozen=True)
 
 
 VARIANTS = {

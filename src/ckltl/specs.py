@@ -154,9 +154,6 @@ class ProbeMember:
     first: Verdict
     second: Verdict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ProbeReport:
@@ -215,14 +212,13 @@ def entailment_probe(
     f1: Formula,
     f2: Formula,
     family: Sequence,
-    stabilization_cap: int = 64,
 ) -> ProbeReport:
     """Check f1 and f2 on every family member and classify the evidence.
 
     Family entries are (label, system, universe) triples."""
     members = []
     for label, system, universe in family:
-        ctx = EvalContext.exact(system, universe, stabilization_cap)
+        ctx = EvalContext.exact(system, universe)
         v1 = check_system(ctx, f1)
         v2 = check_system(ctx, f2)
         members.append(ProbeMember(label, v1.result, v2.result, v1, v2))

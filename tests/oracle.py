@@ -15,10 +15,10 @@ of a right-associative connective; it shares the library's tokenizer and
 error reporting, so its results and error messages must match `parse`'s
 exactly on every input within its recursion depth.
 
-`tree_size`, `tree_preorder` and `distinct_postorder` recurse over a node's
-fields as its class declares them, without the library's children table, so
-they check `node_count`, `subformulas` and the walks that read the table on
-formulas and FO sentences alike.
+`tree_size` and `distinct_postorder` recurse over a node's fields as its
+class declares them, without the library's children table, so they check
+`node_count`, `subformulas` and the walks that read the table on formulas and
+FO sentences alike.
 
 `is_name_reference` is the earlier definition of `formula._is_name`, through
 the full tokenizer, and `window_reference` builds a context's window table
@@ -334,12 +334,6 @@ def distinct_postorder(f, seen=None) -> list:
             out += distinct_postorder(c, seen)
         out.append(f)
     return out
-
-
-def tree_preorder(f) -> list:
-    """The nodes of `f` as a tree, each before its operands, left operand
-    first, by recursion: a shared node comes once per occurrence."""
-    return [f] + [g for c in _operands(f) for g in tree_preorder(c)]
 
 
 def is_name_reference(text: str) -> bool:

@@ -11,6 +11,7 @@ import pytest
 
 from ckltl import (
     Atom,
+    LassoTrace,
     ParseError,
     desugar,
     disjoin,
@@ -123,6 +124,10 @@ def test_translate_at_requires_core_form():
     # after desugaring the same formulas go through
     for src in ["p | q", "F p", "O p", "p MIGHT[a] q", "p EMIGHT[a] q", "H p"]:
         translate_at(desugar(parse(src)), s)
+    # a traced atom belongs to a similarity relation only
+    for src in ["p@pi", "X (q & p@pi)"]:
+        with pytest.raises(UnsupportedNode, match="traced atom p@pi outside a similarity inlining"):
+            translate_at(desugar(parse(src)), s)
 
 
 def test_eval_fo_error_paths():
@@ -140,6 +145,36 @@ def test_eval_fo_error_paths():
         FoDomain(u, -1)
     # any presentation of a universe word is a fine environment value
     assert eval_fo(dom, fo, {"x0": (tr("{p} | {p}"), 0)})
+    # a node outside the FO language is refused, alone or inside a sentence
+    for node in [Atom("p"), FoAnd(FoMin("x0"), Atom("p"))]:
+        with pytest.raises(TypeError, match="not an FO node"):
+            eval_fo(dom, node, {"x0": (u.traces[0], 0)})
+
+
+def test_every_presentation_of_a_universe_word_evaluates_alike():
+    # a trace with its loop unrolled once into the prefix names the same
+    # word as the universe trace, so it is the same point of the domain
+    s = gen_system(random.Random(205))
+    u = universe_of([tr("| {p}"), tr("| {q}")])
+    fo = translate_at(desugar(parse("X p")), s)
+    assert eval_fo(FoDomain(u, 2), fo, {"x0": (tr("{p} | {p}"), 0)})
+    r = random.Random(209)
+    for _ in range(60):
+        s = gen_system(r)
+        u = gen_universe(r, max_traces=4)
+        f = desugar(gen_formula(r, depth=r.randint(1, 3)))
+        n = r.randint(1, 4)
+        dom = FoDomain(u, n)
+        ctx = EvalContext.bounded(s, u, n)
+        fo = translate_at(f, s)
+        for t in u:
+            unrolled = LassoTrace(t.prefix + t.loop, t.loop)
+            assert unrolled != t
+            for i in range(n + 1):
+                want = eval_at(ctx, t, i, f)
+                assert eval_fo(dom, fo, {"x0": (t, i)}) == want
+                got = eval_fo(dom, fo, {"x0": (unrolled, i)})
+                assert got == want, f"formula={f}, trace={unrolled}, i={i}, n={n}"
 
 
 def multi_level_universe():

@@ -385,6 +385,15 @@ def test_relational_formula_refuses_unknown_trace_var():
         " K at root.left.right; undeclared-trace-variable: rho at root.right.child")
 
 
+def test_a_shared_offending_node_is_listed_once_at_its_first_path():
+    # `G p` is one node under both operands; the check walks the DAG
+    with pytest.raises(RelationalFormulaError) as e:
+        RelationalFormula(("pi", "pi1", "pi2"), parse("G p & (q@pi | G p)"))
+    assert [(v.kind, v.detail, v.path) for v in e.value.violations] == [
+        ("untraced-atom", "p", "root.left.child"),
+    ]
+
+
 def test_relational_formula_refuses_knowledge_and_counterfactuals():
     with pytest.raises(RelationalFormulaError):
         RelationalFormula(("pi", "pi1", "pi2"), Know("a", TracedAtom("p", "pi")))

@@ -29,7 +29,7 @@ from ckltl import formula
 from ckltl.model import SIM_PARAMS
 
 from gen import gen_system
-from oracle import tree_preorder
+from oracle import distinct_postorder
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -357,7 +357,8 @@ def test_equal_relations_are_checked_once_while_one_lives(monkeypatch):
 def test_loading_walks_each_distinct_relation_once(monkeypatch, tmp_path):
     # loading the four hiring fixtures in a row, each system kept alive: the
     # nodes walked through the children table are one check per distinct
-    # relation (the check stops at traced atoms), and `validate` walks none.
+    # relation, which visits each distinct node once (and stops at traced
+    # atoms), and `validate` walks none.
     # The parameters are renamed so that no relation built elsewhere is alive.
     walked, children = [], formula.children
     monkeypatch.setattr(formula, "children", lambda f: walked.append(f) or children(f))
@@ -378,7 +379,7 @@ def test_loading_walks_each_distinct_relation_once(monkeypatch, tmp_path):
         for rf in systems[-1].similarity.values():
             if (rf.params, rf.formula) not in relations:
                 relations.add((rf.params, rf.formula))
-                expected.update(g for g in tree_preorder(rf.formula)
+                expected.update(g for g in distinct_postorder(rf.formula)
                                 if not isinstance(g, TracedAtom))
         assert Counter(walked) == expected and len(reads) == len(walked), name
     assert 1 < len(relations) < sum(len(s.agents) for s in systems)
