@@ -17,11 +17,13 @@ equal subformulas are one object, equality and hashing are identity, and
 `to_source` reject them.  Their operands are registered in the formula
 layer's children table, so `formula.children`, `subformulas` and
 `node_count` walk and count FO sentences too.  `print_fo` prints through
-`formula.render`, the printer loop of `to_source`, and `parse_fo` reads
-through `formula.read`, the parse loop of `parse`, in which a quantifier is
-a prefix operator looser than every connective.  Counting, free variables,
-printing and parsing are iterative; only the translator and the evaluator
-recurse, once per level of their input.
+`formula.render`, the printer loop of `to_source`.  `parse_fo` reads
+through `formula.read`, the front end of `parse`: one tokenizer, one parse
+loop, and one wording for a missing `)` and for trailing input.  It brings
+only its operator tables, in which a quantifier is a prefix operator looser
+than every connective, its atom reader and its token-validity rule.
+Counting, free variables, printing and parsing are iterative; only the
+translator and the evaluator recurse, once per level of their input.
 
 Amendment: in both counterfactual cases the inner comparison variable (the
 universally quantified trace the conditional's guarantee ranges over) carries
@@ -33,7 +35,6 @@ equivalence is not expected to hold.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -55,7 +56,6 @@ from .formula import (
     Would,
     _CHILDREN,
     _fields,
-    _scan_end,
     _syntax_error,
     children,
     desugar,
@@ -392,13 +392,12 @@ class _FoEvaluator:
         self.memo: dict[tuple, bool] = {}
 
     def fv(self, node: FoFormula) -> frozenset[str]:
-        """Free variables of `node`; one postorder walk finds them for every
-        subformula not met before."""
+        """Free variables of `node`.  `eval_fo` asks first for the root, whose
+        postorder walk fills the cache for every subformula; later calls read
+        it."""
         cache = self.fv_cache
         if node not in cache:
             for g in subformulas(node):
-                if g in cache:
-                    continue
                 cls = type(g)
                 if cls in _QUANT_NAMES:
                     out = cache[g.body] - {g.var}
@@ -511,12 +510,9 @@ def print_fo(f: FoFormula) -> str:
     return render(f, _P_QUANT, _PREC, _INFIX, _emit)
 
 
-# Skipped whitespace, then one token: an arrow, a punctuation character, a
-# run of word characters, or any other single character.  A run whose first
-# character fails `isalpha()` and is not `_`, and a single character outside
-# `_FO_PUNCT`, are tokens no rule accepts: the first of them is reported as
-# an unexpected character.
-_FO_TOKEN = re.compile(r"[ \t\r\n]*(<->|->|[()<=.,!&|]|\w+|[^ \t\r\n])")
+# A token of `formula._TOKEN` whose first character fails `isalpha()` and is
+# not `_`, or a single character outside `_FO_PUNCT`, is one no rule accepts:
+# the first of them is reported as an unexpected character.
 _FO_PUNCT = frozenset(["<->", "->", "(", ")", "<", "=", ".", ",", "!", "&", "|"])
 
 
@@ -528,7 +524,7 @@ def _is_fo_token(tok: str) -> bool:
     return tok in _FO_PUNCT or _is_var(tok)
 
 
-_fo_error = partial(_syntax_error, _FO_TOKEN, _is_fo_token)  # (text, k, message)
+_fo_error = partial(_syntax_error, _is_fo_token)  # (text, k, message)
 
 
 def _match(text: str, toks: list[str], k: int, shape: tuple) -> tuple[list[str], int]:
@@ -542,7 +538,7 @@ def _match(text: str, toks: list[str], k: int, shape: tuple) -> tuple[list[str],
                 raise _fo_error(text, k, "expected a variable name")
             names.append(t)
         elif t != want:
-            raise _fo_error(text, k, f"expected {want!r}, found {t!r}")
+            raise _fo_error(text, k, f"expected {want!r}, found {t or 'end of input'!r}")
         k += 1
     return names, k
 
@@ -579,7 +575,7 @@ def _fo_atom(text: str, toks: list[str], k: int) -> tuple[FoFormula, int]:
             raise _fo_error(text, k + 1, f"expected '<' or '=' after variable {t!r}")
         (var,), end = _match(text, toks, k + 2, (None,))
         return node(t, var), end
-    raise _fo_error(text, k, f"unexpected token {t!r}")
+    raise _fo_error(text, k, f"unexpected token {t!r}" if t else "unexpected end of input")
 
 
 def parse_fo(text: str) -> FoFormula:
@@ -589,6 +585,4 @@ def parse_fo(text: str) -> FoFormula:
     binary connectives of `_BINARY`; an operand is a run of `!` before a
     parenthesized sentence or an atom.  Raises :class:`ParseError` with
     line/column on malformed input."""
-    toks = _FO_TOKEN.findall(text, 0, _scan_end(text)) + [""]  # "": end of input
-    return read(text, toks, _PREFIXES, _fo_atom, _BINARY, _fo_error,
-                lambda t: f"expected ')', found {t!r}", lambda t: f"trailing input {t!r}")
+    return read(text, _PREFIXES, _fo_atom, _BINARY, _fo_error)

@@ -17,20 +17,21 @@ Concrete syntax is plain text.  Grammar, loosest to tightest binding::
            | atom
     atom  := 'true' | 'false' | ident | ident '@' ident | '(' iff ')'
 
-One compiled regular expression (``_TOKEN``) splits the text into token
-strings.  Whitespace is space, tab, CR and LF.  An identifier starts with a
-character that passes ``isalpha()`` or is ``_`` and goes on with characters
-that pass ``isalnum()`` or are ``_``; the keywords above are not identifiers.
-No position is kept per token: a :class:`ParseError` computes its 1-based line
-and column from the token's offset when it is raised.
+One compiled regular expression (``_TOKEN``) splits formulas and `foe`'s FO
+sentences into token strings.  Whitespace is space, tab, CR and LF.  An
+identifier starts with a character that passes ``isalpha()`` or is ``_`` and
+goes on with characters that pass ``isalnum()`` or are ``_``; the keywords
+above are not identifiers.  No position is kept per token: a
+:class:`ParseError` computes its 1-based line and column from the token's
+offset when it is raised.
 
 The parser is `read`, one loop over the tokens with a stack of pending
-operators, which `parse` and `foe.parse_fo` share.  Each supplies its
-operand reader and its tables of prefix and infix operators, here
-``_PREFIXES`` and ``_INFIX_OPS``: the binary connectives of ``_BINARY``
-(precedence, node class, right associativity), which the printer shares,
-then ``U``/``S`` and the counterfactuals.  It does not recurse, so no
-nesting is too deep for it.
+operators, and the whole front end of `parse` and `foe.parse_fo`.  Each
+language supplies its token-validity rule, its operand reader and its tables
+of prefix and infix operators, here ``_PREFIXES`` and ``_INFIX_OPS``: the
+binary connectives of ``_BINARY`` (precedence, node class, right
+associativity), which the printer shares, then ``U``/``S`` and the
+counterfactuals.  It does not recurse, so no nesting is too deep for it.
 
 Counterfactual operators do not associate: nesting one under another requires
 parentheses.  A traced atom ``p@pi`` reads proposition ``p`` on the trace bound
@@ -445,13 +446,13 @@ _KEYWORDS = frozenset(
      "WOULD", "MIGHT", "UWOULD", "EMIGHT"]
 )
 
-# Skipped whitespace, then one token: an arrow, a punctuation character, a
-# run of word characters, or any other single character.  `\w` is exactly
-# `isalnum()` or `_`, so a run is an identifier or keyword when its first
-# character passes `isalpha()` or is `_`.  Runs that start otherwise and
-# single characters outside `_PUNCT` are tokens no rule accepts; the first of
-# them is reported as an unexpected character.
-_TOKEN = re.compile(r"[ \t\r\n]*(<->|->|[()\[\]@!&|]|\w+|[^ \t\r\n])")
+# Skipped whitespace, then one token: an arrow, a run of word characters, or
+# any other single character; formulas and FO sentences split text alike.
+# `\w` is exactly `isalnum()` or `_`, so a run is an identifier or keyword
+# when its first character passes `isalpha()` or is `_`.  Other runs, and
+# single characters outside a language's punctuation, are tokens its validity
+# rule rejects; the first of them is reported as an unexpected character.
+_TOKEN = re.compile(r"[ \t\r\n]*(<->|->|\w+|[^ \t\r\n])")
 _WORD = re.compile(r"\w+")
 _PUNCT = frozenset(["<->", "->", "(", ")", "[", "]", "@", "!", "&", "|"])
 _SPACE = " \t\r\n"
@@ -480,13 +481,13 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _syntax_error(token: re.Pattern, valid, text: str, k: int, message: str) -> ParseError:
-    """`message` at the `k`-th match of `token` in `text`, whose position is
-    found only now.  The first token that `valid` rejects, anywhere in the
-    text, is reported instead as an unexpected character, as a tokenizer that
-    reads the whole text before parsing would: no parse consumes one."""
+def _syntax_error(valid, text: str, k: int, message: str) -> ParseError:
+    """`message` at the `k`-th token of `text`, whose position is found only
+    now.  The first token that `valid` rejects, anywhere in the text, is
+    reported instead as an unexpected character, as a tokenizer that reads
+    the whole text before parsing would: no parse consumes one."""
     offsets = []
-    for m in token.finditer(text, 0, _scan_end(text)):
+    for m in _TOKEN.finditer(text, 0, _scan_end(text)):
         tok = m.group(1)
         if not valid(tok):
             return ParseError(
@@ -524,7 +525,7 @@ _PREFIX_OPS = {
 }
 
 
-_error = partial(_syntax_error, _TOKEN, _is_token)  # (text, k, message)
+_error = partial(_syntax_error, _is_token)  # (text, k, message)
 
 
 def _agent(text: str, toks: list[str], k: int) -> tuple[str, int]:
@@ -555,8 +556,10 @@ _INFIX_OPS = {**_BINARY, **{t: (_P_CF, n, True, _cf_agent) for t, n in _CF_OPS.i
 _OPEN = (-1, None)  # an open parenthesis, or the bottom of the operator stack
 
 
-def read(text: str, toks: list[str], prefix: dict, operand, infix: dict, error, close, trailing):
-    """The node that the tokens `toks` of `text`, ended by "", spell.
+def read(text: str, prefix: dict, operand, infix: dict, error):
+    """The node that `text` spells, for formulas and FO sentences alike: it
+    splits the text with `_TOKEN` into `toks`, ended by "" for the end of
+    input, and words a missing `)` and trailing input the same for both.
 
     Operands are read each after its prefix operators, with the infix
     operator after each.  `ops` holds the pending operators as (precedence,
@@ -574,9 +577,8 @@ def read(text: str, toks: list[str], prefix: dict, operand, infix: dict, error, 
     (precedence, node, right associative) and, likewise, `arg(text, toks,
     k, pending)`, also given the precedence of the operator pending below.
     `operand(text, toks, k)` reads an operand without parentheses as (node,
-    end).  `error(text, k, message)` is the error at token `k`, and
-    `close(t)` and `trailing(t)` its message where token `t` stands for a
-    missing `)` or follows the whole text."""
+    end).  `error(text, k, message)` is the error at token `k`."""
+    toks = _TOKEN.findall(text, 0, _scan_end(text)) + [""]  # "": end of input
     lowest = min(op[0] for op in infix.values())
     ops = [_OPEN]
     pos = 0
@@ -606,10 +608,10 @@ def read(text: str, toks: list[str], prefix: dict, operand, infix: dict, error, 
                 break
             if len(ops) == 1:
                 if t:
-                    raise error(text, pos, trailing(t))
+                    raise error(text, pos, f"unexpected trailing input {t!r}")
                 return f
             if t != ")":
-                raise error(text, pos, close(t))
+                raise error(text, pos, f"expected ')', found {t or 'end of input'!r}")
             ops.pop()
             pos += 1
         if len(op) > 3:
@@ -627,14 +629,7 @@ def parse(text: str) -> Formula:
     formula of a text is kept in the unique table while it lives, so parsing
     a text again returns it without reading the text.
     """
-    return memo((parse, text), partial(_parse, text))
-
-
-def _parse(text: str) -> Formula:
-    toks = _TOKEN.findall(text, 0, _scan_end(text)) + [""]  # "": end of input
-    return read(text, toks, _PREFIXES, _atom, _INFIX_OPS, _error,
-                lambda t: f"expected ')', found {t or 'end of input'!r}",
-                lambda t: f"unexpected trailing input {t!r}")
+    return memo((parse, text), partial(read, text, _PREFIXES, _atom, _INFIX_OPS, _error))
 
 
 def _atom(text: str, toks: list[str], k: int) -> tuple[Formula, int]:

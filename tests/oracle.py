@@ -213,7 +213,7 @@ class _Parser:
         self.pos = 0
 
     def error(self, message: str):
-        return _syntax_error(_TOKEN, _is_token, self.text, self.pos, message)
+        return _syntax_error(_is_token, self.text, self.pos, message)
 
     def expect(self, text: str) -> None:
         t = self.toks[self.pos]

@@ -216,20 +216,21 @@ def test_amended_translation_is_exact_where_faithful_diverges():
 
 
 # (text, message, line, column) of malformed FO texts, recorded before the
-# parser was rewritten
+# parser was rewritten; the end of input and trailing input are worded as
+# `parse` words them
 FO_PARSE_ERRORS = [
-    ("", "unexpected token '' (line 1, column 1)", 1, 1),
-    ("!", "unexpected token '' (line 1, column 2)", 1, 2),
+    ("", "unexpected end of input (line 1, column 1)", 1, 1),
+    ("!", "unexpected end of input (line 1, column 2)", 1, 2),
     ("forall x P_p(x)", "expected '.', found 'P_p' (line 1, column 10)", 1, 10),
     ("forall . x", "expected a variable name (line 1, column 8)", 1, 8),
-    ("P_p(x", "expected ')', found '' (line 1, column 6)", 1, 6),
+    ("P_p(x", "expected ')', found 'end of input' (line 1, column 6)", 1, 6),
     ("P_(x)", "expected '<' or '=' after variable 'P_' (line 1, column 3)", 1, 3),
     ("x <", "expected a variable name (line 1, column 4)", 1, 4),
     ("x y", "expected '<' or '=' after variable 'x' (line 1, column 3)", 1, 3),
     ("1x = y", "unexpected character '1' (line 1, column 1)", 1, 1),
     ("x = y $", "unexpected character '$' (line 1, column 7)", 1, 7),
-    ("(x = y", "expected ')', found '' (line 1, column 7)", 1, 7),
-    ("x = y)", "trailing input ')' (line 1, column 6)", 1, 6),
+    ("(x = y", "expected ')', found 'end of input' (line 1, column 7)", 1, 7),
+    ("x = y)", "unexpected trailing input ')' (line 1, column 6)", 1, 6),
     ("E(x y)", "expected ',', found 'y' (line 1, column 5)", 1, 5),
     ("succ(x)", "expected ',', found ')' (line 1, column 7)", 1, 7),
     ("min(x, y)", "expected ')', found ',' (line 1, column 6)", 1, 6),
@@ -241,13 +242,13 @@ FO_PARSE_ERRORS = [
         1,
         16,
     ),
-    ("exists x.", "unexpected token '' (line 1, column 10)", 1, 10),
-    ("x = y <-> ", "unexpected token '' (line 1, column 11)", 1, 11),
-    ("P_p(tr(x), pos(y)", "expected ')', found '' (line 1, column 18)", 1, 18),
+    ("exists x.", "unexpected end of input (line 1, column 10)", 1, 10),
+    ("x = y <-> ", "unexpected end of input (line 1, column 11)", 1, 11),
+    ("P_p(tr(x), pos(y)", "expected ')', found 'end of input' (line 1, column 18)", 1, 18),
     ("E(x, y) -> -> E(y, x)", "unexpected token '->' (line 1, column 12)", 1, 12),
     ("forall x. x = y | $", "unexpected character '$' (line 1, column 19)", 1, 19),
     ("  \n  ! ( x", "expected '<' or '=' after variable 'x' (line 2, column 8)", 2, 8),
-    ("x = y\n  z", "trailing input 'z' (line 2, column 3)", 2, 3),
+    ("x = y\n  z", "unexpected trailing input 'z' (line 2, column 3)", 2, 3),
     ("P_p(tr(x), pos(1))", "unexpected character '1' (line 1, column 16)", 1, 16),
     ("x < 1", "unexpected character '1' (line 1, column 5)", 1, 5),
     ("x.y", "expected '<' or '=' after variable 'x' (line 1, column 2)", 1, 2),
@@ -300,6 +301,7 @@ def _fo_token_strings(r: random.Random, n: int):
 def test_parse_fo_outcomes_are_pinned():
     # the text or the error and position `parse_fo` gives for each seeded
     # string, hashed; the digest was recorded before the parser was rewritten
+    # and again when FO errors took the formula parser's end-of-input wording
     h = hashlib.sha256()
     parsed = 0
     for text in _fo_token_strings(random.Random(20261020), 20_000):
@@ -310,7 +312,7 @@ def test_parse_fo_outcomes_are_pinned():
             got = f"{e}|{e.line}|{e.col}"
         h.update(got.encode() + b"\n")
     assert parsed > 5_000
-    assert h.hexdigest() == "2f2b9b43abd196ac97bcef0a9135449b6613cbb45027d74491c16889775c1482"
+    assert h.hexdigest() == "0156b0e615ff70d5c27c828af5eb75b8056a248bdbb6adfdfe18462d6d67f02c"
 
 
 def test_parse_fo_any_nesting_depth():

@@ -42,14 +42,12 @@ from ckltl import (
     eval_at,
     explain,
     format_trace,
-    obs_divergence_point,
     parse,
     parse_trace_literal,
     subformulas,
     subset_similarity,
     universe_of,
     validate_similarity,
-    zip3,
 )
 from ckltl.hiring import (
     build_explainable,
@@ -59,6 +57,7 @@ from ckltl.hiring import (
     single_round_universe,
 )
 from ckltl.model import SIM_PARAMS, KripkeStructure
+from ckltl.trace import obs_divergence_point, zip3
 
 from gen import gen_formula, gen_system, gen_temporal, gen_trace, gen_universe
 from oracle import naive, window_reference
@@ -790,3 +789,35 @@ def test_other_similarity_shapes_take_the_zipped_route(src):
         assert_routes_agree(exact, a, u.traces, (0, 2))
         assert_routes_agree(bounded, a, u.traces, (0, 2, 3), u)
     assert views(exact) and views(bounded)
+
+
+def test_outside_matches_its_definition():
+    # `_outside(t, i, xs, ys)` is xs less every row of (t, y), y in ys, each
+    # row asked on the whole universe in a second context; on the cell route
+    # (subset similarity) and the view route, exact and bounded, with empty
+    # xs and empty ys.  With `first` it is a part of that, empty iff it is.
+    r, shapes = random.Random(109), random.Random(110)
+    made = {True: 0, False: 0}  # route (views made?) -> contexts
+    for k in range(120):
+        s = gen_system(r)
+        if k % 2:
+            rel = RelationalFormula(SIM_PARAMS, parse(shapes.choice(OTHER_SHAPES)))
+            s = System(s.kripke, s.agents, s.observation, dict.fromkeys(s.agents, rel))
+        u = gen_universe(r)
+        n, full = len(u), (1 << len(u)) - 1
+        bound = r.choice((None, r.randint(0, 5)))
+        ctx, ref = EvalContext(s, u, bound), EvalContext(s, u, bound)
+        for _ in range(8):
+            a, t, i = r.choice(s.agents), r.randrange(n), r.randint(0, 5 if bound is None else bound)
+            xs, ys = r.getrandbits(n), r.getrandbits(n)
+            for xs, ys in ((xs, ys), (0, ys), (xs, 0)):
+                rows = 0
+                for y in range(n):
+                    if ys >> y & 1:
+                        rows |= ref._row(a, t, y, i, full)
+                want = xs & ~rows
+                assert ctx._outside(a, t, i, xs, ys) == want, (k, a, t, i, xs, ys)
+                got = ctx._outside(a, t, i, xs, ys, True)
+                assert (got == 0) == (want == 0) and got & ~want == 0, (k, a, t, i, xs, ys)
+        made[views(ctx) > 0] += 1
+    assert made[True] and made[False]

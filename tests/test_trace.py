@@ -15,13 +15,11 @@ from ckltl import (
     TraceUniverse,
     format_trace,
     generate_universe,
-    obs_divergence_point,
     parse_trace_literal,
     universe_of,
-    zip3,
 )
 
-from ckltl.trace import _LETTERS
+from ckltl.trace import _LETTERS, obs_divergence_point, zip3
 
 from gen import gen_system, gen_trace, gen_universe
 
