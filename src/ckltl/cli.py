@@ -158,7 +158,7 @@ def _context(args, system, universe) -> EvalContext:
 def _emit(args, text: str) -> None:
     if args.out:
         try:
-            Path(args.out).write_text(text + "\n")
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
         except OSError as e:
             raise InputError(f"cannot write output file: {e}")
     else:

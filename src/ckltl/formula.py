@@ -745,7 +745,8 @@ class RelationalFormulaError(ValueError):
 @dataclass(frozen=True)
 class RelationalFormula:
     """A similarity relation: a formula over three distinct trace variables
-    (reference, nearer, farther), evaluated on triples of traces.  Building
+    (reference, nearer, farther), evaluated on triples of traces; another
+    number of parameters, or a repeated one, raises ValueError.  Building
     one is its one check: traced atoms over the parameters, constants,
     boolean connectives and temporal operators only, no Know, counterfactual
     or plain atom, else :class:`RelationalFormulaError` lists every offending
@@ -761,7 +762,10 @@ class RelationalFormula:
     formula: Formula
 
     def __post_init__(self):
-        if len(set(self.params)) != len(self.params):
+        if len(self.params) != 3:
+            raise ValueError(f"a relation takes 3 trace parameters (reference, nearer,"
+                             f" farther), got {len(self.params)}: {self.params!r}")
+        if len(set(self.params)) != 3:
             raise ValueError(f"duplicate trace parameters: {self.params!r}")
         checked = memo((RelationalFormula, self.params, self.formula), self._checked)
         object.__setattr__(self, "props", checked.props)

@@ -3,11 +3,12 @@
 A context's `bound` picks the semantics:
 
 * None (exact) -- true infinite-word semantics.  On a set of traces with
-  longest prefix P and loop lcm L, the values of a subformula repeat from
-  P + a*L with period b*L, for a bound (a, b) proved from the formula
-  structure alone, never read off computed values.  U, F and G pass over
-  the period twice: from the least (U, F) or greatest (G) fixpoint to settle
-  the value at its start, then from that value to fill it.
+  longest prefix P and loop lcm L, the values of a subformula repeat with
+  period L from P + (u-1)*L, for loop unrollings u proved from the formula
+  structure alone, never read off computed values (`_meet` says why one
+  period suffices).  U, F and G pass over the period twice: from the least
+  (U, F) or greatest (G) fixpoint to settle the value at its start, then
+  from that value to fill it.
 
 * N >= 0 (bounded) -- positions range over [0, N]; X is false at N, Y is
   false at 0, Until/Since witnesses are clipped to the window.  This mirrors the
@@ -25,7 +26,7 @@ of it (below): every set has the universe's traces, in universe order, and
 its shape.  A node's values on a set form one column, whose entry j packs a
 known mask and, above it, a value mask: bit k stands for universe trace k.
 A column's (start, end) and the window W (below) are the places the two
-modes differ inside evaluation: (P + a*L, P + (a+b)*L) in exact mode, where
+modes differ inside evaluation: (P + (u-1)*L, P + u*L) in exact mode, where
 later positions fold back into the period, and (None, N + 1) in bounded
 mode, whose columns span [0, N].  Each request carries the mask of traces
 it needs, so `&`, `|`, `->`, K and counterfactuals skip operands per trace.
@@ -220,7 +221,7 @@ class EvalContext:
         self.universe = universe
         self.bound = bound
         self.stabilization_cap = stabilization_cap
-        self._bounds: dict[Formula, tuple[int, int]] = {}  # met node -> (a, b)
+        self._bounds: dict[Formula, int] = {}  # met node -> loop unrollings
         self._shape: tuple | None = None  # see `_uni`
         # None: the universe, (agent, t, y): a row's view -> node -> column
         self._sets: dict[tuple | None, dict] = {}
@@ -254,30 +255,31 @@ class EvalContext:
 
     # -- nodes, traces and sets --
 
-    def _meet(self, f: Formula) -> tuple[int, int]:
-        """Structural stabilization bound (a, b) of `f`: on the universe and
-        its views, values repeat from P + a*L with period b*L, where P is the
-        universe's longest prefix and L the lcm of its loops.  Nodes of `f`
+    def _meet(self, f: Formula) -> int:
+        """Loop unrollings u >= 1 of `f`: on the universe and its views, its
+        values repeat with period L from P + (u-1)*L, where P is the
+        universe's longest prefix and L the lcm of its loops.  A leaf needs
+        one; any other node the most of its operands (a counterfactual's
+        relation too), one more for Y, S, O and H, and at least two for K.
+        One block more suffices for S: once its operands repeat, each block
+        of L positions maps the bit e entering it to `A | B & e` leaving it,
+        a monotone map on one bit, so a constant or the identity, and the
+        bit entering the second block enters every later one.  Nodes of `f`
         not met yet get theirs, in `subformulas` order (children first)."""
         bounds = self._bounds
         for g in subformulas(f):
             if g in bounds:
                 continue
-            kb = [bounds[c] for c in children(g)]
+            u = max((bounds[c] for c in children(g)), default=1)
             if type(g) in _CF_NODES:  # may meet a relation first
-                kb.append(bounds[self._rel(g.agent)[1]])
+                u = max(u, bounds[self._rel(g.agent)[1]])
             elif type(g) not in self._OPS and type(g) not in _LEAVES:
                 raise TypeError(f"evaluator got an unknown node: {g!r}")
-            a, b = max((a for a, _ in kb), default=0), lcm(*(b for _, b in kb))
-            if isinstance(g, (Since, Once, Historically)):
-                # the running-Since bit over a settled block either latches or
-                # follows a block-periodic recurrence; two blocks always suffice
-                a, b = a + b, 2 * b
-            elif isinstance(g, Prev):
-                a += 1
+            if isinstance(g, (Since, Once, Historically, Prev)):
+                u += 1
             elif isinstance(g, Know):
-                a = max(a, 1)  # observations that diverge do so below P + L
-            bounds[g] = (a, b)
+                u = max(u, 2)  # observations that diverge do so below P + L
+            bounds[g] = u
         return bounds[f]
 
     def _uni(self) -> tuple:
@@ -351,9 +353,9 @@ class EvalContext:
         while True:
             col = cols.get(g)
             if col is None:  # entries are added on request
-                a, b = self._bounds.get(g) or self._meet(g)
+                u = self._bounds.get(g) or self._meet(g)
                 s, w = (None, self.bound + 1) if self.bound is not None else (
-                    p + a * l, p + (a + b) * l)  # bounded: no period
+                    p + (u - 1) * l, p + u * l)  # bounded: no period
                 col = cols[g] = (bytearray() if n <= 4 else [], s, w)
             e, s, w = col
             if j >= len(e):
@@ -418,15 +420,15 @@ class EvalContext:
         """U, F, G pass backward down to j, and S, O, H forward up to j, from
         the nearest position whose value is known on `need`; else from the
         column's end (U, F, G) or position -1.  Exact mode raises when an
-        operand spans more loop unrollings past the prefix (a + b) than the cap."""
+        operand needs more loop unrollings than the cap."""
         (e, s, w), (l, r) = col, _operands(f)
         nxt = need if r is None else 0  # G, H: greatest fixpoint; the rest least
         d = 1 if isinstance(f, _TEMPORAL[:3]) else -1
         end, cap = w if d > 0 else -1, self.stabilization_cap
         for g in children(f) if d > 0 and s is not None else ():
-            if sum(self._bounds[g]) > cap:
+            if self._bounds[g] > cap:
                 t = self.universe.traces[next(_members(need))]
-                raise StabilizationCapExceeded(t, g, sum(self._bounds[g]), cap)
+                raise StabilizationCapExceeded(t, g, self._bounds[g], cap)
         e.extend(bytes(max(0, end - len(e))))
         k = j + d
         while k != end and e[k] & need != need:

@@ -2,8 +2,8 @@
 
 Everything is driven by an explicit random.Random instance so failures
 reproduce from the seed printed by the calling test.  Feature budgets keep
-generated formulas inside the engine's proven stabilization bounds (deeply
-nested past operators double the bound per level) and keep the first-order
+generated formulas inside the engine's proven stabilization bounds (each
+nested past operator needs one more loop unrolling) and keep the first-order
 oracle's quantifier nesting tractable.
 """
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from ckltl import RelationalFormula, System, cli, desugar, parse, save_system
+from ckltl import (
+    KripkeStructure,
+    RelationalFormula,
+    System,
+    cli,
+    desugar,
+    parse,
+    save_system,
+    subset_similarity,
+)
 from ckltl.cli import build_parser, main
 from ckltl.foe import print_fo, translate
 
@@ -254,6 +264,29 @@ def test_unwritable_out_file_exits_2(model, capsys, tmp_path):
                                   "--out", str(target)])
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write output file: ") and str(target) in err
+
+
+
+def test_out_file_is_utf8_under_an_ascii_locale(tmp_path):
+    # the report was written in the locale's encoding: exit 3 with an
+    # internal UnicodeEncodeError under an ASCII locale.  Only `--out` is
+    # covered; stdout under an ASCII locale is not
+    k = KripkeStructure(("s0", "s1"), "s0", {"s0": ("s0", "s1"), "s1": ("s1",)},
+                        ("café",), {"s0": frozenset(), "s1": frozenset({"café"})})
+    save_system(System(k, ("a",), {"a": frozenset({"café"})},
+                       {"a": subset_similarity(("café",))}), tmp_path / "m.json")
+    (tmp_path / "f.txt").write_text("café", encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "ckltl.cli", "check",
+         "--model", str(tmp_path / "m.json"), "--formula-file", str(tmp_path / "f.txt"),
+         "--universe-prefix", "0", "--universe-loop", "1", "--out", str(tmp_path / "r.txt")],
+        capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"")
+    assert (tmp_path / "r.txt").read_bytes().endswith(
+        "trail:\n  café @ 0 on | {}: false\n".encode("utf-8"))
 
 
 HIRING = str(Path(__file__).resolve().parents[1] / "fixtures" / "explainable.json")

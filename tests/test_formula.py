@@ -364,6 +364,17 @@ def test_relational_formula_refuses_repeated_parameters():
             RelationalFormula(params, parse("p@pi -> p@pi2"))
 
 
+def test_relational_formula_refuses_other_parameter_counts():
+    # two or four parameters used to build a relation that `System.validate`
+    # passed, the engine read without a farther trace, `foe.translate` failed
+    # on with an IndexError and `load_system` refused once saved
+    for params in ((), ("pi", "pi1"), ("pi", "pi1", "pi2", "pi3")):
+        with pytest.raises(ValueError, match=(
+                r"^a relation takes 3 trace parameters \(reference, nearer, farther\),"
+                rf" got {len(params)}: ")):
+            RelationalFormula(params, parse("G (p@pi <-> p@pi1)"))
+
+
 def test_relational_formula_refuses_untraced_atom():
     with pytest.raises(RelationalFormulaError):
         RelationalFormula(("pi", "pi1", "pi2"), Atom("p"))

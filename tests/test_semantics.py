@@ -421,8 +421,8 @@ def test_library_calls_leave_no_reference_cycles():
 
 
 def test_stabilization_cap_trips_on_deep_past_nesting():
-    # a forward scan over a deeply nested past body needs the body's proven
-    # period, which doubles per nesting level; a tiny cap refuses the work
+    # a forward scan over a deeply nested past body needs one loop unrolling
+    # per past level and one for the atoms; a tiny cap refuses the work
     s, u = cf_fixture()
     t = tr("{p} ; {q} | {} ; {p} ; {q}")
     u2 = universe_of(list(u.traces) + [t])
@@ -430,13 +430,31 @@ def test_stabilization_cap_trips_on_deep_past_nesting():
     f = parse("G (p S (q S (p S (q S p))))")
     with pytest.raises(StabilizationCapExceeded) as e:
         eval_at(ctx, t, 0, f)
-    assert e.value.needed > e.value.cap == 2
+    assert (e.value.needed, e.value.cap) == (5, 2)
     # a roomy cap handles the same query
     roomy = EvalContext.exact(s, u2, stabilization_cap=256)
     eval_at(roomy, t, 0, f)
     # evaluating the bare past body at a fixed position never needs the cap:
     # the engine just walks the recurrence left of the position
     eval_at(ctx, t, 1, f.child)
+
+
+def test_past_values_repeat_with_the_loop_lcm():
+    # an exact context folds a column into one period of L positions from
+    # P + (u-1)*L; a bounded one never folds, so on [0, P + 8L] it judges
+    # the fold.  Past-only formulas mean the same in both.  A rule with one
+    # unrolling too few (S, O and H keeping their operands' count) fails
+    r = random.Random(2901)
+    for case in range(300):
+        s, u = gen_system(r), gen_universe(r)
+        f = gen_formula(r, depth=r.randint(2, 6), past=5, future=False)
+        p = max(len(t.prefix) for t in u)
+        n = p + 8 * lcm(*(len(t.loop) for t in u))
+        exact = EvalContext.exact(s, u, stabilization_cap=10_000)
+        bounded = EvalContext.bounded(s, u, n)
+        for t in u:
+            for i in range(n + 1):
+                assert eval_at(exact, t, i, f) == eval_at(bounded, t, i, f), (case, f, t, i)
 
 
 def test_window_table_matches_a_per_trace_reference():

@@ -80,9 +80,9 @@ def digests(count):
 
 def test_seeded_verdicts_are_pinned():
     assert digests(1500) == (
-        "b398718b0ad94b71badcb587e404054f90c9bda27012378aacb944375794a9f8",
-        "bdb78f9641c4554f96ccb28bf3780e2c2201e06c01dcab5691ac5ddce7015079",
-        83,
+        "458d769559ba6a908c1db96792a611f9876c4649d819b560796f7d34fa320ada",
+        "3c06bd33fd7c960d202a60f29e1cf9a320ef8a1c8d317dcb5da61afc8ab15508",
+        14,
     )
 
 
@@ -105,7 +105,7 @@ def test_hiring_checks_on_625_traces_are_pinned():
     assert got == {
         "ICE@1": ("b2f5127a1f64806a91022298dc59404fff56ac842ef523c4e54e0dd62935e8ad", 68085),
         "ICE@2": ("a100ed5ff85c24f48f59ab595cb867d030e2f04d4d03d42a5c815ab2a5b49535", 80950),
-        "WCE": ("c6c13e7b44ead303796d3b6a6fe2b86406796f5af2b48f188e8e3d0e25f11b6b", 104378),
-        "GCE": ("46da06cfc7a0de18f4f8f39f5870a4b0ba773ed455a3315594557ecf70b5e1a7", 705986),
-        "ECE": ("ab63f62bf873ef3516f246912c4d13ef08f50fe88bc9649b66761872999c7c16", 168206),
+        "WCE": ("c6c13e7b44ead303796d3b6a6fe2b86406796f5af2b48f188e8e3d0e25f11b6b", 103753),
+        "GCE": ("46da06cfc7a0de18f4f8f39f5870a4b0ba773ed455a3315594557ecf70b5e1a7", 705361),
+        "ECE": ("ab63f62bf873ef3516f246912c4d13ef08f50fe88bc9649b66761872999c7c16", 167581),
     }
