@@ -6,8 +6,9 @@ generated traces), demo (run a packaged hiring variant end to end).
 
 Exit status: 0 success / satisfied, 1 not satisfied (or violations found),
 2 bad input, 3 internal error (reported as one line on stderr; an exhausted
-resource such as memory counts as one).  Output is deterministic byte-for-byte
-for fixed inputs.
+resource such as memory counts as one).  Each subcommand returns its report;
+`main` writes it once, as JSON under --json or as text, in UTF-8 to stdout or
+--out.  Output is deterministic byte-for-byte for fixed inputs.
 """
 
 from __future__ import annotations
@@ -140,29 +141,33 @@ def _build_universe(args, system) -> TraceUniverse:
     return universe
 
 
-def _cap(args) -> int:
+def _context(args, system, universe) -> EvalContext:
+    # the cap is checked in bounded mode too, which has no use for it
     if args.stabilization_cap < 1:
         raise InputError("--stabilization-cap must be at least 1")
-    return args.stabilization_cap
-
-
-def _context(args, system, universe) -> EvalContext:
-    cap = _cap(args)  # checked in bounded mode too, which has no use for it
     if args.bounded is not None:
         if args.bounded < 0:
             raise InputError("--bounded must be at least 0")
         return EvalContext.bounded(system, universe, args.bounded)
-    return EvalContext.exact(system, universe, cap)
+    return EvalContext.exact(system, universe, args.stabilization_cap)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, data, text: str) -> None:
+    """Write a subcommand's report: `data` as indented JSON under --json
+    (`translate` has no JSON form and passes None), else `text`; UTF-8 bytes
+    to --out or to stdout, whatever the locale's encoding."""
+    body = (json.dumps(data, indent=2) if data is not None and args.json else text) + "\n"
+    raw = body.encode("utf-8")
     if args.out:
         try:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
+            Path(args.out).write_bytes(raw)
         except OSError as e:
             raise InputError(f"cannot write output file: {e}")
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(raw)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(body)
 
 
 def _verdict_text(v: Verdict, universe) -> str:
@@ -182,25 +187,27 @@ def _verdict_text(v: Verdict, universe) -> str:
     return "\n".join(lines)
 
 
-def _cmd_check(args) -> int:
+# (exit status, JSON-ready report or None, text report)
+Report = tuple[int, object, str]
+
+
+def _cmd_check(args) -> Report:
     system = _load_model(args)
     f = _load_formula(args, system)
     universe = _build_universe(args, system)
     ctx = _context(args, system, universe)
     v = check_system(ctx, f)
-    _emit(args, v.to_json() if args.json else _verdict_text(v, universe))
-    return 0 if v.result else 1
+    return (0 if v.result else 1), v.to_dict(), _verdict_text(v, universe)
 
 
-def _cmd_translate(args) -> int:
+def _cmd_translate(args) -> Report:
     system = _load_model(args)
     f = _load_formula(args, system)
     fo = foe.translate(desugar(f), system, faithful=args.faithful)
-    _emit(args, foe.print_fo(fo))
-    return 0
+    return 0, None, foe.print_fo(fo)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> Report:
     system = _load_model(args)
     universe = _build_universe(args, system)
     ctx = _context(args, system, universe)
@@ -214,28 +221,20 @@ def _cmd_validate(args) -> int:
         for agent in system.agents
         for t in universe
     ]
-    ok = all(r.ok for r in reports)
-    if args.json:
-        _emit(args, json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
-    else:
-        lines = []
-        for r in reports:
-            status = "ok" if r.ok else f"{len(r.violations)} violations"
-            lines.append(f"[{r.agent}] from {r.reference} @ {r.position}: {status}")
-            for x in r.violations:
-                lines.append(f"  {x.kind}: {', '.join(x.traces)}")
-        _emit(args, "\n".join(lines))
-    return 0 if ok else 1
+    lines = []
+    for r in reports:
+        status = "ok" if r.ok else f"{len(r.violations)} violations"
+        lines.append(f"[{r.agent}] from {r.reference} @ {r.position}: {status}")
+        for x in r.violations:
+            lines.append(f"  {x.kind}: {', '.join(x.traces)}")
+    return ((0 if all(r.ok for r in reports) else 1),
+            [dataclasses.asdict(r) for r in reports], "\n".join(lines))
 
 
-def _cmd_universe(args) -> int:
+def _cmd_universe(args) -> Report:
     system = _load_model(args)
-    universe = _build_universe(args, system)
-    if args.json:
-        _emit(args, json.dumps([format_trace(t) for t in universe], indent=2))
-    else:
-        _emit(args, "\n".join(format_trace(t) for t in universe))
-    return 0
+    traces = [format_trace(t) for t in _build_universe(args, system)]
+    return 0, traces, "\n".join(traces)
 
 
 def _demo_requirements(variant: str):
@@ -254,10 +253,10 @@ def _demo_requirements(variant: str):
     return reqs
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> Report:
     if args.list:
-        _emit(args, "\n".join(sorted(hiring.VARIANTS)))
-        return 0
+        names = sorted(hiring.VARIANTS)
+        return 0, names, "\n".join(names)
     if args.variant is None:
         raise InputError("need a variant name (or --list)")
     build = hiring.VARIANTS.get(args.variant)
@@ -267,37 +266,25 @@ def _cmd_demo(args) -> int:
         )
     system = build()
     universe = hiring.single_round_universe(system)
-    ctx = EvalContext.exact(system, universe, _cap(args))
-    results = []
-    for name, f in _demo_requirements(args.variant):
-        results.append((name, check_system(ctx, f)))
-    if args.json:
-        payload = {
-            "variant": args.variant,
-            "states": len(system.kripke.states),
-            "traces": len(universe),
-            "checks": [
-                {"name": name, **v.to_dict()} for name, v in results
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        lines = [
-            f"variant: {args.variant}",
-            f"states: {len(system.kripke.states)}",
-            f"universe: {len(universe)} traces",
-        ]
-        for name, v in results:
-            lines.append(
-                f"{name}: {'satisfied' if v.result else 'not satisfied'}"
-            )
-            if not v.result:
-                lines.append(f"  counterexample: {v.counterexample}")
-                lines.append(
-                    f"  failing: {len(v.counterexamples)} of {len(universe)}"
-                )
-        _emit(args, "\n".join(lines))
-    return 0
+    ctx = EvalContext(system, universe)
+    results = [(name, check_system(ctx, f)) for name, f in _demo_requirements(args.variant)]
+    payload = {
+        "variant": args.variant,
+        "states": len(system.kripke.states),
+        "traces": len(universe),
+        "checks": [{"name": name, **v.to_dict()} for name, v in results],
+    }
+    lines = [
+        f"variant: {args.variant}",
+        f"states: {len(system.kripke.states)}",
+        f"universe: {len(universe)} traces",
+    ]
+    for name, v in results:
+        lines.append(f"{name}: {'satisfied' if v.result else 'not satisfied'}")
+        if not v.result:
+            lines.append(f"  counterexample: {v.counterexample}")
+            lines.append(f"  failing: {len(v.counterexamples)} of {len(universe)}")
+    return 0, payload, "\n".join(lines)
 
 
 def _add_common(p: argparse.ArgumentParser, formula=False, universe=True,
@@ -355,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run a packaged hiring variant")
     p.add_argument("variant", nargs="?", default=None)
     p.add_argument("--list", action="store_true")
-    p.add_argument("--stabilization-cap", type=int, default=64)
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_demo)
@@ -366,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status, data, text = args.func(args)
+        _emit(args, data, text)
+        return status
     except (InputError, UnknownAgentError, StabilizationCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

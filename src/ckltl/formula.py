@@ -762,6 +762,8 @@ class RelationalFormula:
     formula: Formula
 
     def __post_init__(self):
+        if not (isinstance(self.params, tuple) and all(isinstance(v, str) for v in self.params)):
+            raise ValueError(f"trace parameters must be a tuple of names, got {self.params!r}")
         if len(self.params) != 3:
             raise ValueError(f"a relation takes 3 trace parameters (reference, nearer,"
                              f" farther), got {len(self.params)}: {self.params!r}")

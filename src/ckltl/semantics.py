@@ -61,7 +61,6 @@ read off rows.  Neither route checks what a relation holds:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from math import lcm
 
@@ -618,9 +617,6 @@ class Verdict:
             "trail": [e.to_dict() for e in self.trail],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def check_system(ctx: EvalContext, f: Formula) -> Verdict:
     """Conjunction of `f` at position 0 over every trace of the universe.
@@ -628,7 +624,9 @@ def check_system(ctx: EvalContext, f: Formula) -> Verdict:
     Every trace is evaluated (no short-circuit), so the verdict lists all
     counterexamples; the reported one is the first in universe order."""
     holds = ctx._eval(f, None, 0, (1 << len(ctx.universe)) - 1)
-    failing = [t for k, t in enumerate(ctx.universe) if not holds >> k & 1]
+    # one pass over the mask's bits, low bit (the first trace) first
+    bits = format(holds, f"0{len(ctx.universe)}b")[::-1]
+    failing = [t for t, b in zip(ctx.universe, bits) if b == "0"]
     if not failing:
         return Verdict(True, None, (), None, ())
     trail = tuple(explain(ctx, failing[0], 0, f))

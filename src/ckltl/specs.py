@@ -19,7 +19,6 @@ inclusion that the verdicts do not show.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -171,9 +170,6 @@ class ProbeReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = [

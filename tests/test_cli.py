@@ -183,7 +183,6 @@ def test_input_errors_exit_2(model, capsys, tmp_path):
         ("--bounded", [*check, "--bounded", "-1"]),
         ("--stabilization-cap", [*check, "--stabilization-cap", "0"]),
         ("--stabilization-cap", [*check, "--bounded", "3", "--stabilization-cap", "0"]),
-        ("--stabilization-cap", ["demo", "explainable", "--stabilization-cap", "0"]),
         ("--position", [*validate, "--position", "-1"]),
         ("--position", [*validate, "--bounded", "1", "--position", "5"]),
     ):
@@ -269,8 +268,8 @@ def test_unwritable_out_file_exits_2(model, capsys, tmp_path):
 
 def test_out_file_is_utf8_under_an_ascii_locale(tmp_path):
     # the report was written in the locale's encoding: exit 3 with an
-    # internal UnicodeEncodeError under an ASCII locale.  Only `--out` is
-    # covered; stdout under an ASCII locale is not
+    # internal UnicodeEncodeError under an ASCII locale, to `--out` and to
+    # stdout alike
     k = KripkeStructure(("s0", "s1"), "s0", {"s0": ("s0", "s1"), "s1": ("s1",)},
                         ("café",), {"s0": frozenset(), "s1": frozenset({"café"})})
     save_system(System(k, ("a",), {"a": frozenset({"café"})},
@@ -279,14 +278,15 @@ def test_out_file_is_utf8_under_an_ascii_locale(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-X", "utf8=0", "-m", "ckltl.cli", "check",
-         "--model", str(tmp_path / "m.json"), "--formula-file", str(tmp_path / "f.txt"),
-         "--universe-prefix", "0", "--universe-loop", "1", "--out", str(tmp_path / "r.txt")],
-        capture_output=True, env=env)
+    argv = [sys.executable, "-X", "utf8=0", "-m", "ckltl.cli", "check",
+            "--model", str(tmp_path / "m.json"), "--formula-file", str(tmp_path / "f.txt"),
+            "--universe-prefix", "0", "--universe-loop", "1"]
+    proc = subprocess.run([*argv, "--out", str(tmp_path / "r.txt")], capture_output=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"")
-    assert (tmp_path / "r.txt").read_bytes().endswith(
-        "trail:\n  café @ 0 on | {}: false\n".encode("utf-8"))
+    report = (tmp_path / "r.txt").read_bytes()
+    assert report.endswith("trail:\n  café @ 0 on | {}: false\n".encode("utf-8"))
+    proc = subprocess.run(argv, capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, report, b"")
 
 
 HIRING = str(Path(__file__).resolve().parents[1] / "fixtures" / "explainable.json")
@@ -452,6 +452,14 @@ def test_universe_rejects_context_flags(model, capsys):
     assert run(capsys, base) == (0, "| {}\n", "")
 
 
+def test_demo_takes_no_cap(capsys):
+    # the demo's requirements never reach the cap, so `demo` no longer takes one
+    with pytest.raises(SystemExit) as e:
+        main(["demo", "explainable", "--stabilization-cap", "8"])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_translate_rejects_flags_it_would_ignore(model, capsys):
     base = ["translate", "--model", model, "--formula", "p"]
     for extra in (["--json"], ["--bounded", "3"], ["--trace", "| {p}"],
@@ -593,6 +601,26 @@ def test_demo_json_deterministic(capsys):
     assert d["variant"] == "explainable"
     assert d["checks"][0]["name"] == "ICE@1 for the applicant"
     assert d["checks"][0]["result"] is False
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--formula", "p", *TRACES], 1),
+    (["validate", *TRACES], 0),
+    (["universe", "--universe-prefix", "1", "--universe-loop", "1"], 0),
+    (["demo", "explainable"], 0),
+    (["demo", "--list"], 0),
+], ids=["check", "validate", "universe", "demo", "demo-list"])
+def test_every_json_report_is_one_document(model, capsys, tmp_path, argv, code):
+    # `demo --list --json` printed the plain names
+    if argv[0] != "demo":
+        argv = [argv[0], "--model", model, *argv[1:]]
+    argv = [*argv, "--json"]
+    got, out, err = run(capsys, argv)
+    assert (got, err) == (code, "")
+    json.loads(out)
+    report = tmp_path / "report.json"
+    assert run(capsys, [*argv, "--out", str(report)]) == (code, "", "")
+    assert report.read_bytes() == out.encode("utf-8")
 
 
 def test_console_script_runs():

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -373,6 +374,13 @@ def test_relational_formula_refuses_other_parameter_counts():
                 r"^a relation takes 3 trace parameters \(reference, nearer, farther\),"
                 rf" got {len(params)}: ")):
             RelationalFormula(params, parse("G (p@pi <-> p@pi1)"))
+    # a list failed in the unique table with an unhashable-type TypeError,
+    # ints built a relation that `System.validate` failed on with a TypeError,
+    # and a string built a relation over its characters
+    for params in (["pi", "pi1", "pi2"], (1, 2, 3), "abc"):
+        with pytest.raises(ValueError, match=(
+                rf"^trace parameters must be a tuple of names, got {re.escape(repr(params))}$")):
+            RelationalFormula(params, parse("true"))
 
 
 def test_relational_formula_refuses_untraced_atom():
