@@ -2,7 +2,8 @@
 
 Subcommands: check (evaluate a formula over a universe), translate (emit the
 first-order form), validate (similarity preorder report), universe (list
-generated traces), demo (run a packaged hiring variant end to end).
+generated traces), demo (run a packaged hiring variant end to end).  With
+--stats, `check` and `demo` add the context's work counters to their report.
 
 Exit status: 0 success / satisfied, 1 not satisfied (or violations found),
 2 bad input, 3 internal error (reported as one line on stderr; an exhausted
@@ -191,13 +192,24 @@ def _verdict_text(v: Verdict, universe) -> str:
 Report = tuple[int, object, str]
 
 
+def _with_stats(args, ctx: EvalContext, data: dict, text: str) -> tuple[dict, str]:
+    """The report, with the context's work counters added under --stats: a
+    `stats` key in `data`, a last `stats: name=count ...` line in `text`."""
+    if not args.stats:
+        return data, text
+    stats = ctx.stats()
+    return ({**data, "stats": stats},
+            text + "\nstats: " + " ".join(f"{k}={n}" for k, n in stats.items()))
+
+
 def _cmd_check(args) -> Report:
     system = _load_model(args)
     f = _load_formula(args, system)
     universe = _build_universe(args, system)
     ctx = _context(args, system, universe)
     v = check_system(ctx, f)
-    return (0 if v.result else 1), v.to_dict(), _verdict_text(v, universe)
+    return ((0 if v.result else 1),
+            *_with_stats(args, ctx, v.to_dict(), _verdict_text(v, universe)))
 
 
 def _cmd_translate(args) -> Report:
@@ -284,7 +296,7 @@ def _cmd_demo(args) -> Report:
         if not v.result:
             lines.append(f"  counterexample: {v.counterexample}")
             lines.append(f"  failing: {len(v.counterexamples)} of {len(universe)}")
-    return 0, payload, "\n".join(lines)
+    return 0, *_with_stats(args, ctx, payload, "\n".join(lines))
 
 
 def _add_common(p: argparse.ArgumentParser, formula=False, universe=True,
@@ -321,8 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    stats_help = "add the context's work counters to the report"
     p = sub.add_parser("check", help="evaluate a formula over a trace universe")
     _add_common(p, formula=True)
+    p.add_argument("--stats", action="store_true", help=stats_help)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("translate", help="first-order form of a formula")
@@ -344,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true", help=stats_help)
     p.set_defaults(func=_cmd_demo)
 
     return ap

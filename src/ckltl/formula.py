@@ -51,10 +51,11 @@ formula is a DAG in which structurally equal subformulas are one object.
 Equality and hashing are identity, nodes are immutable, and
 `parse(to_source(f)) is f`.  The table holds its nodes weakly, so formulas
 that nobody refers to any more leave it.  Through `memo` the same table also
-maps a source text to its parse, a subset-similarity relation and a
-requirement to their live nodes, weakly too: while a formula lives, building
-it again returns it without rebuilding it; and a similarity relation built
-while an equal, checked one lives is not checked again.
+maps a source text to its parse, a subset relation's propositions and
+parameters to the checked relation, and a requirement to its live node,
+weakly too: while a formula lives, building it again returns it without
+rebuilding it; and a similarity relation built while an equal, checked one
+lives is not checked again.
 The first-order nodes of `foe` subclass `HashConsed` too and share the table,
 but they are not `Formula`s: `desugar` and `to_source` reject them.  One
 toolkit serves both: `foe` registers its operands in `_CHILDREN`, which
@@ -386,17 +387,30 @@ def node_count(f: HashConsed) -> int:
 # Desugaring
 # ---------------------------------------------------------------------------
 
-# surface node -> its core form, built over the already desugared fields
-_SUGAR = {
-    Or: lambda a, b: Not(And(Not(a), Not(b))),
-    Implies: lambda a, b: Not(And(a, Not(b))),
-    Iff: lambda a, b: And(Not(And(a, Not(b))), Not(And(b, Not(a)))),
-    Eventually: lambda a: Until(TrueConst(), a),
-    Globally: lambda a: Not(Until(TrueConst(), Not(a))),
-    Once: lambda a: Since(TrueConst(), a),
-    Historically: lambda a: Not(Since(TrueConst(), Not(a))),
-    Might: lambda agent, a, c: Not(Would(agent, a, Not(c))),
-    EMight: lambda agent, a, c: Not(UWould(agent, a, Not(c))),
+_implies = lambda a, b: Not(And(a, Not(b)))
+
+# node type -> its rule: the core form of a node `g`, given the core forms of
+# its operands in `core`; a core node whose operands keep their forms is `g`
+_DESUGAR = {
+    **dict.fromkeys((TrueConst, FalseConst, Atom, TracedAtom), lambda g, core: g),
+    **dict.fromkeys((Not, Next, Prev), lambda g, core: (
+        g if (a := core[g.child]) is g.child else type(g)(a))),
+    **dict.fromkeys((And, Until, Since), lambda g, core: (
+        g if (a := core[g.left]) is g.left and core[g.right] is g.right
+        else type(g)(a, core[g.right]))),
+    Know: lambda g, core: g if (a := core[g.child]) is g.child else Know(g.agent, a),
+    **dict.fromkeys((Would, UWould), lambda g, core: (
+        g if (a := core[g.ante]) is g.ante and core[g.cons] is g.cons
+        else type(g)(g.agent, a, core[g.cons]))),
+    Or: lambda g, core: Not(And(Not(core[g.left]), Not(core[g.right]))),
+    Implies: lambda g, core: _implies(core[g.left], core[g.right]),
+    Iff: lambda g, core: And(_implies(a := core[g.left], b := core[g.right]), _implies(b, a)),
+    Eventually: lambda g, core: Until(TrueConst(), core[g.child]),
+    Globally: lambda g, core: Not(Until(TrueConst(), Not(core[g.child]))),
+    Once: lambda g, core: Since(TrueConst(), core[g.child]),
+    Historically: lambda g, core: Not(Since(TrueConst(), Not(core[g.child]))),
+    Might: lambda g, core: Not(Would(g.agent, core[g.ante], Not(core[g.cons]))),
+    EMight: lambda g, core: Not(UWould(g.agent, core[g.ante], Not(core[g.cons]))),
 }
 
 
@@ -414,16 +428,18 @@ def desugar(f: Formula) -> Formula:
       MIGHT[g]     == !(ante WOULD[g] !cons)
       EMIGHT[g]    == !(ante UWOULD[g] !cons)
 
-    Each distinct subformula is rewritten once, in postorder.  A core node is
-    rebuilt over its rewritten children, which hash-consing turns back into
-    the node itself when they are unchanged: `desugar(core) is core`.
+    Each distinct subformula is rewritten once, in postorder, by the rule of
+    its node type.  A leaf, or a core node whose operands rewrite to
+    themselves, is returned as is, without a unique-table lookup:
+    `desugar(core) is core`.  Any other node type raises `TypeError`.
     """
     core: dict[Formula, Formula] = {}
+    rule = _DESUGAR.get
     for g in subformulas(f):
-        if not isinstance(g, Formula):
+        rewrite = rule(type(g))
+        if rewrite is None:
             raise TypeError(f"not a formula node: {g!r}")
-        args = [core[v] if isinstance(v, Formula) else v for v in _fields(g)]
-        core[g] = _SUGAR.get(type(g), type(g))(*args)
+        core[g] = rewrite(g, core)
     return core[f]
 
 

@@ -16,7 +16,6 @@ from typing import Mapping
 
 from .formula import (
     And,
-    Formula,
     Globally,
     Historically,
     Iff,
@@ -304,13 +303,14 @@ def subset_similarity(
       & H (AND_p ...)
 
     The induced relation is a preorder with the reference itself as minimum.
-    The body is kept in the unique table while it lives, under the
-    propositions and parameters, and is built once.
+    The unique table maps the propositions and parameters to the checked
+    relation while it lives, so building it again returns it without
+    building or checking its body.
     """
     props = tuple(props)
     ref, near, far = params  # `RelationalFormula` refuses repeated ones
 
-    def build() -> Formula:
+    def build() -> RelationalFormula:
         parts = []
         for p in props:
             on_ref = TracedAtom(p, ref)
@@ -322,7 +322,6 @@ def subset_similarity(
         # other relations are evaluated on views of the universe that bind
         # the reference and nearer traces
         block = conjoin(parts)
-        return And(Globally(block), Historically(block))
+        return RelationalFormula(tuple(params), And(Globally(block), Historically(block)))
 
-    body = memo((subset_similarity, props, ref, near, far), build)
-    return RelationalFormula(tuple(params), body)
+    return memo((subset_similarity, props, ref, near, far), build)

@@ -84,15 +84,16 @@ class LassoTrace:
         into it."""
         c = self._canon
         if c is None:
-            loop = _minimal_period(self.loop)
-            prefix = list(self.prefix)
-            while prefix and prefix[-1] == loop[-1]:
-                loop = (loop[-1],) + loop[:-1]
-                prefix.pop()
-            if len(loop) == len(self.loop) and len(prefix) == len(self.prefix):
+            loop, prefix = _minimal_period(self.loop), self.prefix
+            # absorbing the cells `prefix[n-k:]` turns the loop right by k
+            p, n, k = len(loop), len(prefix), 0
+            while k < n and prefix[n - 1 - k] == loop[-1 - k % p]:
+                k += 1
+            if k == 0 and p == len(self.loop):
                 c = True
             else:
-                c = _lasso(tuple(prefix), loop, True)
+                r = p - k % p
+                c = _lasso(prefix[:n - k], loop[r:] + loop[:r], True)
             _set_canon(self, c)
         return self if c is True else c
 

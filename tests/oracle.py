@@ -23,6 +23,11 @@ FO sentences alike.
 `is_name_reference` is the earlier definition of `formula._is_name`, through
 the full tokenizer, and `window_reference` builds a context's window table
 one proposition of one trace at a time, as the engine once did.
+
+Earlier definitions kept to check their faster successors:
+`desugar_reference` rebuilds every node over its rewritten fields through the
+node's constructor, and `canonical_reference` absorbs prefix cells into the
+loop one at a time, rotating the loop and popping a list of cells.
 """
 
 from __future__ import annotations
@@ -35,11 +40,13 @@ from ckltl import (
     EMight,
     Eventually,
     FalseConst,
+    Formula,
     Globally,
     Historically,
     Iff,
     Implies,
     Know,
+    LassoTrace,
     Might,
     Next,
     Not,
@@ -61,11 +68,14 @@ from ckltl.formula import (
     _TOKEN,
     _UNTIL_OPS,
     HashConsed,
+    _fields,
     _is_ident,
     _is_token,
     _scan_end,
     _syntax_error,
+    subformulas,
 )
+from ckltl.trace import _minimal_period
 
 
 def obs_eq(system, agent, t1, t2, i):
@@ -350,3 +360,40 @@ def window_reference(traces, w: int) -> list[dict]:
             for q in t.label_at(j):
                 props[j][q] = props[j].get(q, 0) | 1 << k
     return props
+
+
+# surface node -> its core form, built over the already desugared fields
+_SUGAR = {
+    Or: lambda a, b: Not(And(Not(a), Not(b))),
+    Implies: lambda a, b: Not(And(a, Not(b))),
+    Iff: lambda a, b: And(Not(And(a, Not(b))), Not(And(b, Not(a)))),
+    Eventually: lambda a: Until(TrueConst(), a),
+    Globally: lambda a: Not(Until(TrueConst(), Not(a))),
+    Once: lambda a: Since(TrueConst(), a),
+    Historically: lambda a: Not(Since(TrueConst(), Not(a))),
+    Might: lambda agent, a, c: Not(Would(agent, a, Not(c))),
+    EMight: lambda agent, a, c: Not(UWould(agent, a, Not(c))),
+}
+
+
+def desugar_reference(f):
+    """The core form of `f`: each distinct node, in postorder, rebuilt over
+    its rewritten fields, through `_SUGAR` or its own constructor."""
+    core = {}
+    for g in subformulas(f):
+        if not isinstance(g, Formula):
+            raise TypeError(f"not a formula node: {g!r}")
+        args = [core[v] if isinstance(v, Formula) else v for v in _fields(g)]
+        core[g] = _SUGAR.get(type(g), type(g))(*args)
+    return core[f]
+
+
+def canonical_reference(t: LassoTrace) -> LassoTrace:
+    """A new trace holding the canonical presentation of `t`'s word: the
+    smallest loop period, then prefix cells that repeat the loop absorbed."""
+    loop = _minimal_period(t.loop)
+    prefix = list(t.prefix)
+    while prefix and prefix[-1] == loop[-1]:
+        loop = (loop[-1],) + loop[:-1]
+        prefix.pop()
+    return LassoTrace(tuple(prefix), loop)

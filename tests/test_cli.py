@@ -623,6 +623,29 @@ def test_every_json_report_is_one_document(model, capsys, tmp_path, argv, code):
     assert report.read_bytes() == out.encode("utf-8")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--formula", "p WOULD[a] q", *TRACES],
+    ["demo", "restricted"],
+], ids=["check", "demo"])
+def test_stats_add_the_counters_and_change_no_verdict_byte(model, capsys, argv):
+    if argv[0] == "check":
+        argv = [argv[0], "--model", model, *argv[1:]]
+    code, plain, err = run(capsys, argv)
+    first = run(capsys, [*argv, "--stats"])
+    assert run(capsys, [*argv, "--stats"]) == first
+    assert first[0] == code and first[2] == err == ""
+    body, last = first[1].rstrip("\n").rsplit("\n", 1)
+    assert body + "\n" == plain
+    # JSON: a `stats` object after the verdict's keys, the same counters
+    plain_json = json.loads(run(capsys, [*argv, "--json"])[1])
+    report = json.loads(run(capsys, [*argv, "--json", "--stats"])[1])
+    stats = report.pop("stats")
+    assert list(report.items()) == list(plain_json.items())
+    assert list(stats) == ["nodes", "columns", "asks", "values", "similarity", "partitions"]
+    assert last == "stats: " + " ".join(f"{k}={n}" for k, n in stats.items())
+    assert all(type(n) is int and n >= 0 for n in stats.values()) and stats["nodes"] > 0
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         ["ckltl", "demo", "--list"], capture_output=True, text=True

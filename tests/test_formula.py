@@ -37,8 +37,10 @@ from ckltl import (
     Until,
     UWould,
     Would,
+    build_ece,
     build_gce,
     build_ice,
+    build_wce,
     conjoin,
     desugar,
     disjoin,
@@ -53,7 +55,7 @@ from ckltl.hiring import hiring_vocabulary
 from ckltl.specs import AttributeVocabulary
 
 from gen import gen_formula
-from oracle import is_name_reference, parse_reference
+from oracle import desugar_reference, is_name_reference, parse_reference
 
 
 def test_parse_atoms_and_constants():
@@ -305,6 +307,39 @@ def test_desugar_fixed_points():
     assert desugar(EMight("a", Atom("p"), Atom("q"))) == Not(
         UWould("a", Atom("p"), Not(Atom("q")))
     )
+
+
+def test_desugar_matches_the_generic_reference():
+    # the per-type rules give the very nodes the generic rebuild gives
+    r = random.Random(31)
+    formulas = [gen_formula(r, depth=r.randint(1, 6)) for _ in range(500)]
+    formulas += [gen_formula(r, depth=4, surface=False) for _ in range(100)]
+    vocab = hiring_vocabulary()
+    formulas += [build_ice(vocab, "a"), build_wce(vocab, "a"),
+                 build_gce(vocab, "a", "a"), build_ece(vocab, "a", "r"), _gce(9), _gce(12)]
+    for f in formulas:
+        assert desugar(f) is desugar_reference(f)
+
+
+def test_desugar_refuses_fo_nodes_like_the_reference():
+    pred = foe.FoPred("p", "x0", "x0")
+    fo = foe.FoOr(pred, foe.FoNot(pred))
+    for node in (pred, fo, And(Atom("p"), Not(fo))):
+        with pytest.raises(TypeError) as want:
+            desugar_reference(node)
+        with pytest.raises(TypeError) as got:
+            desugar(node)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("not a formula node: parse_fo(")
+
+
+def test_desugar_of_a_core_formula_adds_no_table_entry():
+    core = desugar(build_gce(hiring_vocabulary(), "a", "a"))
+    gc.collect()
+    start = len(_TABLE)
+    assert desugar(core) is core
+    gc.collect()
+    assert len(_TABLE) == start
 
 
 def test_desugar_idempotent():

@@ -1,5 +1,6 @@
 """Structures, validation, the JSON model format, similarity templates."""
 
+import gc
 import json
 import random
 from collections import Counter
@@ -169,6 +170,25 @@ def test_subset_similarity_accepts_any_iterable_of_props():
     # the parameters are part of the relation, not only its wrapper
     other = subset_similarity(("p", "q"), ("u", "v", "w"))
     assert other.formula is not rf.formula and "@u" in to_source(other.formula)
+
+
+def test_subset_similarity_returns_the_live_relation():
+    # the unique table maps props and params to the checked relation itself
+    props = ("memo_x", "memo_y")
+    key = (subset_similarity, props, *SIM_PARAMS)
+    rf = subset_similarity(props)
+    assert subset_similarity(props) is rf and formula._TABLE[key]() is rf
+    assert subset_similarity(list(props), list(SIM_PARAMS)) is rf
+    assert subset_similarity(p for p in props) is rf
+    assert subset_similarity(props, ("u", "v", "w")) is not rf
+    # a refused relation records nothing
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate trace parameters"):
+            subset_similarity(props, ("pi", "pi", "pi2"))
+    assert (subset_similarity, props, "pi", "pi", "pi2") not in formula._TABLE
+    del rf
+    gc.collect()
+    assert key not in formula._TABLE
 
 
 def test_subset_similarity_is_valid_by_construction():

@@ -22,6 +22,7 @@ from ckltl import (
 from ckltl.trace import _LETTERS, obs_divergence_point, zip3
 
 from gen import gen_system, gen_trace, gen_universe
+from oracle import canonical_reference
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -30,6 +31,27 @@ E = frozenset()
 
 def tr(text):
     return parse_trace_literal(text)
+
+
+def test_canonical_matches_the_general_algorithm():
+    # absorbing cells by index gives the rotate-and-pop result, and a trace
+    # is its own canonical form exactly when its presentation is
+    r = random.Random(3131)
+    traces = [gen_trace(r, max_prefix=4, max_loop=r.choice((1, 1, 3))) for _ in range(2000)]
+    for _ in range(1000):  # repeated loops after prefixes that end in loop copies
+        loop = gen_trace(r, max_prefix=0, max_loop=4).loop * r.randint(1, 2)
+        tail = (loop * 3)[r.randint(0, 3 * len(loop)):]
+        traces.append(LassoTrace(gen_trace(r, max_prefix=2).prefix + tail, loop))
+    traces += [tr(text) for text in ("{p} | {p}", "| {p}", "{q} | {p}", "{p} ; {q} | {q}",
+                                     "{p} ; {q} | {p} ; {q}", "{} ; {} | {}")]
+    traces += [LassoTrace((P, Q) * 1000, (P,)), LassoTrace((Q,) + (P,) * 1999, (P,))]
+    zipped = frozenset({("p", "pi"), ("q", "pi1")})
+    traces += [LassoTrace((zipped,), (zipped,)), LassoTrace((frozenset(),), (zipped,))]
+    for t in traces:
+        want = canonical_reference(t)
+        c = t.canonical()
+        assert c == want and (c is t) == (want == t) and c.canonical() is c
+        assert t.canonical() is c
 
 
 def test_loop_must_be_nonempty():
