@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import shlex
 import sys
 import warnings
 from pathlib import Path
@@ -118,7 +119,7 @@ def _build_universe(args, system) -> TraceUniverse:
         if value < least:
             raise InputError(f"{flag} must be at least {least}")
     loop_states = None
-    if args.loop_states:
+    if args.loop_states is not None:  # an empty list allows no loop state
         loop_states = [s.strip() for s in args.loop_states.split(",") if s.strip()]
     try:
         with warnings.catch_warnings():
@@ -137,7 +138,7 @@ def _build_universe(args, system) -> TraceUniverse:
         raise InputError(
             f"the model has no trace within --universe-prefix {args.universe_prefix} "
             f"--universe-loop {args.universe_loop}"
-            + (f" --loop-states {args.loop_states}" if loop_states is not None else "")
+            + ("" if loop_states is None else f" --loop-states {shlex.quote(args.loop_states)}")
         )
     return universe
 

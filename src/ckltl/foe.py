@@ -65,7 +65,7 @@ from .formula import (
     subformulas,
 )
 from .model import System
-from .trace import LassoTrace, TraceUniverse
+from .trace import LassoTrace, TraceUniverse, _require_int
 
 
 class UnsupportedNode(TypeError):
@@ -353,6 +353,7 @@ class FoDomain:
     n: int
 
     def __post_init__(self):
+        _require_int("n", self.n)
         if self.n < 0:
             raise ValueError("bound must be >= 0")
 

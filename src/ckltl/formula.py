@@ -744,7 +744,7 @@ def to_source(f: Formula) -> str:
 
 @dataclass(frozen=True)
 class RelationalViolation:
-    kind: str  # 'forbidden-operator' | 'undeclared-trace-variable' | 'untraced-atom'
+    kind: str  # forbidden-operator, undeclared-trace-variable, untraced-atom, unwritable-name
     detail: str
     path: str
 
@@ -765,14 +765,13 @@ class RelationalFormula:
     number of parameters, or a repeated one, raises ValueError.  Building
     one is its one check: traced atoms over the parameters, constants,
     boolean connectives and temporal operators only, no Know, counterfactual
-    or plain atom, else :class:`RelationalFormulaError` lists every offending
-    node.  The check walks the formula's DAG: a node shared by several
+    or plain atom, and every parameter and traced proposition a name
+    formulas can write, else :class:`RelationalFormulaError` lists every
+    offence.  The check walks the formula's DAG: a node shared by several
     operands is visited once, so an offending shared node is listed once, at
-    its first path in preorder.  The check also sets `props`, the names of
-    the traced propositions, deduplicated and sorted, which `System.validate`
-    reads; it is not a field, so it stays out of `==`, `hash` and `repr`.  An
-    equal relation built while a checked one lives is not walked again: it
-    takes `props` from the relation `memo` returns."""
+    its first path in preorder; a parameter is listed at the path `params`.
+    An equal relation built while a checked one lives is not walked again:
+    `memo` finds the checked one."""
 
     params: tuple[str, str, str]
     formula: Formula
@@ -785,11 +784,14 @@ class RelationalFormula:
                              f" farther), got {len(self.params)}: {self.params!r}")
         if len(set(self.params)) != 3:
             raise ValueError(f"duplicate trace parameters: {self.params!r}")
-        checked = memo((RelationalFormula, self.params, self.formula), self._checked)
-        object.__setattr__(self, "props", checked.props)
+        memo((RelationalFormula, self.params, self.formula), self._checked)
 
     def _checked(self) -> RelationalFormula:
-        params, violations, names, seen = self.params, [], set(), set()
+        """This relation, if it passes the check, else the error listing
+        every offence; `memo` runs it once per distinct (params, formula)."""
+        params, seen = self.params, set()
+        violations = [RelationalViolation("unwritable-name", v, "params")
+                      for v in params if not _is_name(v)]
         # preorder, left operand first, each distinct node at its first path;
         # a path is "root" or (parent path, step), rendered only for a
         # violation
@@ -801,10 +803,12 @@ class RelationalFormula:
             seen.add(g)
             cls = type(g)
             if cls is TracedAtom:
-                names.add(g.name)
                 if g.trace_var not in params:
                     violations.append(RelationalViolation(
                         "undeclared-trace-variable", g.trace_var, _path_text(path)))
+                if not _is_name(g.name):
+                    violations.append(
+                        RelationalViolation("unwritable-name", g.name, _path_text(path)))
                 continue
             if cls is Know or cls in _CF_NAMES:
                 op = "K" if cls is Know else _CF_NAMES[cls]
@@ -820,7 +824,6 @@ class RelationalFormula:
                 stack.append((kids[0], (path, ".left")))
         if violations:
             raise RelationalFormulaError(violations)
-        object.__setattr__(self, "props", tuple(sorted(names)))
         return self
 
 

@@ -130,18 +130,15 @@ class System:
             raise UnknownAgentError(agent) from None
 
     def validate(self) -> list[str]:
-        """Every broken invariant, as messages.  A relation's propositions
-        are the `props` its check recorded: no relation's nodes are walked."""
+        """Every broken invariant, as messages.  A relation's parameters and
+        propositions are not looked at: building the relation refused any
+        that formulas cannot write, so no relation's nodes are walked."""
         problems = self.kripke.validate()
         agent_set = set(self.agents)
         if len(agent_set) != len(self.agents):
             problems.append("duplicate agent names")
         problems += [f"agent name {a!r} is not a formula identifier"
                      for a in self.agents if not _is_name(a)]
-        problems += [f"agent {a!r}: similarity parameter {v!r} is not a formula identifier"
-                     for a, rf in self.similarity.items() for v in rf.params if not _is_name(v)]
-        problems += [f"agent {a!r}: similarity proposition {q!r} is not a formula identifier"
-                     for a, rf in self.similarity.items() for q in rf.props if not _is_name(q)]
         for mapping, what in ((self.observation, "observation"), (self.similarity, "similarity")):
             if set(mapping) != agent_set:
                 problems.append(

@@ -94,7 +94,7 @@ from .formula import (
     to_source,
 )
 from .model import System
-from .trace import LassoTrace, TraceUniverse, format_trace
+from .trace import LassoTrace, TraceUniverse, _require_int, format_trace
 
 _CF_NODES = {Would: (False, False), Might: (False, True),
              UWould: (True, False), EMight: (True, True)}
@@ -212,6 +212,8 @@ class EvalContext:
 
     def __init__(self, system: System, universe: TraceUniverse, bound: int | None = None,
                  stabilization_cap: int = 64):
+        _require_int("bound", 0 if bound is None else bound)
+        _require_int("stabilization_cap", stabilization_cap)
         if bound is not None and bound < 0:
             raise ValueError(f"bounded mode needs a bound >= 0, got {bound}")
         if stabilization_cap < 1:

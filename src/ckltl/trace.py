@@ -282,6 +282,12 @@ def universe_of(traces: Iterable[LassoTrace]) -> TraceUniverse:
     return _indexed(tuple(index), index)
 
 
+def _require_int(what: str, value) -> None:
+    """Refuse a count that is not an `int`, or is a `bool`, naming it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 def generate_universe(
     system_or_kripke,
     max_prefix: int,
@@ -300,6 +306,9 @@ def generate_universe(
     would be produced; warns when the result is empty.
     """
     k = getattr(system_or_kripke, "kripke", system_or_kripke)
+    _require_int("max_prefix", max_prefix)
+    _require_int("max_loop", max_loop)
+    _require_int("max_traces", max_traces)
     if max_prefix < 0 or max_loop < 1:
         raise ValueError("need max_prefix >= 0 and max_loop >= 1")
     if max_traces < 1:

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -256,6 +258,20 @@ def test_file_that_is_not_utf8_exits_2(model, capsys, tmp_path, kind):
     assert err.count("\n") == 1
 
 
+def test_an_unwritable_similarity_parameter_exits_2(model, capsys, tmp_path):
+    # the relation refuses the name when it is built; one line names the
+    # agent and the name
+    data = json.loads(Path(model).read_text())
+    data["agents"][0]["similarity"] = {"params": ["pi", "pi 1", "pi2"],
+                                       "formula": "G (p@pi <-> p@pi2)"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["check", "--model", str(path), "--formula", "p", *TRACES])
+    assert (code, out, err) == (2, "", "error: bad model file: agent 'a': bad similarity"
+                                " formula: not a relational formula: unwritable-name: pi 1"
+                                " at params\n")
+
+
 def test_unwritable_out_file_exits_2(model, capsys, tmp_path):
     # a missing directory: exited 3 with an internal FileNotFoundError before
     target = tmp_path / "missing" / "x.txt"
@@ -341,6 +357,19 @@ def test_empty_generated_universe_is_an_input_error(model, capsys):
         assert (code, out) == (2, ""), argv
         assert err == ("error: the model has no trace within --universe-prefix 1 "
                        "--universe-loop 2 --loop-states ,\n"), argv
+
+
+@pytest.mark.parametrize("states, shown", [("", "''"), (",", ","), (" , ", "' , '")],
+                         ids=["empty", "comma", "spaced-comma"])
+def test_loop_states_that_name_no_state_allow_no_loop(capsys, states, shown):
+    # an empty value listed the unrestricted universe: it allows no loop
+    # state, like any other value that names none
+    restricted = str(Path(HIRING).with_name("restricted.json"))
+    code, out, err = run(capsys, ["universe", "--model", restricted, "--universe-prefix", "1",
+                                  "--universe-loop", "1", "--loop-states", states])
+    assert (code, out) == (2, "")
+    assert err == ("error: the model has no trace within --universe-prefix 1 "
+                   f"--universe-loop 1 --loop-states {shown}\n")
 
 
 def test_stabilization_cap_in_a_zipped_relation_is_an_input_error(capsys, tmp_path):
@@ -564,6 +593,14 @@ def test_demo_list(capsys):
     assert out.split() == [
         "explainable", "gender-frozen", "restricted", "unexplainable"
     ]
+
+
+def test_report_reaches_a_stdout_without_a_buffer():
+    # a text stream with no bytes buffer beneath it gets the text itself
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["demo", "--list"])
+    assert code == 0
+    assert out.getvalue() == "explainable\ngender-frozen\nrestricted\nunexplainable\n"
 
 
 def test_demo_explainable(capsys):

@@ -130,6 +130,15 @@ def test_translate_at_requires_core_form():
             translate_at(desugar(parse(src)), s)
 
 
+def test_domain_refuses_a_bound_that_is_not_an_int():
+    # `eval_fo` failed on 2.5 with a TypeError
+    u = universe_of([tr("| {p}")])
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError) as e:
+            FoDomain(u, bad)
+        assert str(e.value) == f"n must be an int, got {bad!r}"
+
+
 def test_eval_fo_error_paths():
     s = gen_system(random.Random(205))
     u = universe_of([tr("| {p}"), tr("| {q}")])

@@ -439,6 +439,25 @@ def test_relational_formula_refuses_unknown_trace_var():
         " K at root.left.right; undeclared-trace-variable: rho at root.right.child")
 
 
+def test_relational_formula_refuses_names_formulas_cannot_write():
+    # parameters at `params`, then each traced atom at its first path; a
+    # traced atom can be both undeclared and unwritable
+    body = And(TracedAtom("x y", "pi"), Or(TracedAtom("true", "rho"), TracedAtom("q", "pi 1")))
+    with pytest.raises(RelationalFormulaError) as e:
+        RelationalFormula(("pi", "pi 1", "WOULD"), body)
+    assert [(v.kind, v.detail, v.path) for v in e.value.violations] == [
+        ("unwritable-name", "pi 1", "params"),
+        ("unwritable-name", "WOULD", "params"),
+        ("unwritable-name", "x y", "root.left"),
+        ("undeclared-trace-variable", "rho", "root.right.left"),
+        ("unwritable-name", "true", "root.right.left"),
+    ]
+    assert str(e.value).startswith(
+        "not a relational formula: unwritable-name: pi 1 at params; unwritable-name: WOULD")
+    for name in ("a_b", "é", "pi1"):
+        RelationalFormula(("pi", name, "pi2"), TracedAtom(name, "pi"))
+
+
 def test_a_shared_offending_node_is_listed_once_at_its_first_path():
     # `G p` is one node under both operands; the check walks the DAG
     with pytest.raises(RelationalFormulaError) as e:
@@ -559,6 +578,20 @@ def test_unique_table_is_weak():
     del f
     gc.collect()
     assert peak > start + 10 and len(_TABLE) == start
+
+
+def test_a_miss_replaces_a_dead_entry_left_under_its_key():
+    # a node that dies between the lookup and `_add` leaves its entry in the
+    # table; `_add` removes it and inserts the new node's entry
+    key = (Atom, "zz")
+    f = Atom("zz")
+    dead = _TABLE[key]
+    del f
+    gc.collect()
+    assert dead() is None and key not in _TABLE
+    _TABLE[key] = dead
+    g = Atom("zz")
+    assert isinstance(g, Atom) and g.name == "zz" and _TABLE[key]() is g
 
 
 def test_parse_is_memoized_while_its_formula_lives():

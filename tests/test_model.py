@@ -16,6 +16,7 @@ from ckltl import (
     KripkeStructure,
     ModelFormatError,
     RelationalFormula,
+    RelationalFormulaError,
     System,
     TracedAtom,
     UnknownAgentError,
@@ -235,34 +236,32 @@ def test_save_and_load(tmp_path):
 @pytest.mark.parametrize("name,ok", [("a-b", False), ("x y", False), ("U", False),
                                      ("true", False), ("a_b", True), ("é", True)])
 def test_a_system_that_validates_loads_back(tmp_path, name, ok):
-    # one that names a proposition formulas cannot write used to validate and
-    # save, and its file was refused on loading: for `a-b`, as "agent 'a':
-    # bad similarity formula: unexpected character '-'"; so did one whose
-    # relation alone names it, undeclared (`aps` ("q",) only)
-    bad = [f"proposition {name!r} is not a formula identifier",
-           f"agent 'a': similarity proposition {name!r} is not a formula identifier"]
-    for aps, problems in (((name, "q"), bad), (("q",), bad[1:])):
+    # a relation that names a proposition formulas cannot write is refused
+    # when it is built; one that builds saves and loads back, whether or not
+    # the model declares the name (`aps` ("q",) only)
+    if not ok:
+        with pytest.raises(RelationalFormulaError) as e:
+            subset_similarity((name, "q"))
+        assert {(v.kind, v.detail) for v in e.value.violations} == {("unwritable-name", name)}
+        return
+    for aps in ((name, "q"), ("q",)):
         kripke = KripkeStructure(("s0",), "s0", {"s0": ("s0",)}, aps, {"s0": frozenset()})
         s = System(kripke, ("a",), {"a": frozenset()}, {"a": subset_similarity((name, "q"))})
-        assert s.validate() == ([] if ok else problems)
+        assert s.validate() == []
         path = tmp_path / "m.json"
         save_system(s, path)
-        if ok:
-            assert system_to_dict(load_system(path)) == system_to_dict(s)
-        else:
-            with pytest.raises((ModelFormatError, InvariantViolation)):
-                load_system(path)
+        assert system_to_dict(load_system(path)) == system_to_dict(s)
 
 
 def test_validation_names_agents_and_parameters_formulas_cannot_write():
     s = tiny_system()
-    sim = subset_similarity(("p",), ("pi", "pi 1", "pi2"))
+    with pytest.raises(RelationalFormulaError) as e:
+        subset_similarity(("p",), ("pi", "pi 1", "pi2"))
+    assert e.value.violations == (
+        formula.RelationalViolation("unwritable-name", "pi 1", "params"),)
     bad = System(s.kripke, ("a", "WOULD"), {"a": frozenset(), "WOULD": frozenset()},
-                 {"a": sim, "WOULD": s.similarity_of("a")})
-    assert bad.validate() == [
-        "agent name 'WOULD' is not a formula identifier",
-        "agent 'a': similarity parameter 'pi 1' is not a formula identifier",
-    ]
+                 {"a": s.similarity_of("a"), "WOULD": s.similarity_of("a")})
+    assert bad.validate() == ["agent name 'WOULD' is not a formula identifier"]
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -407,32 +406,28 @@ def test_loading_walks_each_distinct_relation_once(monkeypatch, tmp_path):
     reads.clear()
     assert [s.validate() for s in systems] == [[]] * 4
     assert walked == reads == []
-    # the names the check recorded are those of a walk of the relation
-    for rf in (rf for s in systems for rf in s.similarity.values()):
-        assert rf.props == tuple(sorted({g.name for g in formula.subformulas(rf.formula)
-                                         if isinstance(g, TracedAtom)}))
 
 
-def test_an_equal_relation_takes_its_names_from_the_checked_one(monkeypatch):
-    # the second relation is a hit in the unique table and is not walked, yet
-    # `validate` reports its unwritable names with the exact messages
+def test_an_equal_relation_is_not_walked_and_a_refused_one_is_not_recorded(monkeypatch):
+    # the second relation is a hit in the unique table and is not walked; a
+    # relation refused for its names raises on every build and leaves no entry
     walked, children = [], formula.children
     monkeypatch.setattr(formula, "children", lambda f: walked.append(f) or children(f))
-    body = And(Globally(TracedAtom("a-b", "pi1")), Historically(TracedAtom("U", "memo_pi")))
     params = ("memo_pi", "pi1", "pi2")
+    body = And(Globally(TracedAtom("a_b", "pi1")), Historically(TracedAtom("V", "memo_pi")))
     first = RelationalFormula(params, body)
     assert walked
     walked.clear()
     second = RelationalFormula(params, body)
     assert walked == [] and second is not first and second == first
-    assert second.props == first.props == ("U", "a-b")
-    assert "props" not in repr(second) and hash(second) == hash(first)
-    kripke = KripkeStructure(("s0",), "s0", {"s0": ("s0",)}, ("q",), {"s0": frozenset()})
-    system = System(kripke, ("a",), {"a": frozenset()}, {"a": second})
-    assert system.validate() == [
-        "agent 'a': similarity proposition 'U' is not a formula identifier",
-        "agent 'a': similarity proposition 'a-b' is not a formula identifier",
-    ]
+    assert hash(second) == hash(first)
+    bad = And(Globally(TracedAtom("a-b", "pi1")), Historically(TracedAtom("V", "memo_pi")))
+    for _ in range(2):
+        with pytest.raises(RelationalFormulaError) as e:
+            RelationalFormula(params, bad)
+        assert e.value.violations == (
+            formula.RelationalViolation("unwritable-name", "a-b", "root.left.child"),)
+    assert (RelationalFormula, params, bad) not in formula._TABLE
 
 
 def test_from_dict_rejects_invariant_violations():

@@ -664,6 +664,17 @@ def test_position_and_mode_validation():
 # similarity diagnostics
 
 
+@pytest.mark.parametrize("arg", ["bound", "stabilization_cap"])
+def test_context_refuses_counts_that_are_not_ints(arg):
+    # 2.5 was accepted, and `check_system` failed on it with a TypeError;
+    # True checked as bound 1
+    s, u = cf_fixture()
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError) as e:
+            EvalContext(s, u, **{"bound": None, "stabilization_cap": 64, arg: bad})
+        assert str(e.value) == f"{arg} must be an int, got {bad!r}"
+
+
 def test_validate_similarity_clean_on_subset_template():
     s, u = cf_fixture()
     ctx = EvalContext.exact(s, u)

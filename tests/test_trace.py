@@ -303,6 +303,17 @@ def test_generate_universe_refuses_negative_bounds():
             generate_universe(k, max_prefix, max_loop)
 
 
+@pytest.mark.parametrize("arg", ["max_prefix", "max_loop", "max_traces"])
+def test_generate_universe_refuses_counts_that_are_not_ints(arg):
+    # max_prefix 1.5 enumerated prefixes of length 2; a float max_loop
+    # raised a TypeError
+    k = two_state_kripke()
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError) as e:
+            generate_universe(k, **{"max_prefix": 1, "max_loop": 1, arg: bad})
+        assert str(e.value) == f"{arg} must be an int, got {bad!r}"
+
+
 def test_generate_universe_refuses_a_cap_below_one():
     k = two_state_kripke()
     for cap in (0, -1):
