@@ -88,7 +88,26 @@ def _load_formula(args, system) -> Formula:
     return f
 
 
+# (flag, least value): a numeric flag that was given must be at least this;
+# besides, a --position must lie in the --bounded window
+_LEAST = (("--universe-prefix", 0), ("--universe-loop", 1), ("--max-traces", 1),
+          ("--stabilization-cap", 1), ("--bounded", 0), ("--position", 0))
+
+
+def _check_numbers(args) -> None:
+    for flag, least in _LEAST:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < least:
+            raise InputError(f"{flag} must be at least {least}")
+    bounded, position = getattr(args, "bounded", None), getattr(args, "position", 0)
+    if bounded is not None and position > bounded:
+        raise InputError(f"--position {position} is past the --bounded window [0, {bounded}]")
+
+
 def _build_universe(args, system) -> TraceUniverse:
+    """The universe of the --trace literals, or the generated one; every
+    numeric flag of the run is checked first (`_LEAST`), once the universe
+    flags are known to fit together."""
     if args.trace:
         generated = [flag for flag, value in (("--universe-prefix", args.universe_prefix),
                                               ("--universe-loop", args.universe_loop),
@@ -98,6 +117,12 @@ def _build_universe(args, system) -> TraceUniverse:
         if generated:
             raise InputError(f"give either --trace literals or {', '.join(generated)}, "
                              "not both")
+    elif args.universe_prefix is None or args.universe_loop is None:
+        raise InputError(
+            "need --trace literals or both --universe-prefix and --universe-loop"
+        )
+    _check_numbers(args)
+    if args.trace:
         try:
             traces = [parse_trace_literal(s) for s in args.trace]
         except ValueError as e:
@@ -108,16 +133,6 @@ def _build_universe(args, system) -> TraceUniverse:
                 raise InputError(f"bad trace literal: {s!r} names undeclared proposition "
                                  f"{min(extra)!r}")
         return universe_of(traces)
-    if args.universe_prefix is None or args.universe_loop is None:
-        raise InputError(
-            "need --trace literals or both --universe-prefix and --universe-loop"
-        )
-    max_traces = 100_000 if args.max_traces is None else args.max_traces
-    for flag, value, least in (("--universe-prefix", args.universe_prefix, 0),
-                               ("--universe-loop", args.universe_loop, 1),
-                               ("--max-traces", max_traces, 1)):
-        if value < least:
-            raise InputError(f"{flag} must be at least {least}")
     loop_states = None
     if args.loop_states is not None:  # an empty list allows no loop state
         loop_states = [s.strip() for s in args.loop_states.split(",") if s.strip()]
@@ -130,7 +145,7 @@ def _build_universe(args, system) -> TraceUniverse:
                 args.universe_prefix,
                 args.universe_loop,
                 loop_states=loop_states,
-                max_traces=max_traces,
+                max_traces=100_000 if args.max_traces is None else args.max_traces,
             )
     except (ValueError, SizeLimitExceeded) as e:
         raise InputError(str(e))
@@ -141,17 +156,6 @@ def _build_universe(args, system) -> TraceUniverse:
             + ("" if loop_states is None else f" --loop-states {shlex.quote(args.loop_states)}")
         )
     return universe
-
-
-def _context(args, system, universe) -> EvalContext:
-    # the cap is checked in bounded mode too, which has no use for it
-    if args.stabilization_cap < 1:
-        raise InputError("--stabilization-cap must be at least 1")
-    if args.bounded is not None:
-        if args.bounded < 0:
-            raise InputError("--bounded must be at least 0")
-        return EvalContext.bounded(system, universe, args.bounded)
-    return EvalContext.exact(system, universe, args.stabilization_cap)
 
 
 def _emit(args, data, text: str) -> None:
@@ -207,7 +211,7 @@ def _cmd_check(args) -> Report:
     system = _load_model(args)
     f = _load_formula(args, system)
     universe = _build_universe(args, system)
-    ctx = _context(args, system, universe)
+    ctx = EvalContext(system, universe, args.bounded, args.stabilization_cap)
     v = check_system(ctx, f)
     return ((0 if v.result else 1),
             *_with_stats(args, ctx, v.to_dict(), _verdict_text(v, universe)))
@@ -223,12 +227,7 @@ def _cmd_translate(args) -> Report:
 def _cmd_validate(args) -> Report:
     system = _load_model(args)
     universe = _build_universe(args, system)
-    ctx = _context(args, system, universe)
-    if args.position < 0:
-        raise InputError("--position must be at least 0")
-    if args.bounded is not None and args.position > args.bounded:
-        raise InputError(f"--position {args.position} is past the --bounded window "
-                         f"[0, {args.bounded}]")
+    ctx = EvalContext(system, universe, args.bounded, args.stabilization_cap)
     reports = [
         validate_similarity(ctx, agent, t, args.position)
         for agent in system.agents

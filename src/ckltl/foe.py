@@ -367,9 +367,10 @@ def eval_fo(
     memoized per assignment of their free variables.
 
     Every environment entry must name a point of the domain: a trace of its
-    universe (any lasso presentation of it; all evaluate alike) at a
+    universe (any lasso presentation of it; all evaluate alike) at an int
     position within the bound."""
     for v, (t, i) in (env or {}).items():
+        _require_int(f"{v}: position", i)
         if not 0 <= i <= dom.n:
             raise ValueError(f"{v}: position {i} outside the domain [0, {dom.n}]")
         if t not in dom.universe:

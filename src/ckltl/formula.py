@@ -71,7 +71,7 @@ import re
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Iterator
 
 
@@ -810,8 +810,9 @@ class RelationalFormula:
                     violations.append(
                         RelationalViolation("unwritable-name", g.name, _path_text(path)))
                 continue
-            if cls is Know or cls in _CF_NAMES:
-                op = "K" if cls is Know else _CF_NAMES[cls]
+            cf = cls in _CF_NAMES
+            if cf or cls is Know:
+                op = _CF_NAMES[cls] if cf else "K"
                 violations.append(
                     RelationalViolation("forbidden-operator", op, _path_text(path)))
             elif cls is Atom:
@@ -819,9 +820,9 @@ class RelationalFormula:
             kids = children(g)
             if len(kids) == 1:
                 stack.append((kids[0], (path, ".child")))
-            elif len(kids) == 2:
-                stack.append((kids[1], (path, ".right")))
-                stack.append((kids[0], (path, ".left")))
+            elif len(kids) == 2:  # a step is named by the operand's field
+                stack.append((kids[1], (path, ".cons" if cf else ".right")))
+                stack.append((kids[0], (path, ".ante" if cf else ".left")))
         if violations:
             raise RelationalFormulaError(violations)
         return self
@@ -840,21 +841,16 @@ def _path_text(path) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _fold(node, empty, parts: list[Formula]) -> Formula:
+    """`parts` folded left into `node`s; `empty()` when there are none."""
+    return reduce(node, parts) if parts else empty()
+
+
 def conjoin(parts: list[Formula]) -> Formula:
     """Left-associative conjunction of `parts`; `true` when empty."""
-    if not parts:
-        return TrueConst()
-    f = parts[0]
-    for g in parts[1:]:
-        f = And(f, g)
-    return f
+    return _fold(And, TrueConst, parts)
 
 
 def disjoin(parts: list[Formula]) -> Formula:
     """Left-associative disjunction of `parts`; `false` when empty."""
-    if not parts:
-        return FalseConst()
-    f = parts[0]
-    for g in parts[1:]:
-        f = Or(f, g)
-    return f
+    return _fold(Or, FalseConst, parts)

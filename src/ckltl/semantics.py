@@ -309,7 +309,9 @@ class EvalContext:
     def _indices(self, i: int, *traces: LassoTrace) -> list[int]:
         """Universe indices of `traces`, any presentation of a universe word;
         every public entry point asks here, so a position below 0 or past
-        the bounded window and a trace outside the universe are refused."""
+        the bounded window, one that is not an int and a trace outside the
+        universe are refused."""
+        _require_int("position", i)
         if i < 0:
             raise ValueError("positions start at 0")
         if self.bound is not None and i > self.bound:

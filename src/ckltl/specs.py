@@ -37,6 +37,7 @@ from .formula import (
     to_source,
 )
 from .semantics import EvalContext, Verdict, check_system
+from .trace import _require_int
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,10 @@ def build_ece(vocab: AttributeVocabulary, attr_agent: str, agent: str) -> Formul
 
 def position_variant(f: Formula, k: int) -> Formula:
     """The body of a G-shaped requirement checked at position k only:
-    G(body) -> X^k(body)."""
+    G(body) -> X^k(body); k is an int >= 0."""
     if not isinstance(f, Globally):
         raise ValueError("position_variant needs a G-shaped formula")
+    _require_int("position", k)
     if k < 0:
         raise ValueError("position must be >= 0")
     out = f.child
@@ -214,7 +216,7 @@ def entailment_probe(
     Family entries are (label, system, universe) triples."""
     members = []
     for label, system, universe in family:
-        ctx = EvalContext.exact(system, universe)
+        ctx = EvalContext(system, universe)
         v1 = check_system(ctx, f1)
         v2 = check_system(ctx, f2)
         members.append(ProbeMember(label, v1.result, v2.result, v1, v2))

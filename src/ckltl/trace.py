@@ -288,6 +288,36 @@ def _require_int(what: str, value) -> None:
         raise ValueError(f"{what} must be an int, got {value!r}")
 
 
+def _live_transitions(trans: dict, allowed: set | None, max_loop: int) -> dict:
+    """`trans` without the steps into dead states, `trans` itself when there
+    are none.  A state is live when a loop of at most `max_loop` states, all
+    of them in `allowed` (None: any), can be entered from it after one step
+    or more; a prefix that ends in a dead state has no lasso.  Every state on
+    such a loop is live, so no loop loses a step."""
+    # the first states of such loops, by breadth-first search; each is live,
+    # since its loop leads back to it
+    live: set[str] = set()
+    for s in trans if allowed is None else allowed:
+        frontier, seen = {s}, {s}
+        for _ in range(max_loop):
+            if any(s in trans[x] for x in frontier):
+                live.add(s)
+                break
+            frontier = {y for x in frontier for y in trans[x]
+                        if allowed is None or y in allowed} - seen
+            seen |= frontier
+    grown = True
+    while grown and len(live) < len(trans):  # until no other state has a live successor
+        grown = False
+        for x, succ in trans.items():
+            if x not in live and not live.isdisjoint(succ):
+                live.add(x)
+                grown = True
+    if len(live) == len(trans):
+        return trans
+    return {x: tuple(y for y in succ if y in live) for x, succ in trans.items()}
+
+
 def generate_universe(
     system_or_kripke,
     max_prefix: int,
@@ -301,7 +331,9 @@ def generate_universe(
 
     All state steps respect the transition relation, including the step from
     the last prefix state into the loop and the loop-closing step.  If
-    `loop_states` is given, every loop state must belong to it.  Raises
+    `loop_states` is given, every loop state must belong to it.  The steps
+    into states from which no such loop can be entered are dropped first, so
+    dead prefixes cost nothing.  Raises
     :class:`SizeLimitExceeded` when more than `max_traces` distinct traces
     would be produced; warns when the result is empty.
     """
@@ -319,7 +351,7 @@ def generate_universe(
         if unknown:
             raise ValueError(f"loop_states not in the model: {sorted(unknown)}")
 
-    trans = k.transitions
+    trans = _live_transitions(k.transitions, allowed, max_loop)
     labels = {s: _LETTERS.setdefault(l, l) for s, l in k.labels.items()}
     # Filled on first use: `cycles` maps (first state, length) to the closed
     # loop paths from there, depth-first, as labels cut to their minimal

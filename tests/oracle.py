@@ -26,13 +26,17 @@ one proposition of one trace at a time, as the engine once did.
 
 Earlier definitions kept to check their faster successors:
 `desugar_reference` rebuilds every node over its rewritten fields through the
-node's constructor, and `canonical_reference` absorbs prefix cells into the
-loop one at a time, rotating the loop and popping a list of cells.
+node's constructor, `canonical_reference` absorbs prefix cells into the
+loop one at a time, rotating the loop and popping a list of cells, and
+`generate_universe_reference` extends every prefix path, also those after
+which no loop can be entered.
 """
 
 from __future__ import annotations
 
+import warnings
 from functools import partial
+from typing import Iterable
 
 from ckltl import (
     And,
@@ -75,7 +79,15 @@ from ckltl.formula import (
     _syntax_error,
     subformulas,
 )
-from ckltl.trace import _minimal_period
+from ckltl.trace import (
+    _LETTERS,
+    SizeLimitExceeded,
+    TraceUniverse,
+    _indexed,
+    _lasso,
+    _minimal_period,
+    _require_int,
+)
 
 
 def obs_eq(system, agent, t1, t2, i):
@@ -397,3 +409,81 @@ def canonical_reference(t: LassoTrace) -> LassoTrace:
         loop = (loop[-1],) + loop[:-1]
         prefix.pop()
     return LassoTrace(tuple(prefix), loop)
+
+
+def generate_universe_reference(
+    system_or_kripke,
+    max_prefix: int,
+    max_loop: int,
+    *,
+    loop_states: Iterable[str] | None = None,
+    max_traces: int = 1_000_000,
+) -> TraceUniverse:
+    """`trace.generate_universe` before it skipped dead prefixes: every
+    prefix path is extended, whether or not a loop can follow it."""
+    k = getattr(system_or_kripke, "kripke", system_or_kripke)
+    _require_int("max_prefix", max_prefix)
+    _require_int("max_loop", max_loop)
+    _require_int("max_traces", max_traces)
+    if max_prefix < 0 or max_loop < 1:
+        raise ValueError("need max_prefix >= 0 and max_loop >= 1")
+    if max_traces < 1:
+        raise ValueError(f"need max_traces >= 1, got {max_traces}")
+    allowed = set(loop_states) if loop_states is not None else None
+    if allowed is not None:
+        unknown = allowed - set(k.states)
+        if unknown:
+            raise ValueError(f"loop_states not in the model: {sorted(unknown)}")
+
+    trans = k.transitions
+    labels = {s: _LETTERS.setdefault(l, l) for s, l in k.labels.items()}
+    # Filled on first use: `cycles` maps (first state, length) to the closed
+    # loop paths from there, depth-first, as labels cut to their minimal
+    # period; `loops` maps a last prefix state (None: empty prefix) to the
+    # loops after it, by length, then first state, then depth-first.
+    cycles: dict[tuple[str, int], list[tuple[frozenset, ...]]] = {}
+    loops: dict[str | None, list[tuple[frozenset, ...]]] = {}
+
+    def closed_loops(first: str, length: int) -> list[tuple[frozenset, ...]]:
+        out = cycles.get((first, length))
+        if out is None:
+            out = cycles[first, length] = []
+            paths = [(first,)]
+            while paths:
+                path = paths.pop()
+                if len(path) < length:
+                    paths += (path + (s,) for s in reversed(trans[path[-1]])
+                              if allowed is None or s in allowed)
+                elif first in trans[path[-1]]:
+                    out.append(_minimal_period(tuple(labels[s] for s in path)))
+        return out
+
+    found: dict[LassoTrace, int] = {}  # canonical trace -> universe position
+    # Depth-first over prefix paths, each before its extensions, the empty
+    # prefix first; a path is kept as its last state and its label tuple.
+    prefixes: list[tuple[str | None, tuple[frozenset, ...]]] = [(None, ())]
+    while prefixes:
+        last, prefix = prefixes.pop()
+        succ = trans[last] if prefix else (k.initial,)
+        after = loops.get(last)
+        if after is None:
+            after = loops[last] = [
+                loop for length in range(1, max_loop + 1) for s in succ
+                if allowed is None or s in allowed for loop in closed_loops(s, length)]
+        for loop in after:
+            # born canonical: absorb prefix letters repeating the loop (shared letters: `is`)
+            n = len(prefix)
+            while n and prefix[n - 1] is loop[-1]:
+                loop = (loop[-1],) + loop[:-1]
+                n -= 1
+            t = _lasso(prefix[:n], loop, True)
+            size = len(found)
+            if found.setdefault(t, size) == size and size >= max_traces:
+                raise SizeLimitExceeded(f"universe exceeds {max_traces} traces; "
+                                        "raise the cap or tighten the bounds")
+        if len(prefix) < max_prefix:
+            prefixes += ((s, prefix + (labels[s],)) for s in reversed(succ))
+
+    if not found:
+        warnings.warn("generated universe is empty under the given bounds", stacklevel=2)
+    return _indexed(tuple(found), found)

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -370,6 +371,45 @@ def test_loop_states_that_name_no_state_allow_no_loop(capsys, states, shown):
     assert (code, out) == (2, "")
     assert err == ("error: the model has no trace within --universe-prefix 1 "
                    f"--universe-loop 1 --loop-states {shown}\n")
+
+
+def test_no_loop_state_ends_generation_at_once(capsys):
+    # every prefix up to length 7 was walked first, for minutes
+    restricted = str(Path(HIRING).with_name("restricted.json"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["universe", "--model", restricted, "--universe-prefix", "7",
+                                  "--universe-loop", "1", "--loop-states", ""])
+    assert (code, out) == (2, "") and time.perf_counter() - start < 2
+    assert err == ("error: the model has no trace within --universe-prefix 7 "
+                   "--universe-loop 1 --loop-states ''\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--formula", "offer", "--bounded", "-1"], "--bounded must be at least 0"),
+    (["check", "--formula", "offer", "--stabilization-cap", "0"],
+     "--stabilization-cap must be at least 1"),
+    (["validate", "--position", "-1"], "--position must be at least 0"),
+    (["validate", "--bounded", "1", "--position", "5"],
+     "--position 5 is past the --bounded window [0, 1]"),
+], ids=["bounded", "stabilization-cap", "position", "window"])
+def test_numeric_flags_are_checked_before_the_universe_is_built(capsys, monkeypatch, argv,
+                                                                message):
+    # these were checked after generation: a large universe was enumerated
+    # first, and here the patched generator made them exit 3
+    def generate(*args, **kwargs):
+        raise RuntimeError("the universe was generated")
+
+    monkeypatch.setattr(cli, "generate_universe", generate)
+    restricted = str(Path(HIRING).with_name("restricted.json"))
+    code, out, err = run(capsys, [argv[0], "--model", restricted, *argv[1:],
+                                  "--universe-prefix", "5", "--universe-loop", "1"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_bad_numeric_flag_comes_before_a_bad_trace_literal(model, capsys):
+    code, out, err = run(capsys, ["check", "--model", model, "--formula", "p",
+                                  "--trace", "{p}", "--bounded", "-1"])
+    assert (code, out, err) == (2, "", "error: --bounded must be at least 0\n")
 
 
 def test_stabilization_cap_in_a_zipped_relation_is_an_input_error(capsys, tmp_path):

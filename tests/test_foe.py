@@ -139,6 +139,17 @@ def test_domain_refuses_a_bound_that_is_not_an_int():
         assert str(e.value) == f"n must be an int, got {bad!r}"
 
 
+def test_eval_fo_refuses_positions_that_are_not_ints():
+    # 1.5 raised a TypeError, and True evaluated at position 1
+    s = gen_system(random.Random(205))
+    u = universe_of([tr("| {p}"), tr("| {q}")])
+    fo = translate_at(desugar(parse("p")), s)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError) as e:
+            eval_fo(FoDomain(u, 2), fo, {"x0": (u.traces[0], bad)})
+        assert str(e.value) == f"x0: position must be an int, got {bad!r}"
+
+
 def test_eval_fo_error_paths():
     s = gen_system(random.Random(205))
     u = universe_of([tr("| {p}"), tr("| {q}")])

@@ -386,6 +386,13 @@ def test_conjoin_disjoin():
     )
 
 
+def test_conjoin_and_disjoin_fold_left_into_the_same_nodes():
+    p, q, r = Atom("p"), Atom("q"), Atom("s")
+    for fold, node, empty in ((conjoin, And, TrueConst), (disjoin, Or, FalseConst)):
+        assert fold([]) is empty() and fold([p]) is p
+        assert fold([p, q, r]) is node(node(p, q), r)
+
+
 def test_relational_formula_accepts_traced_temporal():
     body = Globally(Implies(TracedAtom("p", "pi1"), TracedAtom("p", "pi2")))
     rf = RelationalFormula(("pi", "pi1", "pi2"), body)
@@ -475,6 +482,18 @@ def test_relational_formula_refuses_knowledge_and_counterfactuals():
             ("pi", "pi1", "pi2"),
             Would("a", TracedAtom("p", "pi"), TracedAtom("p", "pi1")),
         )
+
+
+@pytest.mark.parametrize("op", ["WOULD", "MIGHT", "UWOULD", "EMIGHT"])
+def test_a_counterfactual_names_its_operands_by_their_fields(op):
+    # both were named `.left`/`.right`, like the operands of `&`
+    for src, atom, step in ((f"p {op}[a] q@pi", "p", "ante"), (f"p@pi {op}[a] q", "q", "cons")):
+        with pytest.raises(RelationalFormulaError) as e:
+            RelationalFormula(("pi", "pi1", "pi2"), parse(f"X ({src})"))
+        assert [(v.kind, v.detail, v.path) for v in e.value.violations] == [
+            ("forbidden-operator", op, "root.child"),
+            ("untraced-atom", atom, f"root.child.{step}"),
+        ]
 
 
 def test_relational_formula_is_checked_once_while_an_equal_one_lives(monkeypatch):

@@ -664,6 +664,25 @@ def test_position_and_mode_validation():
 # similarity diagnostics
 
 
+@pytest.mark.parametrize("entry", ["value", "eval_at", "similarity_holds",
+                                   "validate_similarity", "closest_antecedents", "explain"])
+def test_positions_that_are_not_ints_are_refused(entry):
+    # 1.5 raised a TypeError deep in the engine, and True answered for
+    # position 1
+    s, u = cf_fixture()
+    ctx, t, p = EvalContext(s, u), u.traces[0], parse("p")
+    call = {"value": lambda i: ctx.value(t, p, i),
+            "eval_at": lambda i: eval_at(ctx, t, i, p),
+            "similarity_holds": lambda i: ctx.similarity_holds("a", t, t, t, i),
+            "validate_similarity": lambda i: validate_similarity(ctx, "a", t, i),
+            "closest_antecedents": lambda i: closest_antecedents(ctx, "a", t, i, p),
+            "explain": lambda i: explain(ctx, t, i, p)}[entry]
+    for bad in (1.5, True):
+        with pytest.raises(ValueError) as e:
+            call(bad)
+        assert str(e.value) == f"position must be an int, got {bad!r}"
+
+
 @pytest.mark.parametrize("arg", ["bound", "stabilization_cap"])
 def test_context_refuses_counts_that_are_not_ints(arg):
     # 2.5 was accepted, and `check_system` failed on it with a TypeError;

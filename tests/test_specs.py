@@ -232,3 +232,12 @@ def test_probe_report_serialization_and_text():
     assert "inclusion violated by: w" in r3.to_text()
     r4 = entailment_probe(parse("G p"), parse("G p"), [("w", s, u)])
     assert "no strictness witness in this family" in r4.to_text()
+
+
+def test_position_variant_refuses_positions_that_are_not_ints():
+    # 1.5 raised a TypeError, and True built the position-1 variant
+    f = build_ice(small_vocab(), "a")
+    for bad in (1.5, True):
+        with pytest.raises(ValueError) as e:
+            position_variant(f, bad)
+        assert str(e.value) == f"position must be an int, got {bad!r}"

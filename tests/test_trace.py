@@ -1,10 +1,13 @@
 """Lasso traces: canonical forms, literals, universes, zipping."""
 
 import copy
+import itertools
 import pickle
 import random
+import time
 import warnings
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from ckltl import (
     TraceUniverse,
     format_trace,
     generate_universe,
+    load_system,
     parse_trace_literal,
     universe_of,
 )
@@ -22,7 +26,7 @@ from ckltl import (
 from ckltl.trace import _LETTERS, obs_divergence_point, zip3
 
 from gen import gen_system, gen_trace, gen_universe
-from oracle import canonical_reference
+from oracle import canonical_reference, generate_universe_reference
 
 P = frozenset({"p"})
 Q = frozenset({"q"})
@@ -383,3 +387,42 @@ def test_generate_universe_matches_reference_enumerator():
             with pytest.raises(SizeLimitExceeded):
                 generate_universe(k, max_prefix, max_loop, loop_states=loop_states,
                                   max_traces=len(want) - 1)
+
+
+def _generated(generate, k, max_prefix, max_loop, loop_states, max_traces=1_000_000):
+    """The traces, or the exception's type, and the warnings of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = list(generate(k, max_prefix, max_loop, loop_states=loop_states,
+                                max_traces=max_traces).traces)
+        except SizeLimitExceeded as e:
+            got = str(e)
+    return got, [str(w.message) for w in caught]
+
+
+def test_skipping_dead_prefixes_changes_no_trace_and_no_order():
+    # every subset of the states as loop states, the empty one included
+    r = random.Random(34)
+    for case in range(40):
+        k = gen_system(r).kripke
+        subsets = [None] + [c for n in range(len(k.states) + 1)
+                            for c in itertools.combinations(k.states, n)]
+        for loop_states in subsets:
+            max_prefix, max_loop = r.randint(0, 4), r.randint(1, 3)
+            args = (k, max_prefix, max_loop, loop_states)
+            want = _generated(generate_universe_reference, *args)
+            assert _generated(generate_universe, *args) == want, (case, args)
+            if len(want[0]) > 1:  # the cap trips at the same trace
+                cap = len(want[0]) // 2
+                assert (_generated(generate_universe, *args, cap)
+                        == _generated(generate_universe_reference, *args, cap)), (case, args)
+
+
+def test_a_model_without_loop_states_is_not_walked():
+    # every prefix up to length 7 was walked: 108 s before
+    system = load_system(Path(__file__).resolve().parents[1] / "fixtures" / "restricted.json")
+    start = time.perf_counter()
+    with pytest.warns(UserWarning, match="empty"):
+        u = generate_universe(system, max_prefix=7, max_loop=1, loop_states=[])
+    assert len(u) == 0 and time.perf_counter() - start < 2
