@@ -52,10 +52,11 @@ Equality and hashing are identity, nodes are immutable, and
 `parse(to_source(f)) is f`.  The table holds its nodes weakly, so formulas
 that nobody refers to any more leave it.  Through `memo` the same table also
 maps a source text to its parse, a subset relation's propositions and
-parameters to the checked relation, and a requirement to its live node,
-weakly too: while a formula lives, building it again returns it without
-rebuilding it; and a similarity relation built while an equal, checked one
-lives is not checked again.
+parameters to the checked relation, a requirement to its live node, and a
+structure's content and generation bounds to its trace universe
+(`trace.generate_universe`), weakly too: while a formula or universe lives,
+building it again returns it without rebuilding it; and a similarity
+relation built while an equal, checked one lives is not checked again.
 The first-order nodes of `foe` subclass `HashConsed` too and share the table,
 but they are not `Formula`s: `desugar` and `to_source` reject them.  One
 toolkit serves both: `foe` registers its operands in `_CHILDREN`, which
@@ -109,9 +110,10 @@ def _add(key: tuple, node: HashConsed) -> HashConsed:
 
 
 def memo(key: tuple, build):
-    """The live node the table holds under `key`, a tuple whose first item is
-    the function or class that builds the node; if there is none, `build()`,
-    recorded under `key` until it dies.  An exception from `build` records nothing."""
+    """The live object the table holds under `key`, a tuple whose first item is
+    the function or class that builds the object (a node, or any object that
+    can be weakly referenced); if there is none, `build()`, recorded under
+    `key` until it dies.  An exception from `build` records nothing."""
     entry = _TABLE.get(key)
     node = entry() if entry is not None else None
     return node if node is not None else _add(key, build())

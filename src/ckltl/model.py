@@ -54,11 +54,22 @@ class UnknownAgentError(KeyError):
         return f"unknown agent: {self.agent!r}"
 
 
+def _collection(state: str, what: str, value, kind):
+    """State `state`'s `what`, `value`, as a `kind`; a string is refused."""
+    if isinstance(value, str):
+        raise ValueError(f"state {state!r}: {what} must be a collection, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class KripkeStructure:
     """States with labels and a serial transition relation.
 
     Treated as immutable after construction; all mappings are private copies.
+    Each successor collection is kept as a tuple and each label as a
+    frozenset; a state without a label gets the empty one, and the labels
+    list the states in `states` order.  A string is refused as either, since
+    it would be read letter by letter.
     """
 
     states: tuple[str, ...]
@@ -68,8 +79,15 @@ class KripkeStructure:
     labels: Mapping[str, frozenset]
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", dict(self.transitions))
-        object.__setattr__(self, "labels", dict(self.labels))
+        trans = dict(self.transitions)
+        labels = {**dict.fromkeys(self.states, frozenset()), **self.labels}
+        # the loader passes tuples and frozensets already: one scan in C each
+        if not all(map(tuple.__instancecheck__, trans.values())):
+            trans = {s: _collection(s, "successors", v, tuple) for s, v in trans.items()}
+        if not all(map(frozenset.__instancecheck__, labels.values())):
+            labels = {s: _collection(s, "label", v, frozenset) for s, v in labels.items()}
+        object.__setattr__(self, "transitions", trans)
+        object.__setattr__(self, "labels", labels)
 
     def validate(self) -> list[str]:
         problems = []
@@ -91,7 +109,7 @@ class KripkeStructure:
                 for s2 in succ:
                     if s2 not in state_set:
                         problems.append(f"transition {s!r} -> {s2!r} leaves the state set")
-            label = self.labels.get(s, frozenset())
+            label = self.labels[s]
             if not ap_set.issuperset(label):
                 problems.append(f"state {s!r} is labeled with undeclared propositions "
                                 f"{sorted(label - ap_set)}")

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from math import lcm
 from typing import Iterable, Iterator
+
+from .formula import memo
 
 
 class SizeLimitExceeded(RuntimeError):
@@ -288,7 +291,7 @@ def _require_int(what: str, value) -> None:
         raise ValueError(f"{what} must be an int, got {value!r}")
 
 
-def _live_transitions(trans: dict, allowed: set | None, max_loop: int) -> dict:
+def _live_transitions(trans: dict, allowed: frozenset | None, max_loop: int) -> dict:
     """`trans` without the steps into dead states, `trans` itself when there
     are none.  A state is live when a loop of at most `max_loop` states, all
     of them in `allowed` (None: any), can be entered from it after one step
@@ -318,6 +321,17 @@ def _live_transitions(trans: dict, allowed: set | None, max_loop: int) -> dict:
     return {x: tuple(y for y in succ if y in live) for x, succ in trans.items()}
 
 
+class _Key(tuple):
+    """A universe's memo key, hashed by its first seven items: the
+    successor and label tuples after them cost a string hash per edge, and
+    equal keys still hash alike."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self[:7])
+
+
 def generate_universe(
     system_or_kripke,
     max_prefix: int,
@@ -335,7 +349,15 @@ def generate_universe(
     into states from which no such loop can be entered are dropped first, so
     dead prefixes cost nothing.  Raises
     :class:`SizeLimitExceeded` when more than `max_traces` distinct traces
-    would be produced; warns when the result is empty.
+    would be produced; warns when the result is empty, on every such call.
+
+    The result is shared through `formula.memo`: while a universe lives, a
+    call on an equal structure (states, initial state, successor tuples and
+    labels) with equal bounds (`max_prefix`, `max_loop`, the set of loop
+    states and `max_traces`) returns it without generating it again.  The
+    key lists the transitions in their map's order, so an equal structure
+    that lists them in another order generates its own.  A refused call
+    records nothing.
     """
     k = getattr(system_or_kripke, "kripke", system_or_kripke)
     _require_int("max_prefix", max_prefix)
@@ -345,12 +367,25 @@ def generate_universe(
         raise ValueError("need max_prefix >= 0 and max_loop >= 1")
     if max_traces < 1:
         raise ValueError(f"need max_traces >= 1, got {max_traces}")
-    allowed = set(loop_states) if loop_states is not None else None
+    if isinstance(loop_states, str):
+        raise ValueError(f"loop_states must be a collection of state names, got {loop_states!r}")
+    allowed = frozenset(loop_states) if loop_states is not None else None
     if allowed is not None:
         unknown = allowed - set(k.states)
         if unknown:
             raise ValueError(f"loop_states not in the model: {sorted(unknown)}")
+    trans, labels = k.transitions, k.labels
+    key = _Key((_generate, tuple(k.states), k.initial, max_prefix, max_loop, allowed, max_traces,
+                tuple(trans), tuple(trans.values()), tuple(labels), tuple(labels.values())))
+    universe = memo(key, partial(_generate, k, max_prefix, max_loop, allowed, max_traces))
+    if not universe.traces:
+        warnings.warn("generated universe is empty under the given bounds", stacklevel=2)
+    return universe
 
+
+def _generate(k, max_prefix: int, max_loop: int, allowed: frozenset | None,
+              max_traces: int) -> TraceUniverse:
+    """`generate_universe`'s enumeration, on arguments it has checked."""
     trans = _live_transitions(k.transitions, allowed, max_loop)
     labels = {s: _LETTERS.setdefault(l, l) for s, l in k.labels.items()}
     # Filled on first use: `cycles` maps (first state, length) to the closed
@@ -400,6 +435,4 @@ def generate_universe(
         if len(prefix) < max_prefix:
             prefixes += ((s, prefix + (labels[s],)) for s in reversed(succ))
 
-    if not found:
-        warnings.warn("generated universe is empty under the given bounds", stacklevel=2)
     return _indexed(tuple(found), found)

@@ -20,6 +20,7 @@ from ckltl import (
     System,
     TracedAtom,
     UnknownAgentError,
+    generate_universe,
     load_system,
     save_system,
     subset_similarity,
@@ -71,6 +72,45 @@ def test_kripke_keeps_private_copies_of_its_mappings():
     assert k.transitions == {"s0": ("s1",), "s1": ("s0", "s1")}
     assert k.labels == {"s0": frozenset(), "s1": frozenset({"p"})}
     assert k == tiny_kripke()
+
+
+def test_kripke_keeps_labels_as_frozensets_and_successors_as_tuples():
+    # a set or list label passed validation, then generation raised
+    # `TypeError: unhashable type`; a string label "pq" read as {p, q}
+    k = KripkeStructure(("s0", "s1"), "s0", {"s0": ["s1"], "s1": ["s0", "s1"]},
+                        ("p", "q"), {"s0": [], "s1": {"p"}})
+    assert k.labels == {"s0": frozenset(), "s1": frozenset({"p"})}
+    assert k.transitions == {"s0": ("s1",), "s1": ("s0", "s1")}
+    assert k == tiny_kripke()
+    assert len(generate_universe(k, max_prefix=2, max_loop=2)) > 0
+    # the labels list the states in `states` order; no state gains successors
+    k = KripkeStructure(("s0", "s1"), "s0", {"sU": ("s0",), "s1": ("s0",)}, ("p",),
+                        {"s1": (), "sV": (), "s0": ()})
+    assert k.transitions == {"s1": ("s0",), "sU": ("s0",)}
+    assert list(k.labels) == ["s0", "s1", "sV"]
+    assert k.validate()[0] == "state 's0' has no successor (relation must be serial)"
+    with pytest.raises(ValueError, match=r"^state 's1': label must be a collection, got 'pq'$"):
+        KripkeStructure(("s0", "s1"), "s0", tiny_kripke().transitions, ("p", "q"),
+                        {"s0": frozenset(), "s1": "pq"})
+    with pytest.raises(ValueError, match=r"^state 's0': successors must be a collection, got 's1'$"):
+        KripkeStructure(("s0", "s1"), "s0", {"s0": "s1", "s1": ("s0",)}, ("p", "q"),
+                        tiny_kripke().labels)
+
+
+def test_a_state_without_a_labels_entry_is_unlabeled(tmp_path):
+    # validation read it as unlabeled, but generation and saving raised KeyError
+    k = KripkeStructure(("s0", "s1"), "s0", tiny_kripke().transitions, ("p", "q"),
+                        {"s1": frozenset({"p"}), "sV": frozenset()})
+    assert k.labels["s0"] == frozenset()
+    assert k.validate() == ["labels declared for unknown state 'sV'"]
+    k = KripkeStructure(k.states, k.initial, k.transitions, k.aps, {"s1": frozenset({"p"})})
+    assert k == tiny_kripke()
+    assert len(generate_universe(k, max_prefix=1, max_loop=1)) > 0
+    s = System(k, ("a",), {"a": frozenset({"p"})}, {"a": subset_similarity(("p", "q"))})
+    path = tmp_path / "m.json"
+    save_system(s, path)
+    assert json.loads(path.read_text())["states"][0] == {"id": "s0", "labels": []}
+    assert load_system(path).kripke == k
 
 
 def test_system_keeps_private_copies_of_its_mappings():

@@ -1,6 +1,7 @@
 """Lasso traces: canonical forms, literals, universes, zipping."""
 
 import copy
+import gc
 import itertools
 import pickle
 import random
@@ -23,6 +24,7 @@ from ckltl import (
     universe_of,
 )
 
+from ckltl import formula, trace
 from ckltl.trace import _LETTERS, obs_divergence_point, zip3
 
 from gen import gen_system, gen_trace, gen_universe
@@ -323,6 +325,93 @@ def test_generate_universe_refuses_a_cap_below_one():
     for cap in (0, -1):
         with pytest.raises(ValueError, match="max_traces"):
             generate_universe(k, max_prefix=1, max_loop=1, max_traces=cap)
+
+
+def test_generate_universe_refuses_a_string_of_loop_states():
+    # "s0" was iterated: "loop_states not in the model: ['0', 's']"
+    with pytest.raises(ValueError, match="^loop_states must be a collection of state names, "
+                                         "got 's0'$"):
+        generate_universe(two_state_kripke(), max_prefix=1, max_loop=1, loop_states="s0")
+
+
+# ---------------------------------------------------------------------------
+# one universe per structure and bounds, while it lives
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def universe_keys():
+    return [key for key in formula._TABLE if key[0] is trace._generate]
+
+
+def test_equal_structures_share_their_universe():
+    # two files, one structure: the variants differ in observations only
+    explainable = load_system(FIXTURES / "explainable.json")
+    frozen = load_system(FIXTURES / "gender_frozen.json")
+    assert explainable.kripke == frozen.kripke and explainable is not frozen
+    bounds = {"max_prefix": 2, "max_loop": 1, "loop_states": ("s0",)}
+    u = generate_universe(explainable, **bounds)
+    assert generate_universe(frozen, **bounds) is u
+    assert generate_universe(frozen.kripke, **{**bounds, "loop_states": ["s0"]}) is u
+    k = frozen.kripke  # labels given in another order, and one left out
+    labels = dict(reversed(k.labels.items()))
+    del labels["s0"]
+    relabeled = KripkeStructure(k.states, k.initial, k.transitions, k.aps, labels)
+    assert relabeled == k and generate_universe(relabeled, **bounds) is u
+    # the key hashes states and bounds only: structures that differ in one
+    # successor list or one label collide in the table but share nothing
+    d = k.states[1]
+    for other in (
+            KripkeStructure(k.states, k.initial, {**k.transitions, "s0": ("s0", d)},
+                            k.aps, k.labels),
+            KripkeStructure(k.states, k.initial, k.transitions, k.aps,
+                            {**k.labels, d: frozenset()})):
+        v = generate_universe(other, **bounds)
+        assert v is not u and v.traces == generate_universe_reference(other, **bounds).traces
+    for other in ({"max_prefix": 1}, {"max_loop": 2}, {"loop_states": None},
+                  {"max_traces": 500}):
+        v = generate_universe(frozen, **{**bounds, **other})
+        assert v is not u, other
+        assert generate_universe(explainable, **{**bounds, **other}) is v, other
+
+
+def test_a_universe_leaves_the_table_when_it_dies():
+    before = len(universe_keys())
+    u = generate_universe(two_state_kripke(), max_prefix=3, max_loop=2)
+    assert len(universe_keys()) == before + 1
+    del u
+    gc.collect()
+    assert len(universe_keys()) == before
+
+
+def test_a_refused_call_records_nothing():
+    k = two_state_kripke()
+    before = universe_keys()
+    for _ in range(2):  # a recorded failure would not raise again
+        with pytest.raises(SizeLimitExceeded):
+            generate_universe(k, max_prefix=3, max_loop=3, max_traces=2)
+        with pytest.raises(ValueError):
+            generate_universe(k, max_prefix=3, max_loop=0)
+    assert universe_keys() == before
+    u = generate_universe(k, max_prefix=3, max_loop=3, max_traces=100)
+    assert len(u) > 2 and len(universe_keys()) == len(before) + 1
+    # True equals 1 as a dict key, but is still refused while the 1 lives
+    one = generate_universe(k, max_prefix=1, max_loop=1)
+    with pytest.raises(ValueError, match="^max_prefix must be an int, got True$"):
+        generate_universe(k, max_prefix=True, max_loop=1)
+    assert generate_universe(k, max_prefix=1, max_loop=1) is one
+
+
+def test_an_empty_universe_warns_on_every_call():
+    k = two_state_kripke()
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            u = generate_universe(k, max_prefix=0, max_loop=1, loop_states=("s1",))
+        assert len(u) == 0
+        assert [(str(w.message), w.filename) for w in caught] == [
+            ("generated universe is empty under the given bounds", __file__)]
 
 
 # ---------------------------------------------------------------------------
